@@ -217,13 +217,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    try:
+        instances = [
+            InstanceParams(n=args.n, m=args.m, bound=args.bound, seed=args.seed + trial)
+            for trial in range(args.trials)
+        ]
+    except ValueError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 2
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
-    for trial in range(args.trials):
-        seed = args.seed + trial
-        a_mat = random_instance(
-            InstanceParams(n=args.n, m=args.m, bound=args.bound, seed=seed)
-        )
+    for trial, params in enumerate(instances):
+        a_mat = random_instance(params)
         for variant, runner in VARIANTS.items():
             started = time.perf_counter()
             result = runner(a_mat)
@@ -233,7 +238,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 [
                     stats.variant,
                     trial,
-                    seed,
+                    params.seed,
                     stats.n,
                     stats.m,
                     stats.rank,

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import IntegralPivotError, InvariantViolationError, SpanMismatchError
-from .exact import Matrix, Scalar, bareiss_det, solve_system
+from .exact import Matrix, Scalar, _integer_multiple, bareiss_det, solve_system
 
 
 def next_int(q: Scalar) -> int:
@@ -139,21 +139,27 @@ def choose_pivot_argmin(x: Sequence[Scalar]) -> Optional[int]:
 
 
 def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int]]:
-    # Greedy left-to-right exact elimination. Accepted columns are kept in
-    # reduced (echelon) form; each contributes a fresh pivot row, and the
-    # accepted original columns restricted to those rows are nonsingular.
-    echelon: list[tuple[int, list[Fraction]]] = []
+    # Greedy left-to-right exact elimination in integers. Accepted columns
+    # are kept in echelon form, divided by their content; each contributes
+    # a fresh pivot row, and the accepted original columns restricted to
+    # those rows are nonsingular. The cross-multiplied update
+    # ``v <- u[p] * v - v[p] * u`` is a nonzero multiple of the rational one,
+    # so it has the same zero pattern and picks the same columns and rows.
+    echelon: list[tuple[int, list[int]]] = []
     col_idx: list[int] = []
     pivot_rows: list[int] = []
-    for j in range(a_mat.cols):
-        v = [Fraction(e) for e in a_mat.column(j)]
+    for j, column in enumerate(a_mat.columns):
+        v = _integer_multiple(column)[1]
         for p, u in echelon:
-            if v[p]:
-                f = v[p] / u[p]
-                for t in range(a_mat.rows):
-                    v[t] -= f * u[t]
-        p = next((t for t in range(a_mat.rows) if v[t]), None)
+            vp = v[p]
+            if vp:
+                up = u[p]
+                v = [up * e - vp * f for e, f in zip(v, u)]
+        p = next((t for t, e in enumerate(v) if e), None)
         if p is not None:
+            g = math.gcd(*v)
+            if g != 1:
+                v = [e // g for e in v]
             echelon.append((p, v))
             col_idx.append(j)
             pivot_rows.append(p)
@@ -166,13 +172,19 @@ def find_independent_columns(a_mat: Matrix) -> list[int]:
 
 
 def check_off_pivot_rows(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int], x: Sequence[Scalar]) -> None:
-    """Verify ``basis @ x == vec`` on the rows *not* in ``pivot_rows``."""
+    """Verify ``basis @ x == vec`` on the rows *not* in ``pivot_rows``.
+
+    Compared in integers: ``x`` is scaled by the lcm ``L`` of its
+    denominators and each row is checked as ``basis[i] @ (L * x) == L * vec[i]``.
+    """
     covered = set(pivot_rows)
+    mu, scaled = _integer_multiple(x)
+    columns = basis.columns
     for irow in range(basis.rows):
         if irow in covered:
             continue
-        acc = sum(basis.entry(irow, j) * x[j] for j in range(basis.cols))
-        if acc != vec[irow]:
+        acc = sum(col[irow] * s for col, s in zip(columns, scaled))
+        if acc != vec[irow] * mu:
             raise SpanMismatchError(f"vector leaves the column span at row {irow}")
 
 

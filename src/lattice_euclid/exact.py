@@ -4,6 +4,11 @@ Everything here is exact: integers are Python ints, rationals are
 ``fractions.Fraction`` (kept canonical by the stdlib: positive denominator,
 fully reduced). Floating point is rejected at the door and never enters any
 code path.
+
+The eliminations behind :func:`solve_system`, :func:`invert` and
+:func:`bareiss_det` are fraction-free (Bareiss 1968, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination"): they run on Python
+ints with exact divisions, and Fractions appear only in their outputs.
 """
 
 from __future__ import annotations
@@ -46,7 +51,10 @@ class Matrix:
                     f"column of length {len(col)} in a {rows}-row matrix"
                 )
             for e in col:
-                if not isinstance(e, (int, Fraction)):
+                # bool is an int subclass but no matrix entry
+                if e.__class__ is not int and (
+                    e.__class__ is bool or not isinstance(e, (int, Fraction))
+                ):
                     raise TypeError(
                         f"matrix entries must be int or Fraction, got {type(e).__name__}"
                     )
@@ -178,12 +186,83 @@ class Matrix:
         return f"Matrix.from_rows({self.to_rows()!r})"
 
 
+def _integer_multiple(vec: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """``(mu, mu * vec)`` with ``mu = lcm_denominators(vec)``, entries as ints."""
+    if all(e.__class__ is int for e in vec):
+        return 1, list(vec)
+    if not all(isinstance(e, (int, Fraction)) for e in vec):
+        raise TypeError("entries must be int or Fraction")
+    mu = lcm_denominators(vec)
+    return mu, [e.numerator * (mu // e.denominator) for e in vec]
+
+
+def _integer_rows(b_mat: Matrix, rhs_columns: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """Rows of ``(b_mat | rhs_columns)`` in ints.
+
+    A row holding Fractions is scaled by the lcm of its denominators, which
+    leaves the solutions of the system unchanged.
+    """
+    return [_integer_multiple(row)[1] for row in zip(*b_mat.columns, *rhs_columns)]
+
+
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free forward elimination on the first ``n`` columns of ``a``.
+
+    Works in place on the ``n`` integer rows of ``a`` (extra columns are
+    right-hand sides and are carried along). By Sylvester's identity every
+    division by the previous pivot is exact, so all entries stay integral;
+    afterwards the upper triangle holds the eliminated system and the last
+    pivot ``a[n-1][n-1]`` is ``sign * det``. The first nonzero entry of each
+    column is the pivot. Returns ``sign``, the parity of the row swaps, and
+    raises SingularMatrixError if some column has no usable pivot. Entries
+    below the diagonal are left as they were.
+    """
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                raise SingularMatrixError(f"no pivot in column {k}")
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot_tail = a[k][k + 1 :]
+        pivot = a[k][k]
+        for r in range(k + 1, n):
+            row = a[r]
+            head = row[k]
+            row[k + 1 :] = [
+                (e * pivot - head * p) // prev for e, p in zip(row[k + 1 :], pivot_tail)
+            ]
+        prev = pivot
+    return sign
+
+
+def _back_substitute(a: list[list[int]], n: int, c: int) -> list[int]:
+    """``y = D * x`` for the system left by :func:`_bareiss`, right-hand side ``c``.
+
+    ``D = a[n-1][n-1]``, so ``y`` is integral by Cramer's rule and each
+    division below is exact.
+    """
+    d = a[n - 1][n - 1]
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        acc = d * row[c]
+        for j in range(k + 1, n):
+            acc -= row[j] * y[j]
+        y[k] = acc // row[k]
+    return y
+
+
 def solve_system(b_mat: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Solve ``b_mat @ x == rhs`` exactly for a square nonsingular matrix.
 
-    Plain rational Gaussian elimination; the first nonzero entry of each
-    column is the pivot (magnitude is irrelevant when nothing rounds).
-    Raises SingularMatrixError if some column has no usable pivot.
+    Fraction-free (Bareiss) elimination of ``(b_mat | rhs)`` in integers,
+    then integer back-substitution for ``y = D * x``, where ``D`` is the
+    last pivot (``±det b_mat``). The only rational step is ``x_k = y_k / D``.
+    Fraction input is cleared row by row first. Raises SingularMatrixError
+    if some column has no usable pivot.
     """
     n = b_mat.rows
     if b_mat.cols != n:
@@ -192,90 +271,57 @@ def solve_system(b_mat: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
         raise DimensionMismatchError(
             f"right-hand side of length {len(rhs)} against {n} rows"
         )
-    aug = [
-        [Fraction(b_mat.entry(i, j)) for j in range(n)] + [Fraction(rhs[i])]
-        for i in range(n)
-    ]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if aug[r][k]), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"no pivot in column {k}")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        for r in range(k + 1, n):
-            f = aug[r][k] / pivot
-            if f:
-                row, prow = aug[r], aug[k]
-                for c in range(k, n + 1):
-                    row[c] -= f * prow[c]
-    x: list[Fraction] = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = aug[k][n]
-        for j in range(k + 1, n):
-            acc -= aug[k][j] * x[j]
-        x[k] = acc / aug[k][k]
-    return tuple(x)
+    if n == 0:
+        return ()
+    a = _integer_rows(b_mat, (rhs,))
+    _bareiss(a, n)
+    d = a[n - 1][n - 1]
+    return tuple(Fraction(y, d) for y in _back_substitute(a, n, n))
 
 
 def bareiss_det(b_mat: Matrix) -> int:
-    """Exact determinant via fraction-free elimination.
+    """Exact determinant via fraction-free (Bareiss) elimination.
 
     Intermediate values stay integral (each division is exact), so there is
-    no rational bookkeeping at all. Singular input returns 0.
+    no rational bookkeeping at all. Singular input returns 0; a
+    non-integral entry raises ValueError.
     """
     n = b_mat.rows
     if b_mat.cols != n:
         raise DimensionMismatchError("determinant needs a square matrix")
     if n == 0:
         return 1
-    a = [[int(e) for e in row] for row in b_mat.to_int().to_rows()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for r in range(k + 1, n):
-            row = a[r]
-            head = row[k]
-            for c in range(k + 1, n):
-                row[c] = (row[c] * pivot - head * a[k][c]) // prev
-            row[k] = 0
-        prev = pivot
+    a = [list(row) for row in zip(*b_mat.to_int().columns)]
+    try:
+        sign = _bareiss(a, n)
+    except SingularMatrixError:
+        return 0
     return sign * a[n - 1][n - 1]
 
 
 def invert(b_mat: Matrix) -> Matrix:
-    """Exact inverse of a square nonsingular matrix, as a Fraction matrix."""
+    """Exact inverse of a square nonsingular matrix, as a Fraction matrix.
+
+    The same fraction-free elimination as :func:`solve_system`, with the
+    identity as right-hand sides: back-substitution gives the integer matrix
+    ``D * b_mat**-1`` (``±`` the adjugate), and each entry is divided by
+    ``D`` once at the end.
+    """
     n = b_mat.rows
     if b_mat.cols != n:
         raise DimensionMismatchError("invert needs a square matrix")
-    aug = [
-        [Fraction(b_mat.entry(i, j)) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if aug[r][k]), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"no pivot in column {k}")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        if pivot != 1:
-            aug[k] = [e / pivot for e in aug[k]]
-        for r in range(n):
-            if r == k:
-                continue
-            f = aug[r][k]
-            if f:
-                aug[r] = [e - f * p for e, p in zip(aug[r], aug[k])]
-    return Matrix.from_rows([row[n:] for row in aug])
+    if n == 0:
+        return Matrix((), rows=0)
+    a = _integer_rows(b_mat, Matrix.identity(n).columns)
+    _bareiss(a, n)
+    d = a[n - 1][n - 1]
+    return Matrix(
+        tuple(
+            tuple(Fraction(y, d) for y in _back_substitute(a, n, n + t))
+            for t in range(n)
+        ),
+        rows=n,
+    )
 
 
 def column_update_inverse(b_inv: Matrix, i: int, new_column: Sequence[Scalar]) -> Matrix:

@@ -2,7 +2,8 @@
 
 Format: a header line ``rows cols``, then ``rows`` lines of ``cols``
 whitespace-separated decimal integers (any length). Lines starting with
-``#`` and blank lines are ignored. Vectors are single-column matrices.
+``#`` and blank lines are ignored, so a matrix without columns is its
+header alone. Vectors are single-column matrices.
 ASCII decimal with LF newlines, so files diff cleanly and round-trip
 bit-exactly at any precision.
 """
@@ -40,6 +41,12 @@ def parse_matrix(text: str) -> Matrix:
     if n < 0 or m < 0:
         raise MatrixParseError(header_no, "dimensions must be non-negative")
     body = significant[1:]
+    if m == 0:
+        # the rows of a matrix without columns are empty lines
+        if body:
+            no, line = body[0]
+            raise MatrixParseError(no, f"expected 0 entries, found {len(line.split())}")
+        return Matrix((), rows=n)
     if len(body) != n:
         bad_no = body[n][0] if len(body) > n else (body[-1][0] if body else header_no)
         raise MatrixParseError(bad_no, f"expected {n} matrix rows, found {len(body)}")
@@ -59,7 +66,8 @@ def parse_matrix(text: str) -> Matrix:
 
 def format_matrix(mat: Matrix) -> str:
     lines = [f"{mat.rows} {mat.cols}"]
-    lines.extend(" ".join(str(e) for e in mat.row(i)) for i in range(mat.rows))
+    if mat.cols:
+        lines.extend(" ".join(str(e) for e in mat.row(i)) for i in range(mat.rows))
     return "\n".join(lines) + "\n"
 
 

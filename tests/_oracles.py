@@ -46,6 +46,31 @@ def adjugate_inverse(rows):
     return out
 
 
+def fraction_echelon(a_mat):
+    """Greedy independent columns and their pivot rows, by rational elimination.
+
+    Each column is reduced against the accepted ones with Fraction
+    arithmetic; a column that keeps a nonzero entry is accepted, and its
+    first nonzero entry names its pivot row. Returns ``(columns, sorted
+    pivot rows)``.
+    """
+    echelon = []
+    col_idx = []
+    pivot_rows = []
+    for j in range(a_mat.cols):
+        v = [Fraction(e) for e in a_mat.column(j)]
+        for p, u in echelon:
+            if v[p]:
+                f = v[p] / u[p]
+                v = [a - f * b for a, b in zip(v, u)]
+        p = next((t for t in range(a_mat.rows) if v[t]), None)
+        if p is not None:
+            echelon.append((p, v))
+            col_idx.append(j)
+            pivot_rows.append(p)
+    return col_idx, sorted(pivot_rows)
+
+
 def random_int_matrix(rng, n, m, bound):
     return Matrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]

@@ -201,6 +201,25 @@ def test_bench_csv_shape(capsys):
         assert len(line.split(",")) == len(BENCH_COLUMNS)
 
 
+def test_bench_rejects_bad_params(capsys):
+    argv = ["bench", "--seed", "1", "--trials", "1", "--n", "0", "--m", "2", "--bound", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bench: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_basis_of_all_zero_input_checks_equal(tmp_path, capsys):
+    path = tmp_path / "zero.mat"
+    path.write_text("2 3\n0 0 0\n0 0 0\n")
+    assert main(["basis", "--alg", "basic", str(path)]) == 0
+    out = tmp_path / "basis.mat"
+    out.write_text(capsys.readouterr().out)
+    assert main(["check", str(out), str(path)]) == 0
+    assert capsys.readouterr().out == "EQUAL\n"
+
+
 def test_module_entry_point(gcd_file):
     proc = subprocess.run(
         [sys.executable, "-m", "lattice_euclid", "basis", "--alg", "basic", gcd_file],

@@ -28,7 +28,9 @@ from lattice_euclid import (
     solve_system,
 )
 
-from _oracles import random_int_matrix
+from lattice_euclid.euclid import _independent_columns
+
+from _oracles import fraction_echelon, random_int_matrix
 
 B23 = Matrix.from_rows([[2, 1], [1, 3]])  # det 5, used throughout
 
@@ -154,11 +156,66 @@ def test_find_independent_columns_rank_matches_hnf():
         assert len(find_independent_columns(a)) == hnf(a).cols
 
 
+def _low_rank(rng, n, m, rank, bound):
+    left = random_int_matrix(rng, n, rank, bound)
+    right = random_int_matrix(rng, rank, m, bound)
+    return left @ right
+
+
+def test_independent_columns_match_fraction_echelon():
+    rng = random.Random(23)
+    for trial in range(120):
+        n, m = rng.randint(1, 6), rng.randint(1, 8)
+        if trial % 3 == 0:
+            a = _low_rank(rng, n, m, rng.randint(1, n), 5)
+        elif trial % 3 == 1:
+            a = random_int_matrix(rng, n, m, 1)  # many zeros, zero columns
+        else:
+            a = Matrix(
+                tuple(
+                    tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+                    for _ in range(m)
+                ),
+                rows=n,
+            )
+        expected = fraction_echelon(a)
+        assert _independent_columns(a) == expected
+        assert find_independent_columns(a) == expected[0]
+
+
+def test_solve_in_span_rank_deficient_random():
+    rng = random.Random(24)
+    fractional = 0
+    for _ in range(60):
+        n, r = rng.randint(2, 6), rng.randint(1, 3)
+        basis = random_int_matrix(rng, n, min(r, n - 1), 6)
+        cols, pivot_rows = fraction_echelon(basis)
+        if len(cols) != basis.cols:
+            continue
+        # in the span, with a fractional solution once divided by the content
+        inside = basis.mat_vec([rng.randint(-5, 5) for _ in range(basis.cols)])
+        g = math.gcd(*inside) or 1
+        inside = tuple(e // g for e in inside)
+        x = solve_in_span(basis, pivot_rows, inside)
+        assert basis.mat_vec(x) == inside
+        off = next(t for t in range(n) if t not in pivot_rows)
+        outside = tuple(e + (t == off) for t, e in enumerate(inside))
+        with pytest.raises(SpanMismatchError):
+            solve_in_span(basis, pivot_rows, outside)
+        fractional += any(frac_part(q) for q in x)
+    assert fractional  # some pivot-row solutions were fractional
+
+
 def test_solve_in_span_guards_off_pivot_rows():
     basis = Matrix.from_rows([[1], [2]])
     assert solve_in_span(basis, (0,), (3, 6)) == (3,)
     with pytest.raises(SpanMismatchError):
         solve_in_span(basis, (0,), (3, 5))
+    # fractional pivot-row solution, checked on the off-pivot row
+    basis = Matrix.from_rows([[2, 0], [0, 2], [1, 1]])
+    assert solve_in_span(basis, (0, 1), (1, 1, 1)) == (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(SpanMismatchError):
+        solve_in_span(basis, (0, 1), (1, 1, 0))
 
 
 # --- exchange step ----------------------------------------------------------

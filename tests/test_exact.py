@@ -41,6 +41,8 @@ def test_matrix_validation():
         Matrix(())
     with pytest.raises(TypeError):
         Matrix([(1.5, 2.0)])
+    with pytest.raises(TypeError):  # bool is an int subclass, but no entry
+        Matrix.from_rows([[True, False], [False, True]])
     assert Matrix((), rows=3).cols == 0
 
 
@@ -111,6 +113,11 @@ def test_solve_singular_raises():
         solve_system(Matrix.from_rows([[1, 2], [2, 4]]), (1, 0))
 
 
+def test_solve_rejects_float_rhs():
+    with pytest.raises(TypeError):
+        solve_system(Matrix.identity(2), (1.5, 2))
+
+
 def test_solve_shape_errors():
     with pytest.raises(DimensionMismatchError):
         solve_system(Matrix.from_rows([[1, 2]]), (1,))
@@ -130,6 +137,52 @@ def test_solve_random_roundtrip_exact():
             assert isinstance(e, Fraction)
             assert e.denominator > 0
             assert math.gcd(e.numerator, e.denominator) == 1
+
+
+# --- fraction-free kernels against the naive oracles ------------------------
+
+
+def _sparse_rows(rng, n, fractions):
+    """Random n x n entries, zero often enough that leading pivots vanish."""
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        value = rng.randint(-9, 9)
+        return Fraction(value, rng.randint(1, 6)) if fractions else value
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_kernels_match_adjugate_and_cofactor(fractions):
+    rng = random.Random(505 + fractions)
+    swapped = singular = 0
+    for trial in range(150):
+        n = trial % 6  # 0 x 0 included
+        rows = _sparse_rows(rng, n, fractions)
+        b = Matrix(tuple(zip(*rows)), rows=n)
+        rhs = tuple(rng.randint(-9, 9) for _ in range(n))
+        det = cofactor_det(rows)
+        if b.is_integral():
+            assert bareiss_det(b) == det
+        else:
+            with pytest.raises(ValueError):
+                bareiss_det(b)
+        if det == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                solve_system(b, rhs)
+            with pytest.raises(SingularMatrixError):
+                invert(b)
+            continue
+        swapped += n > 1 and rows[0][0] == 0
+        inv = adjugate_inverse(rows)
+        assert invert(b) == Matrix(tuple(zip(*inv)), rows=n)
+        x = solve_system(b, rhs)
+        assert x == tuple(sum(inv[i][k] * rhs[k] for k in range(n)) for i in range(n))
+        assert all(isinstance(e, Fraction) for e in x)
+    assert swapped and singular  # the draw reached the row-swap and singular paths
 
 
 # --- bareiss_det -----------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lattice_euclid import Matrix, MatrixParseError, format_matrix, load_matrix, parse_matrix
 
@@ -10,6 +12,7 @@ from _oracles import random_int_matrix
 def test_format_exact_text():
     m = Matrix.from_rows([[12, 18]])
     assert format_matrix(m) == "1 2\n12 18\n"
+    assert format_matrix(Matrix((), rows=2)) == "2 0\n"
 
 
 def test_parse_basic():
@@ -33,6 +36,14 @@ def test_roundtrip_huge_entries():
     assert parse_matrix(format_matrix(m)) == m
 
 
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_roundtrip_every_shape(n, m, data):
+    entry = st.integers(-(10**30), 10**30)
+    columns = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(m))
+    mat = Matrix(columns, rows=n)
+    assert parse_matrix(format_matrix(mat)) == mat
+
+
 def test_parse_zero_rows():
     m = parse_matrix("0 3\n")
     assert (m.rows, m.cols) == (0, 3)
@@ -49,6 +60,7 @@ def test_parse_zero_rows():
         ("1 2\n1\n", 2),
         ("1 2\n1 x\n", 2),
         ("-1 2\n", 1),
+        ("2 0\n5\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
