@@ -1,12 +1,13 @@
 """Exact lattice basis computation by Euclidean-style column exchanges.
 
 Given integer generator vectors, the package computes a basis of the
-lattice they span using exact rational arithmetic throughout. Four drivers
-share the same exchange step: a baseline that solves each system from
-scratch, one with a cached rank-one-updated inverse, one updating a full
-solution matrix with an accumulated transform, and one pivoting row by row
-with provably bounded coefficient growth. Determinant computation and
-integral linear-system solving are small modifications of the same loop,
+lattice they span using exact rational arithmetic throughout. One exchange
+engine (:mod:`lattice_euclid.euclid`) runs every computation: two pivot
+orders (first in, first out with the pivot nearest an integer, or row by
+row with provably bounded coefficient growth) times four ways to solve pool
+vectors (from scratch, cached rank-one-updated inverse, updated solution
+matrix, single-row solves). The four basis drivers, determinant
+computation and integral linear-system solving are configurations of it,
 and an independent Hermite-form oracle provides ground truth for testing.
 """
 

@@ -1,16 +1,20 @@
 """Determinant and Diophantine solving built on the exchange engine.
 
-Both are small re-instrumentations of the baseline run:
+Both are configurations of the engine's FIFO order with from-scratch
+solves, the order of :func:`lattice_euclid.euclid.basic_basis`:
 
 * The determinant of a square ``B`` falls out of running the exchange loop
   on ``(B | I)``. The identity block forces the generated lattice to be all
   of ``Z^n``, so the run ends on a unimodular basis; since every exchange
   scales the determinant by its pivot residue, the accumulated product of
   residues is ``det(final) / det(B)`` and ``det(B)`` is recovered without
-  ever being computed directly.
-* ``A x = b`` over the integers is solved by tracking, for every vector the
-  run touches, its integer coordinates with respect to the original
-  columns. At the end that yields an integral ``U`` with ``A @ U = basis``;
+  ever being computed directly. The run does not know the determinant, so
+  it never stops early; the determinants in its trace are reconstructed
+  afterwards.
+* ``A x = b`` over the integers is solved by tagging every vector the run
+  touches with its integer coordinates with respect to the original
+  columns; the run itself is that of ``basic_basis``, trace included. At
+  the end the tags form an integral ``U`` with ``A @ U = basis``;
   feasibility then reduces to whether ``basis`` divides ``b`` evenly, and a
   witness is ``U @ (basis**-1 b)``.
 """
@@ -22,31 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvariantViolationError, SingularMatrixError, SpanMismatchError
-from .exact import Matrix, bareiss_det, solve_system
-from .euclid import (
-    ExchangeRecord,
-    _independent_columns,
-    choose_pivot_argmin,
-    frac_part,
-    mod_prime,
-    next_int,
-    solve_in_span,
-)
+from .errors import DimensionMismatchError, InvariantViolationError, SingularMatrixError
+from .exact import Matrix, bareiss_det
+from .euclid import ExchangeRecord, _Run, _scaled_det, _split, _unit, frac_part
 
 
 @dataclass(frozen=True)
 class TransformU:
-    """Integral coordinates of the current basis in the original generators.
+    """Integral coordinates of the final basis in the original generators.
 
-    ``matrix`` is the m-by-rank integer matrix with ``A @ matrix == basis``
-    at every point of the run. ``column_origin`` maps each basis slot to the
-    original column index of the generator most recently exchanged into it
-    (its starting column before any exchange touches it).
+    ``matrix`` is the m-by-rank integer matrix with ``A @ matrix == basis``.
     """
 
     matrix: Matrix
-    column_origin: dict[int, int]
 
 
 def lattice_determinant(b_mat: Matrix) -> int:
@@ -68,48 +60,24 @@ def determinant_with_trace(b_mat: Matrix) -> tuple[int, tuple[ExchangeRecord, ..
     """
     n = b_mat.rows
     if b_mat.cols != n:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1, ()
-    basis = b_mat.to_int()
-    pool = [tuple(1 if k == t else 0 for k in range(n)) for t in range(n)]
-    accumulated = Fraction(1)
-    steps: list[tuple[int, int, Fraction]] = []
+        raise DimensionMismatchError("determinant needs a square matrix")
+    run = _Run(b_mat.to_int(), (_unit(k, n) for k in range(n)), range(n), None)
     try:
-        while pool:
-            vec = pool[0]
-            x = solve_system(basis, vec)
-            i = choose_pivot_argmin(x)
-            if i is None:
-                pool.pop(0)
-                continue
-            factor = x[i] - next_int(x[i])
-            remainder = mod_prime(basis, vec, x, i)
-            old_column = basis.column(i)
-            basis = basis.with_column(i, remainder)
-            pool.pop(0)
-            pool.append(old_column)
-            accumulated *= factor
-            steps.append((i, 0, factor))
+        run.fifo(run.solve)
     except SingularMatrixError:
         return 0, ()
-    sign = bareiss_det(basis)
+    sign = bareiss_det(run.basis)
     if abs(sign) != 1:
         raise InvariantViolationError("exchange run did not end on a unimodular basis")
-    value_frac = Fraction(sign) / accumulated
+    value_frac = Fraction(sign) / math.prod(rec.factor for rec in run.trace)
     if value_frac.denominator != 1:
         raise InvariantViolationError("accumulated residues do not divide the sign")
-    value = int(value_frac)
+    value = det = int(value_frac)
     # det after step k = det(B) * product of the first k+1 factors
     records = []
-    running = Fraction(value)
-    for k, (i, j, factor) in enumerate(steps):
-        running *= factor
-        if running.denominator != 1:
-            raise InvariantViolationError("reconstructed determinant is not integral")
-        records.append(
-            ExchangeRecord(step=k, pivot_row=i, column=j, factor=factor, det_after=int(running))
-        )
+    for rec in run.trace:
+        det = _scaled_det(rec.factor, det)
+        records.append(ExchangeRecord(rec.step, rec.pivot_row, rec.column, rec.factor, det))
     return value, tuple(records)
 
 
@@ -133,70 +101,22 @@ def diophantine_run(
 
     The transform satisfies ``a_mat @ transform.matrix == basis`` for the
     final basis of the run; with ``check_invariants`` that identity is
-    re-verified after every exchange.
+    re-verified after every exchange. The trace is that of
+    :func:`lattice_euclid.euclid.basic_basis` on ``a_mat``.
     """
-    n, m = a_mat.rows, a_mat.cols
-    if len(rhs) != n:
-        raise ValueError(f"right-hand side of length {len(rhs)} against {n} rows")
-    col_idx, pivot_rows = _independent_columns(a_mat)
-    if not col_idx:
-        if any(rhs):
-            raise SpanMismatchError("nonzero right-hand side for an all-zero system")
-        return tuple(0 for _ in range(m)), TransformU(Matrix((), rows=m), {}), ()
+    if len(rhs) != a_mat.rows:
+        raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
+    run = _split(a_mat, coordinates=True)
 
-    def unit(k: int) -> tuple[int, ...]:
-        return tuple(1 if t == k else 0 for t in range(m))
+    def exchanged(i):
+        if a_mat.mat_vec(run.tags.column(i)) != run.basis.column(i):
+            raise InvariantViolationError("coordinate tracking drifted from the basis")
 
-    basis = Matrix(tuple(a_mat.column(j) for j in col_idx), rows=n)
-    coords = [unit(j) for j in col_idx]  # basis column i == a_mat @ coords[i]
-    origins = {i: j for i, j in enumerate(col_idx)}
-    chosen = set(col_idx)
-    pool = [
-        (a_mat.column(j), unit(j), j)
-        for j in range(m)
-        if j not in chosen and any(a_mat.column(j))
-    ]
-    det = bareiss_det(basis.submatrix_rows(pivot_rows))
-    trace: list[ExchangeRecord] = []
-    while pool:
-        vec, vec_coords, origin = pool[0]
-        x = solve_in_span(basis, pivot_rows, vec)
-        i = choose_pivot_argmin(x)
-        if i is None:
-            pool.pop(0)
-            continue
-        remainder = mod_prime(basis, vec, x, i)
-        rounded = [next_int(q) if k == i else math.floor(q) for k, q in enumerate(x)]
-        new_coords = list(vec_coords)
-        for k, shift in enumerate(rounded):
-            if shift:
-                new_coords = [c - shift * d for c, d in zip(new_coords, coords[k])]
-        factor = x[i] - next_int(x[i])
-        det_frac = factor * det
-        if det_frac.denominator != 1:
-            raise InvariantViolationError("exchange factor does not divide the determinant")
-        det = int(det_frac)
-        old_column, old_coords, old_origin = basis.column(i), coords[i], origins[i]
-        basis = basis.with_column(i, remainder)
-        coords[i] = tuple(new_coords)
-        origins[i] = origin
-        pool.pop(0)
-        pool.append((old_column, old_coords, old_origin))
-        trace.append(
-            ExchangeRecord(step=len(trace), pivot_row=i, column=0, factor=factor, det_after=det)
-        )
-        if check_invariants:
-            if a_mat.mat_vec(coords[i]) != basis.column(i):
-                raise InvariantViolationError("coordinate tracking drifted from the basis")
-    transform = TransformU(Matrix(tuple(coords), rows=m), dict(origins))
-    if check_invariants and (a_mat @ transform.matrix) != basis:
+    run.fifo(run.solve, exchanged if check_invariants else None)
+    transform = TransformU(run.tags)
+    if check_invariants and (a_mat @ transform.matrix) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
-    x = solve_in_span(basis, pivot_rows, tuple(rhs))  # SpanMismatchError if infeasible
+    x = run.solve(tuple(rhs))  # SpanMismatchError if infeasible
     if any(frac_part(q) != 0 for q in x):
-        return None, transform, tuple(trace)
-    shifts = [int(q) for q in x]
-    solution = [0] * m
-    for k, shift in enumerate(shifts):
-        if shift:
-            solution = [s + shift * c for s, c in zip(solution, coords[k])]
-    return tuple(solution), transform, tuple(trace)
+        return None, transform, tuple(run.trace)
+    return transform.matrix.mat_vec([int(q) for q in x]), transform, tuple(run.trace)

@@ -19,14 +19,23 @@ old and new column are integer combinations of each other plus ``B``.
 Rank-deficient inputs are handled by restricting all square solves to a
 fixed set of pivot rows on which the independent system is nonsingular;
 the remaining rows are verified exactly on every solve.
+
+Every public driver in the package is a configuration of one engine kept
+here, ``_Run``: a mutable run state, one exchange routine, and two pivot
+orders. ``_Run.fifo`` consumes the pool first in, first out, pivots on the
+coordinate nearest an integer and stops once ``|det| == 1``;
+``_Run.row_major`` clears fractional solution entries row by row under
+enforced coefficient-growth caps. A driver only supplies how pool vectors
+are solved and what it tracks besides the basis. :func:`basic_basis` is the
+plainest configuration: FIFO order, every system solved from scratch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import IntegralPivotError, InvariantViolationError, SpanMismatchError
 from .exact import Matrix, Scalar, _integer_multiple, bareiss_det, solve_system
@@ -196,10 +205,191 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
     exactly, so a vector outside the column span raises SpanMismatchError
     instead of silently returning a non-solution.
     """
+    if len(pivot_rows) == basis.rows:
+        return solve_system(basis, vec)
     x = solve_system(basis.submatrix_rows(pivot_rows), [vec[i] for i in pivot_rows])
-    if len(pivot_rows) != basis.rows:
-        check_off_pivot_rows(basis, pivot_rows, vec, x)
+    check_off_pivot_rows(basis, pivot_rows, vec, x)
     return x
+
+
+def _ceil_log2(value: int) -> int:
+    # ceil(log2(value)) for value >= 1, computed on bit length (no floats)
+    return (value - 1).bit_length()
+
+
+def coefficient_bound(n_rows: int, max_entry: int) -> int:
+    """Worst-case infinity norm of a basis built under row-wise pivoting.
+
+    ``n^2 * a * ceil(log2(n * a))`` for ambient dimension ``n`` and input
+    magnitude ``a``, floored at ``a`` itself: untouched input columns can
+    always appear in the output, which the formula misses when ``n * a <= 1``
+    makes the log term vanish.
+    """
+    if max_entry <= 0:
+        return 0
+    return max(max_entry, n_rows * n_rows * max_entry * _ceil_log2(n_rows * max_entry))
+
+
+def _scaled_det(factor: Fraction, det: int) -> int:
+    scaled = factor * det
+    if scaled.denominator != 1:
+        raise InvariantViolationError("exchange factor does not divide the determinant")
+    return int(scaled)
+
+
+class _Run:
+    """Mutable state of one exchange run, the engine behind every driver.
+
+    ``det`` is the signed determinant of the pivot-row subsystem, or None
+    where the run must not know it (determinant mode); ``trajectory`` lists
+    its values. When ``tags`` is set, it is a matrix whose column ``k``
+    belongs to basis column ``k``, and ``pool_tags[j]`` belongs to
+    ``pool[j]``: each exchange applies to the tags the same integer
+    combination it applies to the vectors.
+    """
+
+    def __init__(
+        self,
+        basis: Matrix,
+        pool: Iterable[Sequence[int]],
+        pivot_rows: Sequence[int],
+        det: Optional[int],
+        discards: int = 0,
+    ):
+        self.basis = basis
+        self.pool = list(pool)
+        self.pivot_rows = tuple(pivot_rows)
+        self.det = det
+        self.trajectory = [det]
+        self.trace: list[ExchangeRecord] = []
+        self.discards = discards
+        self.tags: Optional[Matrix] = None
+        self.pool_tags: list = [None] * len(self.pool)
+
+    def solve(self, vec: Sequence[int]) -> tuple[Fraction, ...]:
+        """Solution of ``basis @ x == vec``, solved from scratch."""
+        return solve_in_span(self.basis, self.pivot_rows, vec)
+
+    def exchange(self, j: int, x: Sequence[Scalar], i: int) -> tuple[int, ...]:
+        """Swap basis column ``i`` for the residue of ``pool[j]``; return it.
+
+        ``x`` must solve ``basis @ x == pool[j]`` with ``x[i]`` fractional.
+        The old basis column, with its tag, takes pool slot ``j``.
+        """
+        factor = x[i] - next_int(x[i])
+        remainder = mod_prime(self.basis, self.pool[j], x, i)
+        if self.det is not None:
+            self.det = _scaled_det(factor, self.det)
+            self.trajectory.append(self.det)
+        self.trace.append(ExchangeRecord(len(self.trace), i, j, factor, self.det))
+        if self.tags is not None:
+            tag = mod_prime(self.tags, self.pool_tags[j], x, i)
+            self.pool_tags[j] = self.tags.column(i)
+            self.tags = self.tags.with_column(i, tag)
+        self.pool[j] = self.basis.column(i)
+        self.basis = self.basis.with_column(i, remainder)
+        return remainder
+
+    def fifo(self, solve: Callable, exchanged: Optional[Callable] = None) -> None:
+        """Pool first in, first out; pivot by :func:`choose_pivot_argmin`.
+
+        A pool vector whose solution is integral is discarded; an exchanged
+        one's old basis column joins the back of the pool. Stops once
+        ``|det| == 1``: every remaining pool vector then divides evenly and
+        is discarded unexamined. ``exchanged(i)`` runs after each exchange.
+        """
+        pool, tags = self.pool, self.pool_tags
+        while pool and self.det not in (1, -1):
+            x = solve(pool[0])
+            i = choose_pivot_argmin(x)
+            if i is None:
+                self.discards += 1
+                pool.pop(0)
+                tags.pop(0)
+                continue
+            self.exchange(0, x, i)
+            pool.append(pool.pop(0))
+            tags.append(tags.pop(0))
+            if exchanged is not None:
+                exchanged(i)
+        self.discards += len(pool)
+        pool.clear()
+        tags.clear()
+
+    def row_major(self, norm_a: int, row: Callable, column: Callable, exchanged: Optional[Callable] = None) -> None:
+        """Clear fractional solution entries row by row, top down.
+
+        ``row(i)`` is row ``i`` of the solution matrix of the pool against
+        the basis and ``column(j)`` the solution of ``pool[j]``. Each
+        exchange pivots on the first fractional entry of the topmost row
+        that has one. Rows above stay integral, so the walk never
+        backtracks, and each exchange grows the touched column by at most
+        ``(n-1) * norm_a``. That per-step cap and :func:`coefficient_bound`
+        are enforced on every exchange; a violation raises
+        InvariantViolationError since it would falsify the pivoting
+        argument. ``exchanged(i, j, x)`` runs after each exchange.
+        """
+        n = self.basis.rows
+        bound = coefficient_bound(n, norm_a)
+        i = 0
+        while i < self.basis.cols:
+            z = row(i)
+            j = next((k for k, e in enumerate(z) if frac_part(e) != 0), None)
+            if j is None:
+                i += 1
+                continue
+            x = column(j)
+            if x[i] != z[j]:
+                raise InvariantViolationError("row solve disagrees with the full solve")
+            old_peak = max(abs(e) for e in self.basis.column(i))
+            peak = max(abs(e) for e in self.exchange(j, x, i))
+            if peak > old_peak + (n - 1) * norm_a:
+                raise InvariantViolationError("per-step coefficient growth bound violated")
+            # the other columns were checked when they entered, or are input
+            if peak > bound:
+                raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
+            if exchanged is not None:
+                exchanged(i, j, x)
+
+    def result(self, transform: Optional[Matrix] = None) -> BasisResult:
+        return BasisResult(
+            basis=self.basis,
+            exchanges=len(self.trace),
+            discards=self.discards,
+            det_trajectory=tuple(self.trajectory),
+            max_abs_entry=int(self.basis.max_abs()),
+            trace=tuple(self.trace),
+            transform=transform,
+        )
+
+
+def _unit(k: int, n: int) -> tuple[int, ...]:
+    return tuple(1 if t == k else 0 for t in range(n))
+
+
+def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
+    """A run on the columns of ``a_mat``, before any exchange.
+
+    Zero columns are discarded, the first maximal independent set of
+    columns forms the basis and the rest is pooled. With ``coordinates``
+    every vector is tagged with its coordinates in the columns of ``a_mat``.
+    """
+    col_idx, pivot_rows = _independent_columns(a_mat)
+    chosen = set(col_idx)
+    pooled = [j for j, col in enumerate(a_mat.columns) if j not in chosen and any(col)]
+    basis = Matrix(tuple(a_mat.column(j) for j in col_idx), rows=a_mat.rows)
+    run = _Run(
+        basis,
+        (a_mat.column(j) for j in pooled),
+        pivot_rows,
+        bareiss_det(basis.submatrix_rows(pivot_rows)),
+        discards=a_mat.cols - len(col_idx) - len(pooled),
+    )
+    if coordinates:
+        m = a_mat.cols
+        run.tags = Matrix(tuple(_unit(j, m) for j in col_idx), rows=m)
+        run.pool_tags = [_unit(j, m) for j in pooled]
+    return run
 
 
 def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i: int) -> EuclidState:
@@ -209,79 +399,15 @@ def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i
     ``vec`` must be in the pool. The old basis column joins the end of the
     pool; the generated lattice of basis plus pool is unchanged.
     """
-    factor = x[i] - next_int(x[i])
-    remainder = mod_prime(state.basis, vec, x, i)
-    target = tuple(vec)
     try:
-        idx = state.pool.index(target)
+        j = state.pool.index(tuple(vec))
     except ValueError:
         raise ValueError("exchange source vector is not in the pool") from None
-    old_column = state.basis.column(i)
-    det_frac = factor * state.det
-    if det_frac.denominator != 1:
-        raise InvariantViolationError("exchange factor does not divide the determinant")
-    record = ExchangeRecord(
-        step=len(state.trace),
-        pivot_row=i,
-        column=idx,
-        factor=factor,
-        det_after=int(det_frac),
-    )
-    return EuclidState(
-        basis=state.basis.with_column(i, remainder),
-        pool=state.pool[:idx] + state.pool[idx + 1 :] + (old_column,),
-        pivot_rows=state.pivot_rows,
-        det=int(det_frac),
-        trace=state.trace + (record,),
-    )
-
-
-def _split_generators(a_mat: Matrix):
-    """Zero columns out, independent columns into the basis, rest pooled.
-
-    Returns ``(state, zero_discards)`` with ``state is None`` when the input
-    has no nonzero column at all.
-    """
-    zero = tuple(0 for _ in range(a_mat.rows))
-    zero_discards = sum(1 for j in range(a_mat.cols) if a_mat.column(j) == zero)
-    col_idx, pivot_rows = _independent_columns(a_mat)
-    if not col_idx:
-        return None, zero_discards
-    chosen = set(col_idx)
-    basis = Matrix(tuple(a_mat.column(j) for j in col_idx), rows=a_mat.rows)
-    pool = tuple(
-        a_mat.column(j)
-        for j in range(a_mat.cols)
-        if j not in chosen and a_mat.column(j) != zero
-    )
-    det = bareiss_det(basis.submatrix_rows(pivot_rows))
-    return (
-        EuclidState(basis=basis, pool=pool, pivot_rows=tuple(pivot_rows), det=det),
-        zero_discards,
-    )
-
-
-def _empty_result(n_rows: int, discards: int, transform: Optional[Matrix] = None) -> BasisResult:
-    return BasisResult(
-        basis=Matrix((), rows=n_rows),
-        exchanges=0,
-        discards=discards,
-        det_trajectory=(1,),
-        max_abs_entry=0,
-        trace=(),
-        transform=transform,
-    )
-
-
-def _finish(state: EuclidState, discards: int, trajectory: list[int]) -> BasisResult:
-    return BasisResult(
-        basis=state.basis,
-        exchanges=len(state.trace),
-        discards=discards,
-        det_trajectory=tuple(trajectory),
-        max_abs_entry=int(state.basis.max_abs()),
-        trace=state.trace,
-    )
+    run = _Run(state.basis, state.pool, state.pivot_rows, state.det)
+    run.trace = list(state.trace)
+    run.exchange(j, x, i)
+    run.pool.append(run.pool.pop(j))
+    return EuclidState(run.basis, tuple(run.pool), run.pivot_rows, run.det, tuple(run.trace))
 
 
 def basic_basis(a_mat: Matrix) -> BasisResult:
@@ -292,18 +418,6 @@ def basic_basis(a_mat: Matrix) -> BasisResult:
     ``rank(a_mat)`` columns and generates exactly the lattice of the input;
     an input without nonzero columns yields an empty basis.
     """
-    state, discards = _split_generators(a_mat)
-    if state is None:
-        return _empty_result(a_mat.rows, discards)
-    trajectory = [state.det]
-    while state.pool:
-        vec = state.pool[0]
-        x = solve_in_span(state.basis, state.pivot_rows, vec)
-        i = choose_pivot_argmin(x)
-        if i is None:
-            state = replace(state, pool=state.pool[1:])
-            discards += 1
-        else:
-            state = exchange_step(state, vec, x, i)
-            trajectory.append(state.det)
-    return _finish(state, discards, trajectory)
+    run = _split(a_mat)
+    run.fifo(run.solve)
+    return run.result()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -24,6 +25,16 @@ from .errors import (
 )
 
 Scalar = Union[int, Fraction]
+
+
+def _check_entries(values: Iterable[Scalar]) -> None:
+    """Raise TypeError unless every value is an int or a Fraction."""
+    for e in values:
+        # bool is an int subclass but no matrix entry; ints skip isinstance
+        if e.__class__ is not int and (
+            e.__class__ is bool or not isinstance(e, (int, Fraction))
+        ):
+            raise TypeError(f"entries must be int or Fraction, got {type(e).__name__}")
 
 
 class Matrix:
@@ -50,14 +61,7 @@ class Matrix:
                 raise DimensionMismatchError(
                     f"column of length {len(col)} in a {rows}-row matrix"
                 )
-            for e in col:
-                # bool is an int subclass but no matrix entry
-                if e.__class__ is not int and (
-                    e.__class__ is bool or not isinstance(e, (int, Fraction))
-                ):
-                    raise TypeError(
-                        f"matrix entries must be int or Fraction, got {type(e).__name__}"
-                    )
+        _check_entries(chain.from_iterable(cols))
         self.rows = rows
         self.cols = len(cols)
         self._columns = cols
@@ -124,6 +128,7 @@ class Matrix:
             raise DimensionMismatchError(
                 f"vector of length {len(vec)} against {self.cols} columns"
             )
+        _check_entries(vec)
         out: list[Scalar] = [0] * self.rows
         for col, scale in zip(self._columns, vec):
             if scale:

@@ -1,31 +1,30 @@
-"""Accelerated drivers for the exchange engine.
+"""Accelerated configurations of the exchange engine.
 
-Three ways to avoid solving a fresh linear system per iteration:
+Each driver here is a configuration of the engine in
+:mod:`lattice_euclid.euclid` that only swaps in a faster way to solve pool
+vectors against the basis:
 
-* ``inverse_variant_basis`` caches the inverse of the independent system and
-  rewrites it per exchange with a rank-one update; it also stops as soon as
-  the determinant magnitude reaches 1, at which point every remaining pool
-  vector divides evenly.
+* ``inverse_variant_basis`` runs the FIFO order of ``basic_basis`` (same
+  pivots, same trace) against a cached inverse of the independent system,
+  rewritten per exchange with a rank-one update.
 * ``solution_variant_basis`` solves all pool vectors up front into a
   solution matrix ``X`` and rewrites ``X`` per exchange with closed-form
-  update rules; the basis itself is never touched during the loop. Exchanges
-  accumulate into a rational transform ``Y`` applied once at the end.
-* ``rowwise_variant_basis`` clears fractional solution entries row by row,
-  recomputing one row of ``X`` at a time. Working top-down keeps already
-  cleared rows integral forever and bounds every basis entry ever produced
-  by ``n^2 * ||A|| * ceil(log2(n * ||A||))``.
+  update rules; exchanges also accumulate into a rational transform ``Y``.
+* ``rowwise_variant_basis`` recomputes one row of ``X`` at a time with a
+  single transposed solve.
 
-The row-by-row pivot order (shared by the solution variant, which always
-picks the minimal fractional row) is what tames coefficient growth: when
-rows above ``i`` are integral, the exchanged column is a combination of the
-current column ``i`` and *untouched* input columns only, so each exchange
-adds at most ``(n - 1) * ||A||`` to the column's magnitude.
+The last two run the engine's row-major order, so they produce the same
+trace. That order is what tames coefficient growth: when rows above ``i``
+are integral, the exchanged column is a combination of the current column
+``i`` and *untouched* input columns only, so each exchange adds at most
+``(n - 1) * ||A||`` to the column's magnitude, and every basis entry ever
+produced stays within ``n^2 * ||A|| * ceil(log2(n * ||A||))``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolationError
 from .exact import (
@@ -39,79 +38,39 @@ from .exact import (
 )
 from .euclid import (
     BasisResult,
-    EuclidState,
-    ExchangeRecord,
-    _empty_result,
-    _finish,
-    _split_generators,
+    _split,
     check_off_pivot_rows,
-    choose_pivot_argmin,
-    exchange_step,
+    coefficient_bound,  # re-exported: defined beside the engine that enforces it
     frac_part,
-    mod_prime,
     next_int,
-    solve_in_span,
 )
-
-
-def _ceil_log2(value: int) -> int:
-    # ceil(log2(value)) for value >= 1, computed on bit length (no floats)
-    return (value - 1).bit_length()
-
-
-def coefficient_bound(n_rows: int, max_entry: int) -> int:
-    """Worst-case infinity norm of a basis built under row-wise pivoting.
-
-    ``n^2 * a * ceil(log2(n * a))`` for ambient dimension ``n`` and input
-    magnitude ``a``, floored at ``a`` itself: untouched input columns can
-    always appear in the output, which the formula misses when ``n * a <= 1``
-    makes the log term vanish.
-    """
-    if max_entry <= 0:
-        return 0
-    return max(max_entry, n_rows * n_rows * max_entry * _ceil_log2(n_rows * max_entry))
-
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
     """Basis computation with a cached, rank-one-updated inverse.
 
     Behaves exactly like :func:`lattice_euclid.euclid.basic_basis` (same
-    pivots, same trace) except that each solve is a matrix-vector product
-    against the cached inverse and the run stops early once ``|det| == 1``:
-    from then on every solution is integral, so the rest of the pool is
-    discarded unexamined.
+    pivots, same trace, same early stop once ``|det| == 1``) except that
+    each solve is a matrix-vector product against the cached inverse.
     """
-    state, discards = _split_generators(a_mat)
-    if state is None:
-        return _empty_result(a_mat.rows, discards)
-    b_inv = invert(state.basis.submatrix_rows(state.pivot_rows))
-    trajectory = [state.det]
-    covered = len(state.pivot_rows) == state.basis.rows
-    while abs(state.det) != 1 and state.pool:
-        vec = state.pool[0]
-        x = b_inv.mat_vec([vec[r] for r in state.pivot_rows])
+    run = _split(a_mat)
+    rows = run.pivot_rows
+    covered = len(rows) == run.basis.rows
+    b_inv = invert(run.basis.submatrix_rows(rows))
+
+    def solve(vec):
+        x = b_inv.mat_vec([vec[r] for r in rows])
         if not covered:
             # same off-pivot-row guard the direct solver applies
-            check_off_pivot_rows(state.basis, state.pivot_rows, vec, x)
-        i = choose_pivot_argmin(x)
-        if i is None:
-            state = EuclidState(
-                state.basis, state.pool[1:], state.pivot_rows, state.det, state.trace
-            )
-            discards += 1
-        else:
-            state = exchange_step(state, vec, x, i)
-            new_col = state.basis.column(i)
-            b_inv = column_update_inverse(
-                b_inv, i, [new_col[r] for r in state.pivot_rows]
-            )
-            trajectory.append(state.det)
-    if state.pool:
-        discards += len(state.pool)
-        state = EuclidState(
-            state.basis, (), state.pivot_rows, state.det, state.trace
-        )
-    return _finish(state, discards, trajectory)
+            check_off_pivot_rows(run.basis, rows, vec, x)
+        return x
+
+    def exchanged(i):
+        nonlocal b_inv
+        new_col = run.basis.column(i)
+        b_inv = column_update_inverse(b_inv, i, [new_col[r] for r in rows])
+
+    run.fifo(solve, exchanged)
+    return run.result()
 
 
 def solution_update(x_mat: Matrix, i: int, j: int) -> Matrix:
@@ -183,102 +142,43 @@ def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
     return y_mat.with_column(i, new_col)
 
 
-def _first_fractional(x_mat: Matrix) -> Optional[tuple[int, int]]:
-    for i in range(x_mat.rows):
-        for j in range(x_mat.cols):
-            if frac_part(x_mat.entry(i, j)) != 0:
-                return i, j
-    return None
-
-
 def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
     """Basis computation via bulk solution-matrix updates.
 
     Solves every pool vector once up front, then repeatedly exchanges on the
     minimal fractional row (smallest column on ties) using
     :func:`solution_update`, folding each exchange into the transform ``Y``
-    with :func:`y_update`. The actual basis is only materialized at the end
-    as ``initial_basis @ Y``, which must come out integral.
+    with :func:`y_update`; ``initial_basis @ Y`` must reproduce the basis
+    at the end. The per-step growth bound ``new <= old + (n-1)*||A||`` and
+    :func:`coefficient_bound` are enforced on every exchange.
 
-    ``check_invariants`` additionally maintains the basis directly alongside
-    and verifies, per iteration, that ``initial_basis @ Y`` reproduces it,
-    that the per-step growth bound ``new <= old + (n-1)*||A||`` holds, and
-    that no intermediate entry exceeds :func:`coefficient_bound`; it also
-    cross-checks the multiplicative determinant against a fresh elimination
-    at the end. Violations raise InvariantViolationError.
+    ``check_invariants`` additionally verifies, per iteration, that
+    ``initial_basis @ Y`` reproduces the basis, and cross-checks the
+    multiplicative determinant against a fresh elimination at the end.
+    Violations raise InvariantViolationError.
     """
-    norm_a = int(a_mat.max_abs())
-    state, discards = _split_generators(a_mat)
-    if state is None:
-        return _empty_result(a_mat.rows, discards, transform=Matrix.identity(0))
-    initial = state.basis
-    pivot_rows = state.pivot_rows
-    r = initial.cols
-    det = state.det
-    trajectory = [det]
-    x_mat = Matrix(
-        tuple(solve_in_span(initial, pivot_rows, vec) for vec in state.pool),
-        rows=r,
-    )
-    y_mat = Matrix.identity(r)
-    bound = coefficient_bound(a_mat.rows, norm_a)
-    direct = initial if check_invariants else None
-    trace: list[ExchangeRecord] = []
-    while True:
-        pos = _first_fractional(x_mat)
-        if pos is None:
-            break
-        i, j = pos
-        pivot_entry = x_mat.entry(i, j)
-        d = pivot_entry - next_int(pivot_entry)
-        v = tuple(
-            d if k == i else frac_part(x_mat.entry(k, j)) for k in range(r)
-        )
+    run = _split(a_mat)
+    initial = run.basis
+    x_mat = Matrix(tuple(run.solve(vec) for vec in run.pool), rows=initial.cols)
+    y_mat = Matrix.identity(initial.cols)
+
+    def check_transform():
+        if initial @ y_mat != run.basis:
+            raise InvariantViolationError("transform product drifted from the basis")
+
+    def exchanged(i, j, x):
+        nonlocal x_mat, y_mat
+        v = tuple(run.trace[-1].factor if k == i else frac_part(q) for k, q in enumerate(x))
         y_mat = y_update(y_mat, v, i)
         x_mat = solution_update(x_mat, i, j)
-        det_frac = d * det
-        if det_frac.denominator != 1:
-            raise InvariantViolationError("exchange factor does not divide the determinant")
-        det = int(det_frac)
-        trace.append(
-            ExchangeRecord(step=len(trace), pivot_row=i, column=j, factor=d, det_after=det)
-        )
-        trajectory.append(det)
         if check_invariants:
-            combo = direct.mat_vec(v)
-            new_col = []
-            for e in combo:
-                if isinstance(e, Fraction):
-                    if e.denominator != 1:
-                        raise InvariantViolationError("exchanged column is not integral")
-                    e = int(e)
-                new_col.append(e)
-            step_cap = int(max(abs(e) for e in direct.column(i))) + (a_mat.rows - 1) * norm_a
-            if max(abs(e) for e in new_col) > step_cap:
-                raise InvariantViolationError("per-step coefficient growth bound violated")
-            direct = direct.with_column(i, new_col)
-            product = initial @ y_mat
-            if not product.is_integral() or product.to_int() != direct:
-                raise InvariantViolationError("transform product drifted from the basis")
-            if int(direct.max_abs()) > bound:
-                raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
-    product = initial @ y_mat
-    if not product.is_integral():
-        raise InvariantViolationError("final transform product is not integral")
-    basis = product.to_int()
-    if check_invariants and bareiss_det(basis.submatrix_rows(pivot_rows)) != det:
+            check_transform()
+
+    run.row_major(int(a_mat.max_abs()), lambda i: x_mat.row(i), lambda j: x_mat.column(j), exchanged)
+    check_transform()
+    if check_invariants and bareiss_det(run.basis.submatrix_rows(run.pivot_rows)) != run.det:
         raise InvariantViolationError("multiplicative determinant disagrees with elimination")
-    if int(basis.max_abs()) > bound:
-        raise InvariantViolationError("output basis exceeds the coefficient bound")
-    return BasisResult(
-        basis=basis,
-        exchanges=len(trace),
-        discards=discards,
-        det_trajectory=tuple(trajectory),
-        max_abs_entry=int(basis.max_abs()),
-        trace=tuple(trace),
-        transform=y_mat,
-    )
+    return run.result(transform=y_mat)
 
 
 def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
@@ -320,59 +220,16 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     ``check_invariants`` additionally re-solves the whole pool at the end
     and verifies every solution is integral.
     """
-    norm_a = int(a_mat.max_abs())
-    state, discards = _split_generators(a_mat)
-    if state is None:
-        return _empty_result(a_mat.rows, discards)
-    basis = state.basis
-    pivot_rows = state.pivot_rows
-    pool = list(state.pool)
-    r = basis.cols
-    det = state.det
-    trajectory = [det]
-    bound = coefficient_bound(a_mat.rows, norm_a)
-    trace: list[ExchangeRecord] = []
-    i = 0
-    while i < r:
-        restricted = Matrix(
-            tuple(tuple(vec[t] for t in pivot_rows) for vec in pool), rows=r
-        )
-        z = solve_row(basis.submatrix_rows(pivot_rows), restricted, i)
-        j = next((idx for idx, e in enumerate(z) if frac_part(e) != 0), None)
-        if j is None:
-            i += 1
-            continue
-        x = solve_in_span(basis, pivot_rows, pool[j])
-        if x[i] != z[j]:
-            raise InvariantViolationError("row solve disagrees with the full solve")
-        new_col = mod_prime(basis, pool[j], x, i)
-        step_cap = int(max(abs(e) for e in basis.column(i))) + (a_mat.rows - 1) * norm_a
-        if max(abs(e) for e in new_col) > step_cap:
-            raise InvariantViolationError("per-step coefficient growth bound violated")
-        factor = x[i] - next_int(x[i])
-        det_frac = factor * det
-        if det_frac.denominator != 1:
-            raise InvariantViolationError("exchange factor does not divide the determinant")
-        det = int(det_frac)
-        old_column = basis.column(i)
-        basis = basis.with_column(i, new_col)
-        pool[j] = old_column
-        if int(basis.max_abs()) > bound:
-            raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
-        trace.append(
-            ExchangeRecord(step=len(trace), pivot_row=i, column=j, factor=factor, det_after=det)
-        )
-        trajectory.append(det)
+    run = _split(a_mat)
+    rows = run.pivot_rows
+
+    def row(i):
+        restricted = Matrix(tuple(tuple(vec[t] for t in rows) for vec in run.pool), rows=len(rows))
+        return solve_row(run.basis.submatrix_rows(rows), restricted, i)
+
+    run.row_major(int(a_mat.max_abs()), row, lambda j: run.solve(run.pool[j]))
     if check_invariants:
-        for vec in pool:
-            x = solve_in_span(basis, pivot_rows, vec)
-            if any(frac_part(e) != 0 for e in x):
+        for vec in run.pool:
+            if any(frac_part(e) != 0 for e in run.solve(vec)):
                 raise InvariantViolationError("pool vector left fractional at exit")
-    return BasisResult(
-        basis=basis,
-        exchanges=len(trace),
-        discards=discards,
-        det_trajectory=tuple(trajectory),
-        max_abs_entry=int(basis.max_abs()),
-        trace=tuple(trace),
-    )
+    return run.result()

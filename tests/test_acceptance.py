@@ -8,18 +8,25 @@ internal invariant checking enabled for the bounded variants. There are no
 tolerances anywhere: every comparison is integer or rational equality.
 """
 
+import dataclasses
+import hashlib
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from lattice_euclid import (
+    ExchangeRecord,
     InstanceParams,
     Matrix,
+    SpanMismatchError,
     bareiss_det,
     basic_basis,
     coefficient_bound,
+    determinant_with_trace,
+    diophantine_run,
     diophantine_solve,
     find_independent_columns,
     frac_part,
@@ -269,3 +276,55 @@ def test_criterion_11_cross_variant_agreement(forms):
         for name in VARIANTS
     )
     _report("criterion 11 (identical Hermite forms across all four variants)", ok)
+
+
+# sha256 of every output below on the suite, taken from the separate
+# hand-written exchange loops that preceded the shared engine: any change
+# to a basis, trace, trajectory, discard count, transform, Diophantine
+# witness or determinant shows up here.
+GOLDEN_SHA256 = "0768f1ec01ed6c3481e80ebad318adc0c0600ced07bb414fb09beae71dd6609c"
+
+
+def _canonical(value):
+    # exact and typed: a Fraction is (numerator, denominator), an int itself
+    if isinstance(value, Fraction):
+        return (value.numerator, value.denominator)
+    if isinstance(value, Matrix):
+        return ("matrix", value.rows, _canonical(value.columns))
+    if isinstance(value, ExchangeRecord):
+        return _canonical(dataclasses.astuple(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_canonical(v) for v in value)
+    return value
+
+
+def _dioph_outcome(a, rhs):
+    try:
+        solution, transform, trace = diophantine_run(a, rhs)
+    except SpanMismatchError:
+        return "span"
+    return solution, transform.matrix, trace
+
+
+def test_outputs_match_the_golden_digest(suite):
+    instances, runs, _ = suite
+    digest = hashlib.sha256()
+    for a, run in zip(instances, runs):
+        for name in VARIANTS:
+            res = run[name]
+            fields = (
+                name, res.basis, res.exchanges, res.discards, res.det_trajectory,
+                res.max_abs_entry, res.trace, res.transform,
+            )
+            digest.update(repr(_canonical(fields)).encode())
+        feasible = a.mat_vec((1,) * a.cols)
+        shifted = (feasible[0] + 1,) + feasible[1:]
+        square = Matrix(a.columns[: a.rows], rows=a.rows)
+        outcomes = (
+            _dioph_outcome(a, feasible),
+            _dioph_outcome(a, shifted),
+            determinant_with_trace(square),
+        )
+        digest.update(repr(_canonical(outcomes)).encode())
+    _report("golden digest (all outputs bit-identical to the recorded run)",
+            digest.hexdigest() == GOLDEN_SHA256)

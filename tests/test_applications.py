@@ -4,9 +4,11 @@ import random
 import pytest
 
 from lattice_euclid import (
+    DimensionMismatchError,
     Matrix,
     SpanMismatchError,
     bareiss_det,
+    basic_basis,
     determinant_with_trace,
     diophantine_run,
     diophantine_solve,
@@ -29,7 +31,7 @@ def test_determinant_sign_and_edges():
     assert lattice_determinant(Matrix.from_rows([[0, 1], [1, 0]])) == -1
     assert lattice_determinant(Matrix.from_rows([[-7]])) == -7
     assert lattice_determinant(Matrix((), rows=0)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         lattice_determinant(Matrix.from_rows([[1, 2]]))
 
 
@@ -86,6 +88,8 @@ def test_diophantine_span_mismatch_is_an_error():
     with pytest.raises(SpanMismatchError):
         diophantine_solve(a, (0, 1))
     assert diophantine_solve(a, (5, 0)) == (5,)
+    with pytest.raises(DimensionMismatchError):
+        diophantine_solve(a, (5,))
 
 
 def test_diophantine_all_zero_system():
@@ -144,10 +148,9 @@ def test_diophantine_transform_tracks_basis():
         rhs = a.mat_vec(tuple(rng.randint(-5, 5) for _ in range(m)))
         solution, transform, trace = diophantine_run(a, rhs, check_invariants=True)
         assert solution is not None
-        if transform.matrix.cols:
-            product = a @ transform.matrix
-            assert product.is_integral()
-            # the transformed generators are an independent system for L(A)
-            assert product.cols == transform.matrix.cols
+        # the Diophantine run is the basic run with coordinates tagged along
+        basic = basic_basis(a)
+        assert trace == basic.trace
+        assert a @ transform.matrix == basic.basis
         for rec in trace:
             assert 0 < abs(rec.factor) <= 1

@@ -43,6 +43,10 @@ def test_matrix_validation():
         Matrix([(1.5, 2.0)])
     with pytest.raises(TypeError):  # bool is an int subclass, but no entry
         Matrix.from_rows([[True, False], [False, True]])
+    with pytest.raises(TypeError):
+        Matrix.identity(2).mat_vec((0.5, 1))
+    with pytest.raises(TypeError):
+        column_update_inverse(Matrix.identity(2), 0, (1.5, 0))
     assert Matrix((), rows=3).cols == 0
 
 

@@ -69,15 +69,21 @@ def test_inverse_variant_stops_exchanging_once_unimodular():
 
 
 def test_inverse_variant_identical_to_basic_random():
+    # each pair runs one pivot order with two different solvers
+    pairs = (
+        (basic_basis, inverse_variant_basis),
+        (solution_variant_basis, rowwise_variant_basis),
+    )
     rng = random.Random(88)
     for _ in range(40):
         n = rng.randint(1, 6)
         a = random_int_matrix(rng, n, rng.randint(n, n + 4), 15)
-        left, right = basic_basis(a), inverse_variant_basis(a)
-        assert left.basis == right.basis
-        assert left.trace == right.trace
-        assert left.det_trajectory == right.det_trajectory
-        assert (left.exchanges, left.discards) == (right.exchanges, right.discards)
+        for first, second in pairs:
+            left, right = first(a), second(a)
+            assert left.basis == right.basis
+            assert left.trace == right.trace
+            assert left.det_trajectory == right.det_trajectory
+            assert (left.exchanges, left.discards) == (right.exchanges, right.discards)
 
 
 # --- solution-matrix updates --------------------------------------------------
