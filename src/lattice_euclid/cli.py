@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from .applications import determinant_with_trace, diophantine_run
@@ -52,38 +51,6 @@ VARIANTS = {
 }
 
 
-@dataclass
-class RunStats:
-    """Per-run statistics as emitted by ``--stats-json`` and ``bench``."""
-
-    variant: str
-    n: int
-    m: int
-    rank: int
-    exchanges: int
-    discards: int
-    det_initial: int
-    det_final: int
-    max_abs_entry_output: int
-    coefficient_bound: int
-    wall_time_s: float
-
-    def to_json_dict(self) -> dict:
-        # wall time is excluded: the JSON object must repeat byte-exactly
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "m": self.m,
-            "rank": self.rank,
-            "exchanges": self.exchanges,
-            "discards": self.discards,
-            "det_initial": str(self.det_initial),
-            "det_final": str(self.det_final),
-            "max_abs_entry_output": self.max_abs_entry_output,
-            "coefficient_bound": self.coefficient_bound,
-        }
-
-
 BENCH_COLUMNS = [
     "variant",
     "trial",
@@ -101,20 +68,23 @@ BENCH_COLUMNS = [
 ]
 
 
-def _stats(variant: str, a_mat: Matrix, result: BasisResult, wall: float) -> RunStats:
-    return RunStats(
-        variant=variant,
-        n=a_mat.rows,
-        m=a_mat.cols,
-        rank=result.basis.cols,
-        exchanges=result.exchanges,
-        discards=result.discards,
-        det_initial=result.det_trajectory[0],
-        det_final=result.det_trajectory[-1],
-        max_abs_entry_output=result.max_abs_entry,
-        coefficient_bound=coefficient_bound(a_mat.rows, int(a_mat.max_abs())),
-        wall_time_s=wall,
-    )
+def _stats(variant: str, a_mat: Matrix, result: BasisResult) -> dict:
+    """Per-run statistics as emitted by ``--stats-json`` and ``bench``.
+
+    Holds no wall time: the ``--stats-json`` object must repeat byte-exactly.
+    """
+    return {
+        "variant": variant,
+        "n": a_mat.rows,
+        "m": a_mat.cols,
+        "rank": result.basis.cols,
+        "exchanges": result.exchanges,
+        "discards": result.discards,
+        "det_initial": str(result.det_trajectory[0]),
+        "det_final": str(result.det_trajectory[-1]),
+        "max_abs_entry_output": result.max_abs_entry,
+        "coefficient_bound": coefficient_bound(a_mat.rows, int(a_mat.max_abs())),
+    }
 
 
 def _emit_trace(records: Sequence[ExchangeRecord]) -> None:
@@ -142,12 +112,10 @@ def _print_transform(transform: Matrix) -> None:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     a_mat = _load(args.file)
-    started = time.perf_counter()
     result = VARIANTS[args.alg](a_mat)
-    wall = time.perf_counter() - started
     _emit_trace(result.trace)
     if args.stats_json:
-        print(json.dumps(_stats(args.alg, a_mat, result, wall).to_json_dict()))
+        print(json.dumps(_stats(args.alg, a_mat, result)))
     else:
         print(format_matrix(result.basis), end="")
         if args.emit_transform:
@@ -233,24 +201,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             started = time.perf_counter()
             result = runner(a_mat)
             wall = time.perf_counter() - started
-            stats = _stats(variant, a_mat, result, wall)
-            writer.writerow(
-                [
-                    stats.variant,
-                    trial,
-                    params.seed,
-                    stats.n,
-                    stats.m,
-                    stats.rank,
-                    stats.exchanges,
-                    stats.discards,
-                    stats.det_initial,
-                    stats.det_final,
-                    stats.max_abs_entry_output,
-                    stats.coefficient_bound,
-                    f"{stats.wall_time_s:.6f}",
-                ]
-            )
+            row = _stats(variant, a_mat, result)
+            row.update(trial=trial, seed=params.seed, wall_time_s=f"{wall:.6f}")
+            writer.writerow([row[c] for c in BENCH_COLUMNS])
     return 0
 
 

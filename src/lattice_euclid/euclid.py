@@ -135,16 +135,29 @@ def choose_pivot_argmin(x: Sequence[Scalar]) -> Optional[int]:
     Ties break toward the smallest index; returns None when ``x`` is
     integral. Any fractional coordinate would preserve correctness, but the
     closest one maximizes the determinant shrink of the resulting exchange.
+    The distance ``min(r, d - r) / d`` with ``r = numerator mod d`` is
+    compared by cross-multiplication, in ints.
     """
     best: Optional[int] = None
-    best_dist: Optional[Scalar] = None
+    best_dist, best_den = 0, 1
     for j, q in enumerate(x):
-        if frac_part(q) == 0:
+        den = q.denominator
+        if den == 1:
             continue
-        dist = abs(q - next_int(q))
-        if best_dist is None or dist < best_dist:
-            best, best_dist = j, dist
+        r = q.numerator % den
+        dist = min(r, den - r)
+        if best is None or dist * best_den < best_dist * den:
+            best, best_dist, best_den = j, dist, den
     return best
+
+
+def _weights(x: Sequence[Scalar], i: int) -> tuple[Scalar, ...]:
+    """Coordinates ``w`` of the :func:`mod_prime` remainder in the old basis.
+
+    ``w = x - rounded(x)``: the exchange factor ``x[i] - next_int(x[i])`` at
+    the pivot ``i``, ``frac_part`` elsewhere.
+    """
+    return tuple(q - next_int(q) if k == i else frac_part(q) for k, q in enumerate(x))
 
 
 def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int]]:
@@ -240,6 +253,11 @@ def _scaled_det(factor: Fraction, det: int) -> int:
 class _Run:
     """Mutable state of one exchange run, the engine behind every driver.
 
+    An exchange is ``basis' = basis @ F``, ``F`` the identity with column
+    ``i`` set to ``w = _weights(x, i)``; ``det`` is multiplied by ``w[i]``.
+    Drivers get ``w`` from an ``exchanged(i, j, w)`` callback (``j`` is the
+    source's pool slot); without a callback it is never built.
+
     ``det`` is the signed determinant of the pivot-row subsystem, or None
     where the run must not know it (determinant mode); ``trajectory`` lists
     its values. When ``tags`` is set, it is a matrix whose column ``k``
@@ -296,7 +314,7 @@ class _Run:
         A pool vector whose solution is integral is discarded; an exchanged
         one's old basis column joins the back of the pool. Stops once
         ``|det| == 1``: every remaining pool vector then divides evenly and
-        is discarded unexamined. ``exchanged(i)`` runs after each exchange.
+        is discarded unexamined. ``exchanged(i, 0, w)`` follows each exchange.
         """
         pool, tags = self.pool, self.pool_tags
         while pool and self.det not in (1, -1):
@@ -311,7 +329,7 @@ class _Run:
             pool.append(pool.pop(0))
             tags.append(tags.pop(0))
             if exchanged is not None:
-                exchanged(i)
+                exchanged(i, 0, _weights(x, i))
         self.discards += len(pool)
         pool.clear()
         tags.clear()
@@ -327,7 +345,7 @@ class _Run:
         ``(n-1) * norm_a``. That per-step cap and :func:`coefficient_bound`
         are enforced on every exchange; a violation raises
         InvariantViolationError since it would falsify the pivoting
-        argument. ``exchanged(i, j, x)`` runs after each exchange.
+        argument. ``exchanged(i, j, w)`` runs after each exchange.
         """
         n = self.basis.rows
         bound = coefficient_bound(n, norm_a)
@@ -349,7 +367,7 @@ class _Run:
             if peak > bound:
                 raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
             if exchanged is not None:
-                exchanged(i, j, x)
+                exchanged(i, j, _weights(x, i))
 
     def result(self, transform: Optional[Matrix] = None) -> BasisResult:
         return BasisResult(

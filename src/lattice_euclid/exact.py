@@ -9,6 +9,10 @@ The eliminations behind :func:`solve_system`, :func:`invert` and
 :func:`bareiss_det` are fraction-free (Bareiss 1968, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination"): they run on Python
 ints with exact divisions, and Fractions appear only in their outputs.
+
+After an exchange nothing is eliminated again: the cached inverse and the
+solution matrix advance by the exchange's elementary matrix in one kernel,
+``_exchange_update`` (the product-form inverse of Dantzig and Orchard-Hays).
 """
 
 from __future__ import annotations
@@ -329,14 +333,39 @@ def invert(b_mat: Matrix) -> Matrix:
     )
 
 
+def _exchange_update(mat: Matrix, i: int, w: Sequence[Scalar]) -> Matrix:
+    """``F**-1 @ mat``, where ``F`` is the identity with column ``i`` set to ``w``.
+
+    Replacing column ``i`` of ``B`` with ``B @ w`` is ``B' = B @ F``, so
+    ``B**-1`` and ``B**-1 C`` advance by ``F**-1`` on the left: row ``i`` is
+    divided by ``w[i] != 0``, then ``w[k]`` times it is subtracted from row
+    ``k``. Columns that are zero in row ``i`` and rows with ``w[k] == 0`` are
+    kept as they are.
+    """
+    inv = 1 / Fraction(w[i])
+    off = list(w)
+    off[i] = 0
+    out = []
+    for col in mat.columns:
+        if not col[i]:
+            out.append(col)
+            continue
+        head = col[i] * inv
+        new_col = [e - wk * head if wk else e for e, wk in zip(col, off)]
+        new_col[i] = head
+        out.append(tuple(new_col))
+    return Matrix(tuple(out), rows=mat.rows)
+
+
 def column_update_inverse(b_inv: Matrix, i: int, new_column: Sequence[Scalar]) -> Matrix:
     """Inverse of the underlying matrix after replacing its column ``i``.
 
     Given ``b_inv == B**-1``, rewrites the cached inverse for
-    ``B' = B with column i <- new_column`` using a rank-one correction in
-    O(n^2) scalar operations instead of a fresh O(n^3) inversion. The
+    ``B' = B with column i <- new_column`` in O(n^2) scalar operations
+    instead of a fresh O(n^3) inversion: ``B' = B @ F`` for the identity
+    ``F`` with column ``i`` set to ``w = b_inv @ new_column``. The
     replacement must keep the matrix nonsingular, which is exactly the
-    condition ``(b_inv @ new_column)[i] != 0``.
+    condition ``w[i] != 0``.
     """
     n = b_inv.rows
     if b_inv.cols != n:
@@ -347,22 +376,12 @@ def column_update_inverse(b_inv: Matrix, i: int, new_column: Sequence[Scalar]) -
         )
     if not 0 <= i < n:
         raise IndexError(f"column {i} out of range")
-    w = [Fraction(e) for e in b_inv.mat_vec(new_column)]
+    w = b_inv.mat_vec(new_column)
     if w[i] == 0:
         raise SingularUpdateError(
             "replacement column is linearly dependent on the remaining columns"
         )
-    pivot_row = b_inv.row(i)
-    out_rows = []
-    for k in range(n):
-        coef = (w[k] - (1 if k == i else 0)) / w[i]
-        if coef:
-            out_rows.append(
-                tuple(b - coef * p for b, p in zip(b_inv.row(k), pivot_row))
-            )
-        else:
-            out_rows.append(b_inv.row(k))
-    return Matrix.from_rows(out_rows)
+    return _exchange_update(b_inv, i, w)
 
 
 def lcm_denominators(vec: Iterable[Scalar]) -> int:

@@ -5,13 +5,16 @@ Each driver here is a configuration of the engine in
 vectors against the basis:
 
 * ``inverse_variant_basis`` runs the FIFO order of ``basic_basis`` (same
-  pivots, same trace) against a cached inverse of the independent system,
-  rewritten per exchange with a rank-one update.
+  pivots, same trace) against a cached inverse of the independent system.
 * ``solution_variant_basis`` solves all pool vectors up front into a
-  solution matrix ``X`` and rewrites ``X`` per exchange with closed-form
-  update rules; exchanges also accumulate into a rational transform ``Y``.
+  solution matrix ``X``; exchanges also accumulate into a rational
+  transform ``Y``.
 * ``rowwise_variant_basis`` recomputes one row of ``X`` at a time with a
   single transposed solve.
+
+An exchange is ``B' = B @ F`` with ``F`` the identity whose column ``i`` is
+the engine's ``w``: the cached inverse and ``X`` advance by ``F**-1`` on the
+left (``exact._exchange_update``), ``Y`` by ``F`` on the right (:func:`y_update`).
 
 The last two run the engine's row-major order, so they produce the same
 trace. That order is what tames coefficient growth: when rows above ``i``
@@ -30,23 +33,24 @@ from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolati
 from .exact import (
     Matrix,
     Scalar,
+    _exchange_update,
+    _integer_multiple,
     bareiss_det,
-    column_update_inverse,
     invert,
-    lcm_denominators,
     solve_system,
 )
 from .euclid import (
     BasisResult,
     _split,
+    _unit,
+    _weights,
     check_off_pivot_rows,
     coefficient_bound,  # re-exported: defined beside the engine that enforces it
     frac_part,
-    next_int,
 )
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
-    """Basis computation with a cached, rank-one-updated inverse.
+    """Basis computation with a cached inverse, updated per exchange.
 
     Behaves exactly like :func:`lattice_euclid.euclid.basic_basis` (same
     pivots, same trace, same early stop once ``|det| == 1``) except that
@@ -64,10 +68,9 @@ def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
             check_off_pivot_rows(run.basis, rows, vec, x)
         return x
 
-    def exchanged(i):
+    def exchanged(i, j, w):
         nonlocal b_inv
-        new_col = run.basis.column(i)
-        b_inv = column_update_inverse(b_inv, i, [new_col[r] for r in rows])
+        b_inv = _exchange_update(b_inv, i, w)
 
     run.fifo(solve, exchanged)
     return run.result()
@@ -77,42 +80,23 @@ def solution_update(x_mat: Matrix, i: int, j: int) -> Matrix:
     """Rewrite the solution matrix after exchanging on entry ``(i, j)``.
 
     If ``X == B**-1 C`` and basis column ``i`` is swapped for the residue of
-    pool column ``j`` (which inherits the old basis column), the new solution
-    matrix is, with ``d = X[i][j] - next_int(X[i][j])``::
+    pool column ``j`` (which inherits the old basis column ``B e_i``), the
+    basis becomes ``B @ F``, ``F`` the identity with column ``i`` set to
+    ``w = X_j - rounded(X_j)``. So ``X' = F**-1 @ Z`` for ``Z`` = ``X`` with
+    column ``j`` replaced by ``e_i``::
 
-        X'[i][j] = 1 / d
-        X'[i][l] = X[i][l] / d                                  (l != j)
-        X'[k][j] = -frac(X[k][j]) / d                           (k != i)
-        X'[k][l] = X[k][l] - X[i][l] * frac(X[k][j]) / d        (k != i, l != j)
+        X'[i][l] = Z[i][l] / w[i]
+        X'[k][l] = Z[k][l] - w[k] * Z[i][l] / w[i]             (k != i)
 
-    computed in O(rows * cols) scalar operations, with no linear solve. A row
-    of ``X`` that is integral stays integral (its fractional parts are zero),
-    which is what makes row-by-row pivoting converge top-down.
+    computed in O(rows * cols) scalar operations, with no linear solve. A
+    row ``k`` of ``X`` that is integral stays integral (``w[k] == 0``, so
+    the row is kept), which is what makes row-by-row pivoting converge
+    top-down.
     """
-    pivot_entry = x_mat.entry(i, j)
-    d = pivot_entry - next_int(pivot_entry)
-    if d == 0:
+    w = _weights(x_mat.column(j), i)
+    if w[i] == 0:
         raise IntegralPivotError(f"entry ({i}, {j}) of the solution matrix is integral")
-    pivot_row = x_mat.row(i)
-    fracs = [frac_part(e) for e in x_mat.column(j)]
-    new_cols = []
-    for l in range(x_mat.cols):
-        col = x_mat.column(l)
-        if l == j:
-            new_cols.append(
-                tuple(
-                    Fraction(1) / d if k == i else -fracs[k] / d
-                    for k in range(x_mat.rows)
-                )
-            )
-        else:
-            new_cols.append(
-                tuple(
-                    pivot_row[l] / d if k == i else col[k] - pivot_row[l] * fracs[k] / d
-                    for k in range(x_mat.rows)
-                )
-            )
-    return Matrix(tuple(new_cols), rows=x_mat.rows)
+    return _exchange_update(x_mat.with_column(j, _unit(i, x_mat.rows)), i, w)
 
 
 def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
@@ -129,7 +113,7 @@ def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
     if y_mat.cols != r or len(v) != r:
         raise DimensionMismatchError("y_update needs a square transform and a matching vector")
     shortcut = all(v[k] == 0 for k in range(i)) and all(
-        y_mat.column(k) == tuple(1 if t == k else 0 for t in range(r))
+        y_mat.column(k) == _unit(k, r)
         for k in range(i + 1, r)
     )
     if shortcut:
@@ -166,10 +150,9 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
         if initial @ y_mat != run.basis:
             raise InvariantViolationError("transform product drifted from the basis")
 
-    def exchanged(i, j, x):
+    def exchanged(i, j, w):
         nonlocal x_mat, y_mat
-        v = tuple(run.trace[-1].factor if k == i else frac_part(q) for k, q in enumerate(x))
-        y_mat = y_update(y_mat, v, i)
+        y_mat = y_update(y_mat, w, i)
         x_mat = solution_update(x_mat, i, j)
         if check_invariants:
             check_transform()
@@ -196,13 +179,10 @@ def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
         raise DimensionMismatchError("right-hand-side rows must match the system")
     if not 0 <= i < n:
         raise IndexError(f"row {i} out of range")
-    unit = tuple(1 if k == i else 0 for k in range(n))
-    y = solve_system(b_mat.transpose(), unit)
-    mu = lcm_denominators(y)
-    scaled = [int(q * mu) for q in y]
+    y = solve_system(b_mat.transpose(), _unit(i, n))
+    mu, scaled = _integer_multiple(y)
     return tuple(
-        Fraction(sum(s * c_mat.entry(k, j) for k, s in enumerate(scaled)), mu)
-        for j in range(c_mat.cols)
+        Fraction(sum(s * e for s, e in zip(scaled, col)), mu) for col in c_mat.columns
     )
 
 

@@ -4,6 +4,7 @@ Deliberately naive implementations (Laplace expansion, adjugate formula)
 that share no code with the package, plus seeded instance helpers.
 """
 
+import math
 from fractions import Fraction
 
 from lattice_euclid import Matrix, bareiss_det
@@ -69,6 +70,22 @@ def fraction_echelon(a_mat):
             col_idx.append(j)
             pivot_rows.append(p)
     return col_idx, sorted(pivot_rows)
+
+
+def pivot_argmin_fraction(x):
+    """Fractional coordinate nearest an integer, by Fraction arithmetic.
+
+    The distance of ``q`` is ``abs(q - floor(q + 1/2))``; ties go to the
+    smallest index, and an integral ``x`` gives None.
+    """
+    best, best_dist = None, None
+    for j, q in enumerate(x):
+        if q == math.floor(q):
+            continue
+        dist = abs(q - math.floor(q + Fraction(1, 2)))
+        if best_dist is None or dist < best_dist:
+            best, best_dist = j, dist
+    return best
 
 
 def random_int_matrix(rng, n, m, bound):

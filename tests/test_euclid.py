@@ -28,9 +28,9 @@ from lattice_euclid import (
     solve_system,
 )
 
-from lattice_euclid.euclid import _independent_columns
+from lattice_euclid.euclid import _independent_columns, _weights
 
-from _oracles import fraction_echelon, random_int_matrix
+from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix
 
 B23 = Matrix.from_rows([[2, 1], [1, 3]])  # det 5, used throughout
 
@@ -126,10 +126,7 @@ def test_mod_prime_consistency_random():
         r = mod_prime(b, a, x, i)
         rounded = [next_int(q) if k == i else math.floor(q) for k, q in enumerate(x)]
         assert r == tuple(v - w for v, w in zip(a, b.mat_vec(rounded)))
-        recentered = [
-            x[k] - next_int(x[k]) if k == i else frac_part(x[k]) for k in range(n)
-        ]
-        assert b.mat_vec(recentered) == r
+        assert b.mat_vec(_weights(x, i)) == r
         done += 1
 
 
@@ -140,6 +137,31 @@ def test_choose_pivot_examples():
     assert choose_pivot_argmin((1, Fraction(3, 5), Fraction(-1, 5))) == 2
     assert choose_pivot_argmin((2, -7)) is None
     assert choose_pivot_argmin((Fraction(1, 2), Fraction(1, 2))) == 0
+
+
+def test_choose_pivot_matches_fraction_distances():
+    # Equal distances to the nearest integer imply equal denominators, so
+    # ties come from values like 1/3, -1/3, 2/3, 5/3; across denominators
+    # the cross-multiplied comparison meets near-ties such as 1/3 vs 2/7.
+    cases = [
+        (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)),
+        (Fraction(-1, 2), 3, Fraction(1, 2)),
+        (Fraction(2, 3), Fraction(-1, 3), Fraction(5, 3), Fraction(1, 3)),
+        (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 16), Fraction(-2, 7)),
+        (Fraction(2, 7), Fraction(1, 3), Fraction(4, 2), -7),
+        (Fraction(-7, 10), Fraction(3, 10), Fraction(13, 10)),
+        (4, 0, -1),
+        (),
+    ]
+    rng = random.Random(5)
+    for _ in range(3000):
+        cases.append(tuple(
+            rng.randint(-9, 9) if rng.random() < 0.2
+            else Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+            for _ in range(rng.randint(1, 6))
+        ))
+    for x in cases:
+        assert choose_pivot_argmin(x) == pivot_argmin_fraction(x), x
 
 
 def test_find_independent_columns_examples():

@@ -18,6 +18,8 @@ from lattice_euclid import (
     solve_system,
 )
 
+from lattice_euclid.exact import _exchange_update
+
 from _oracles import adjugate_inverse, cofactor_det, random_int_matrix, random_nonsingular
 
 
@@ -280,6 +282,25 @@ def test_column_update_matches_full_inversion():
             continue
         assert column_update_inverse(invert(b), i, u) == invert(replaced)
         done += 1
+
+
+def test_exchange_update_is_the_elementary_inverse_product():
+    # F**-1 @ m on non-square m, with zeros in m (row i included) and in w
+    rng = random.Random(505)
+    for _ in range(60):
+        n, cols = rng.randint(1, 5), rng.randint(1, 6)
+        i = rng.randrange(n)
+        w = [
+            0 if rng.random() < 0.4 else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            for _ in range(n)
+        ]
+        w[i] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+        m = Matrix.from_rows([
+            [0 if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
+            for _ in range(n)
+        ])
+        f = Matrix.identity(n).with_column(i, w)
+        assert _exchange_update(m, i, w) == invert(f) @ m
 
 
 def test_column_update_singular_raises():
