@@ -108,7 +108,7 @@ def diophantine_run(
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
     run = _split(a_mat, coordinates=True)
 
-    def exchanged(i, j, w):
+    def exchanged(i, j, x):
         if a_mat.mat_vec(run.tags.column(i)) != run.basis.column(i):
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 

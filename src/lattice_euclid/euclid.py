@@ -255,8 +255,8 @@ class _Run:
 
     An exchange is ``basis' = basis @ F``, ``F`` the identity with column
     ``i`` set to ``w = _weights(x, i)``; ``det`` is multiplied by ``w[i]``.
-    Drivers get ``w`` from an ``exchanged(i, j, w)`` callback (``j`` is the
-    source's pool slot); without a callback it is never built.
+    Drivers get ``x`` from an ``exchanged(i, j, x)`` callback (``j`` is the
+    source's pool slot) and build ``w`` only if they track something by ``F``.
 
     ``det`` is the signed determinant of the pivot-row subsystem, or None
     where the run must not know it (determinant mode); ``trajectory`` lists
@@ -314,7 +314,7 @@ class _Run:
         A pool vector whose solution is integral is discarded; an exchanged
         one's old basis column joins the back of the pool. Stops once
         ``|det| == 1``: every remaining pool vector then divides evenly and
-        is discarded unexamined. ``exchanged(i, 0, w)`` follows each exchange.
+        is discarded unexamined. ``exchanged(i, 0, x)`` follows each exchange.
         """
         pool, tags = self.pool, self.pool_tags
         while pool and self.det not in (1, -1):
@@ -329,7 +329,7 @@ class _Run:
             pool.append(pool.pop(0))
             tags.append(tags.pop(0))
             if exchanged is not None:
-                exchanged(i, 0, _weights(x, i))
+                exchanged(i, 0, x)
         self.discards += len(pool)
         pool.clear()
         tags.clear()
@@ -337,27 +337,27 @@ class _Run:
     def row_major(self, norm_a: int, row: Callable, column: Callable, exchanged: Optional[Callable] = None) -> None:
         """Clear fractional solution entries row by row, top down.
 
-        ``row(i)`` is row ``i`` of the solution matrix of the pool against
-        the basis and ``column(j)`` the solution of ``pool[j]``. Each
+        ``row(i)`` is row ``i`` of the pool's solution matrix as ``(ints, den)``
+        (``den`` of either sign), ``column(j)`` the solution of ``pool[j]``. Each
         exchange pivots on the first fractional entry of the topmost row
         that has one. Rows above stay integral, so the walk never
         backtracks, and each exchange grows the touched column by at most
         ``(n-1) * norm_a``. That per-step cap and :func:`coefficient_bound`
         are enforced on every exchange; a violation raises
         InvariantViolationError since it would falsify the pivoting
-        argument. ``exchanged(i, j, w)`` runs after each exchange.
+        argument. ``exchanged(i, j, x)`` runs after each exchange.
         """
         n = self.basis.rows
         bound = coefficient_bound(n, norm_a)
         i = 0
         while i < self.basis.cols:
-            z = row(i)
-            j = next((k for k, e in enumerate(z) if frac_part(e) != 0), None)
+            z, den = row(i)
+            j = next((k for k, e in enumerate(z) if e % den), None)
             if j is None:
                 i += 1
                 continue
             x = column(j)
-            if x[i] != z[j]:
+            if x[i] * den != z[j]:
                 raise InvariantViolationError("row solve disagrees with the full solve")
             old_peak = max(abs(e) for e in self.basis.column(i))
             peak = max(abs(e) for e in self.exchange(j, x, i))
@@ -367,7 +367,7 @@ class _Run:
             if peak > bound:
                 raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
             if exchanged is not None:
-                exchanged(i, j, _weights(x, i))
+                exchanged(i, j, x)
 
     def result(self, transform: Optional[Matrix] = None) -> BasisResult:
         return BasisResult(

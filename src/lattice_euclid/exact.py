@@ -11,8 +11,8 @@ and multistep integer-preserving Gaussian elimination"): they run on Python
 ints with exact divisions, and Fractions appear only in their outputs.
 
 After an exchange nothing is eliminated again: the cached inverse and the
-solution matrix advance by the exchange's elementary matrix in one kernel,
-``_exchange_update`` (the product-form inverse of Dantzig and Orchard-Hays).
+solution matrix advance by the exchange's elementary matrix in one integer
+kernel, ``_exchange_update`` (the product-form inverse of Dantzig and Orchard-Hays).
 """
 
 from __future__ import annotations
@@ -195,6 +195,11 @@ class Matrix:
         return f"Matrix.from_rows({self.to_rows()!r})"
 
 
+def _numerators(vec: Sequence[Scalar], den: int) -> list[int]:
+    """``den * vec`` as ints; every denominator in ``vec`` must divide ``den``."""
+    return [e.numerator * (den // e.denominator) for e in vec]
+
+
 def _integer_multiple(vec: Sequence[Scalar]) -> tuple[int, list[int]]:
     """``(mu, mu * vec)`` with ``mu = lcm_denominators(vec)``, entries as ints."""
     if all(e.__class__ is int for e in vec):
@@ -202,16 +207,7 @@ def _integer_multiple(vec: Sequence[Scalar]) -> tuple[int, list[int]]:
     if not all(isinstance(e, (int, Fraction)) for e in vec):
         raise TypeError("entries must be int or Fraction")
     mu = lcm_denominators(vec)
-    return mu, [e.numerator * (mu // e.denominator) for e in vec]
-
-
-def _integer_rows(b_mat: Matrix, rhs_columns: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Rows of ``(b_mat | rhs_columns)`` in ints.
-
-    A row holding Fractions is scaled by the lcm of its denominators, which
-    leaves the solutions of the system unchanged.
-    """
-    return [_integer_multiple(row)[1] for row in zip(*b_mat.columns, *rhs_columns)]
+    return mu, _numerators(vec, mu)
 
 
 def _bareiss(a: list[list[int]], n: int) -> int:
@@ -247,31 +243,38 @@ def _bareiss(a: list[list[int]], n: int) -> int:
     return sign
 
 
-def _back_substitute(a: list[list[int]], n: int, c: int) -> list[int]:
-    """``y = D * x`` for the system left by :func:`_bareiss`, right-hand side ``c``.
+def _eliminate(b_mat: Matrix, rhs_columns: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
+    """``(d, [d * x for every right-hand side x])`` of a square system, in ints.
 
-    ``D = a[n-1][n-1]``, so ``y`` is integral by Cramer's rule and each
-    division below is exact.
+    Bareiss elimination of ``(b_mat | rhs_columns)``, rows first scaled by
+    the lcm of their denominators, then back-substitution. ``d`` is the
+    signed determinant of the scaled rows (``det b_mat`` for integer input),
+    so ``d * x`` is integral by Cramer's rule and every division is exact.
     """
-    d = a[n - 1][n - 1]
-    y = [0] * n
-    for k in range(n - 1, -1, -1):
-        row = a[k]
-        acc = d * row[c]
-        for j in range(k + 1, n):
-            acc -= row[j] * y[j]
-        y[k] = acc // row[k]
-    return y
+    n = b_mat.rows
+    a = [_integer_multiple(row)[1] for row in zip(*b_mat.columns, *rhs_columns)]
+    d = _bareiss(a, n) * a[n - 1][n - 1] if n else 1
+    out = []
+    for c in range(n, n + len(rhs_columns)):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = a[k]
+            acc = d * row[c]
+            for j in range(k + 1, n):
+                acc -= row[j] * y[j]
+            y[k] = acc // row[k]
+        out.append(y)
+    return d, out
 
 
 def solve_system(b_mat: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Solve ``b_mat @ x == rhs`` exactly for a square nonsingular matrix.
 
     Fraction-free (Bareiss) elimination of ``(b_mat | rhs)`` in integers,
-    then integer back-substitution for ``y = D * x``, where ``D`` is the
-    last pivot (``±det b_mat``). The only rational step is ``x_k = y_k / D``.
-    Fraction input is cleared row by row first. Raises SingularMatrixError
-    if some column has no usable pivot.
+    then integer back-substitution for ``y = d * x``, where ``d`` is the
+    determinant. The only rational step is ``x_k = y_k / d``. Fraction
+    input is cleared row by row first. Raises SingularMatrixError if some
+    column has no usable pivot.
     """
     n = b_mat.rows
     if b_mat.cols != n:
@@ -280,12 +283,8 @@ def solve_system(b_mat: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
         raise DimensionMismatchError(
             f"right-hand side of length {len(rhs)} against {n} rows"
         )
-    if n == 0:
-        return ()
-    a = _integer_rows(b_mat, (rhs,))
-    _bareiss(a, n)
-    d = a[n - 1][n - 1]
-    return tuple(Fraction(y, d) for y in _back_substitute(a, n, n))
+    d, (y,) = _eliminate(b_mat, (rhs,))
+    return tuple(Fraction(e, d) for e in y)
 
 
 def bareiss_det(b_mat: Matrix) -> int:
@@ -295,17 +294,12 @@ def bareiss_det(b_mat: Matrix) -> int:
     no rational bookkeeping at all. Singular input returns 0; a
     non-integral entry raises ValueError.
     """
-    n = b_mat.rows
-    if b_mat.cols != n:
+    if b_mat.cols != b_mat.rows:
         raise DimensionMismatchError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in zip(*b_mat.to_int().columns)]
     try:
-        sign = _bareiss(a, n)
+        return _eliminate(b_mat.to_int(), ())[0]
     except SingularMatrixError:
         return 0
-    return sign * a[n - 1][n - 1]
 
 
 def invert(b_mat: Matrix) -> Matrix:
@@ -313,48 +307,48 @@ def invert(b_mat: Matrix) -> Matrix:
 
     The same fraction-free elimination as :func:`solve_system`, with the
     identity as right-hand sides: back-substitution gives the integer matrix
-    ``D * b_mat**-1`` (``±`` the adjugate), and each entry is divided by
-    ``D`` once at the end.
+    ``d * b_mat**-1`` (the adjugate), and each entry is divided by ``d``
+    once at the end.
     """
     n = b_mat.rows
     if b_mat.cols != n:
         raise DimensionMismatchError("invert needs a square matrix")
-    if n == 0:
-        return Matrix((), rows=0)
-    a = _integer_rows(b_mat, Matrix.identity(n).columns)
-    _bareiss(a, n)
-    d = a[n - 1][n - 1]
-    return Matrix(
-        tuple(
-            tuple(Fraction(y, d) for y in _back_substitute(a, n, n + t))
-            for t in range(n)
-        ),
-        rows=n,
-    )
+    d, columns = _eliminate(b_mat, Matrix.identity(n).columns)
+    return Matrix(tuple(tuple(Fraction(e, d) for e in col) for col in columns), rows=n)
 
 
-def _exchange_update(mat: Matrix, i: int, w: Sequence[Scalar]) -> Matrix:
-    """``F**-1 @ mat``, where ``F`` is the identity with column ``i`` set to ``w``.
+def _exchange_update(num: list[list[int]], d: int, i: int, w: Sequence[int], j: int | None = None) -> list[list[int]]:
+    """Numerators over ``w[i]`` of ``F**-1 @ (num / d)``, in ints.
 
-    Replacing column ``i`` of ``B`` with ``B @ w`` is ``B' = B @ F``, so
-    ``B**-1`` and ``B**-1 C`` advance by ``F**-1`` on the left: row ``i`` is
-    divided by ``w[i] != 0``, then ``w[k]`` times it is subtracted from row
-    ``k``. Columns that are zero in row ``i`` and rows with ``w[k] == 0`` are
-    kept as they are.
+    ``F`` is the identity with column ``i`` set to ``w / d``. Row ``i`` is
+    kept; row ``k`` becomes ``(w[i] * num[k] - w[k] * num[i]) // d``. If
+    ``d == det B`` and ``num / d == B**-1 C`` for integer ``B``, ``C`` and
+    ``B @ F``, the output is ``det(B @ F) * (B @ F)**-1 C``, integral by
+    Cramer's rule: every division is exact and ``w[i] == det(B @ F)``.
+    With ``j``, column ``j`` of ``num / d`` (an exchanged pool column) is first set to ``e_i``, in place.
     """
-    inv = 1 / Fraction(w[i])
-    off = list(w)
-    off[i] = 0
-    out = []
-    for col in mat.columns:
-        if not col[i]:
-            out.append(col)
-            continue
-        head = col[i] * inv
-        new_col = [e - wk * head if wk else e for e, wk in zip(col, off)]
-        new_col[i] = head
-        out.append(tuple(new_col))
-    return Matrix(tuple(out), rows=mat.rows)
+    if j is not None:
+        for k, row in enumerate(num):
+            row[j] = d if k == i else 0
+    wi, head = w[i], num[i]
+    return [
+        row if k == i
+        else [(wi * e - wk * h) // d for e, h in zip(row, head)] if wk
+        else [wi * e // d for e in row]
+        for k, (row, wk) in enumerate(zip(num, w))
+    ]
+
+
+def _rational_exchange_update(mat: Matrix, i: int, w: Sequence[Scalar], j: int | None = None) -> Matrix:
+    """``F**-1 @ mat`` for rational ``mat`` and ``w``, ``F`` and ``j`` as above.
+
+    The kernel runs over ``d = lcm**2``, ``lcm`` of every denominator in
+    ``mat`` and ``w``; then each of its divisions is exact.
+    """
+    d = lcm_denominators(chain(chain.from_iterable(mat.columns), w)) ** 2
+    w_num = _numerators(w, d)
+    num = _exchange_update([_numerators(r, d) for r in zip(*mat.columns)], d, i, w_num, j)
+    return Matrix(tuple(zip(*([Fraction(e, w_num[i]) for e in r] for r in num))), rows=mat.rows)
 
 
 def column_update_inverse(b_inv: Matrix, i: int, new_column: Sequence[Scalar]) -> Matrix:
@@ -381,7 +375,7 @@ def column_update_inverse(b_inv: Matrix, i: int, new_column: Sequence[Scalar]) -
         raise SingularUpdateError(
             "replacement column is linearly dependent on the remaining columns"
         )
-    return _exchange_update(b_inv, i, w)
+    return _rational_exchange_update(b_inv, i, w)
 
 
 def lcm_denominators(vec: Iterable[Scalar]) -> int:

@@ -12,9 +12,9 @@ vectors against the basis:
 * ``rowwise_variant_basis`` recomputes one row of ``X`` at a time with a
   single transposed solve.
 
-An exchange is ``B' = B @ F`` with ``F`` the identity whose column ``i`` is
-the engine's ``w``: the cached inverse and ``X`` advance by ``F**-1`` on the
-left (``exact._exchange_update``), ``Y`` by ``F`` on the right (:func:`y_update`).
+An exchange is ``B' = B @ F``, ``F`` the identity with column ``i`` set to
+``w``: ``Y`` advances by ``F`` (:func:`y_update`), the cached inverse and ``X``
+in integer numerators over ``det B`` by ``F**-1`` (``exact._exchange_update``).
 
 The last two run the engine's row-major order, so they produce the same
 trace. That order is what tames coefficient growth: when rows above ``i``
@@ -27,50 +27,75 @@ produced stays within ``n^2 * ||A|| * ceil(log2(n * ||A||))``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolationError
 from .exact import (
     Matrix,
     Scalar,
+    _eliminate,
     _exchange_update,
-    _integer_multiple,
-    bareiss_det,
-    invert,
-    solve_system,
+    _numerators,
+    _rational_exchange_update,
+    solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
 )
 from .euclid import (
     BasisResult,
+    _Run,
     _split,
     _unit,
     _weights,
     check_off_pivot_rows,
     coefficient_bound,  # re-exported: defined beside the engine that enforces it
-    frac_part,
 )
+
+
+def _advance(num: list[list[int]], d: int, i: int, x_num: Sequence[int], det: int, j: int | None = None):
+    """``(numerators, det)`` of ``F(w, i)**-1 @ (num / d)``, ``w = _weights(x_num / d, i)``.
+
+    ``w`` is built in ints, as ``d * w``; ``det`` must be the new denominator ``d * w[i]``.
+    """
+    w_num = [e - d * ((2 * e + d) // (2 * d)) if k == i else e % d for k, e in enumerate(x_num)]
+    if w_num[i] != det:
+        raise InvariantViolationError("exchange update disagrees with the tracked determinant")
+    return _exchange_update(num, d, i, w_num, j), det
+
+
+def _pool_numerators(run: _Run) -> tuple[int, list[list[int]]]:
+    """``(det, rows of det * X)`` for the pool against the basis, by one elimination."""
+    rows = run.pivot_rows
+    d, columns = _eliminate(run.basis.submatrix_rows(rows), [[v[t] for t in rows] for v in run.pool])
+    if len(rows) < run.basis.rows:  # the other rows, checked as solve_in_span does
+        for vec, col in zip(run.pool, columns):
+            check_off_pivot_rows(run.basis, rows, [d * e for e in vec], col)
+    return d, [list(r) for r in zip(*columns)] if columns else [[] for _ in rows]
+
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
     """Basis computation with a cached inverse, updated per exchange.
 
     Behaves exactly like :func:`lattice_euclid.euclid.basic_basis` (same
     pivots, same trace, same early stop once ``|det| == 1``) except that
-    each solve is a matrix-vector product against the cached inverse.
+    each solve is an integer matrix-vector product against the cached
+    adjugate ``d * B**-1``, divided by ``d`` once per entry.
     """
     run = _split(a_mat)
     rows = run.pivot_rows
     covered = len(rows) == run.basis.rows
-    b_inv = invert(run.basis.submatrix_rows(rows))
+    d, columns = _eliminate(run.basis.submatrix_rows(rows), Matrix.identity(len(rows)).columns)
+    adj = [list(r) for r in zip(*columns)]
 
     def solve(vec):
-        x = b_inv.mat_vec([vec[r] for r in rows])
+        v = [vec[t] for t in rows]
+        num = [sum(map(mul, r, v)) for r in adj]
         if not covered:
-            # same off-pivot-row guard the direct solver applies
-            check_off_pivot_rows(run.basis, rows, vec, x)
-        return x
+            check_off_pivot_rows(run.basis, rows, [d * e for e in vec], num)
+        return tuple(Fraction(e, d) for e in num)
 
-    def exchanged(i, j, w):
-        nonlocal b_inv
-        b_inv = _exchange_update(b_inv, i, w)
+    def exchanged(i, j, x):
+        nonlocal adj, d
+        adj, d = _advance(adj, d, i, _numerators(x, d), run.det)
 
     run.fifo(solve, exchanged)
     return run.result()
@@ -88,15 +113,17 @@ def solution_update(x_mat: Matrix, i: int, j: int) -> Matrix:
         X'[i][l] = Z[i][l] / w[i]
         X'[k][l] = Z[k][l] - w[k] * Z[i][l] / w[i]             (k != i)
 
-    computed in O(rows * cols) scalar operations, with no linear solve. A
-    row ``k`` of ``X`` that is integral stays integral (``w[k] == 0``, so
-    the row is kept), which is what makes row-by-row pivoting converge
-    top-down.
+    computed in O(rows * cols) integer operations over a common
+    denominator, with no linear solve. A row ``k`` of ``X`` that is
+    integral stays integral (``w[k] == 0``), which is what makes row-by-row
+    pivoting converge top-down.
     """
+    if not 0 <= j < x_mat.cols:
+        raise IndexError(f"column {j} out of range for {x_mat.cols} columns")
     w = _weights(x_mat.column(j), i)
     if w[i] == 0:
         raise IntegralPivotError(f"entry ({i}, {j}) of the solution matrix is integral")
-    return _exchange_update(x_mat.with_column(j, _unit(i, x_mat.rows)), i, w)
+    return _rational_exchange_update(x_mat, i, w, j)
 
 
 def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
@@ -129,48 +156,55 @@ def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
 def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
     """Basis computation via bulk solution-matrix updates.
 
-    Solves every pool vector once up front, then repeatedly exchanges on the
-    minimal fractional row (smallest column on ties) using
-    :func:`solution_update`, folding each exchange into the transform ``Y``
-    with :func:`y_update`; ``initial_basis @ Y`` must reproduce the basis
-    at the end. The per-step growth bound ``new <= old + (n-1)*||A||`` and
-    :func:`coefficient_bound` are enforced on every exchange.
+    Solves every pool vector in one elimination, then repeatedly exchanges
+    on the minimal fractional row (smallest column on ties), updating ``X``
+    as :func:`solution_update` does but over the determinant in ints, and
+    folding each exchange into the transform ``Y`` with :func:`y_update`;
+    ``initial_basis @ Y`` must reproduce the basis at the end. The per-step
+    growth bound ``new <= old + (n-1)*||A||`` and :func:`coefficient_bound`
+    are enforced on every exchange.
 
     ``check_invariants`` additionally verifies, per iteration, that
-    ``initial_basis @ Y`` reproduces the basis, and cross-checks the
-    multiplicative determinant against a fresh elimination at the end.
+    ``initial_basis @ Y`` reproduces the basis, and at the end checks the
+    multiplicative determinant and ``X`` against a fresh elimination.
     Violations raise InvariantViolationError.
     """
     run = _split(a_mat)
     initial = run.basis
-    x_mat = Matrix(tuple(run.solve(vec) for vec in run.pool), rows=initial.cols)
+    d, x_num = _pool_numerators(run)
     y_mat = Matrix.identity(initial.cols)
 
     def check_transform():
         if initial @ y_mat != run.basis:
             raise InvariantViolationError("transform product drifted from the basis")
 
-    def exchanged(i, j, w):
-        nonlocal x_mat, y_mat
-        y_mat = y_update(y_mat, w, i)
-        x_mat = solution_update(x_mat, i, j)
+    def exchanged(i, j, x):
+        nonlocal d, x_num, y_mat
+        y_mat = y_update(y_mat, _weights(x, i), i)
+        x_num, d = _advance(x_num, d, i, [r[j] for r in x_num], run.det, j)
         if check_invariants:
             check_transform()
 
-    run.row_major(int(a_mat.max_abs()), lambda i: x_mat.row(i), lambda j: x_mat.column(j), exchanged)
+    run.row_major(int(a_mat.max_abs()), lambda i: (x_num[i], d),
+                  lambda j: tuple(Fraction(r[j], d) for r in x_num), exchanged)
     check_transform()
-    if check_invariants and bareiss_det(run.basis.submatrix_rows(run.pivot_rows)) != run.det:
-        raise InvariantViolationError("multiplicative determinant disagrees with elimination")
+    if check_invariants and _pool_numerators(run) != (run.det, x_num):
+        raise InvariantViolationError("determinant or solution matrix disagrees with a fresh elimination")
     return run.result(transform=y_mat)
+
+
+def _row_numerators(b_mat: Matrix, c_columns: Sequence[Sequence[int]], i: int) -> tuple[list[int], int]:
+    """``(z, det)`` with ``z / det`` row ``i`` of ``b_mat**-1 @ C``, in ints."""
+    d, (y,) = _eliminate(b_mat.transpose(), (_unit(i, b_mat.rows),))
+    return [sum(map(mul, y, col)) for col in c_columns], d
 
 
 def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
     """Row ``i`` of the exact solution matrix of ``b_mat @ X == c_mat``.
 
     Solves the single transposed system ``B^T y = e_i`` (so ``y`` is row
-    ``i`` of the inverse), scales ``y`` integral by the lcm of its
-    denominators, and takes integer dot products with the columns of
-    ``c_mat``; no other row of ``X`` is ever formed.
+    ``i`` of the inverse) as ``det * y`` in ints and takes integer dot
+    products with the columns of ``c_mat``; no other row of ``X`` is formed.
     """
     n = b_mat.rows
     if b_mat.cols != n:
@@ -179,21 +213,18 @@ def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
         raise DimensionMismatchError("right-hand-side rows must match the system")
     if not 0 <= i < n:
         raise IndexError(f"row {i} out of range")
-    y = solve_system(b_mat.transpose(), _unit(i, n))
-    mu, scaled = _integer_multiple(y)
-    return tuple(
-        Fraction(sum(s * e for s, e in zip(scaled, col)), mu) for col in c_mat.columns
-    )
+    z, d = _row_numerators(b_mat, c_mat.columns, i)
+    return tuple(Fraction(e, d) for e in z)
 
 
 def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
     """Basis computation with row-by-row pivoting and bounded entries.
 
-    Walks solution rows top-down: recompute row ``i`` via :func:`solve_row`,
-    and while it has a fractional entry, exchange on it (full solve for that
-    one pool column) and recompute. Once a row is integral it stays integral,
-    so the walk never backtracks. Both the per-step growth cap
-    ``new <= old + (n-1)*||A||`` and the global :func:`coefficient_bound`
+    Walks solution rows top-down: recompute row ``i`` as :func:`solve_row`
+    does, and while it has a fractional entry, exchange on it (full solve
+    for that one pool column) and recompute. Once a row is integral it
+    stays integral, so the walk never backtracks. Both the per-step growth
+    cap ``new <= old + (n-1)*||A||`` and the global :func:`coefficient_bound`
     are enforced on every exchange; a violation raises
     InvariantViolationError since it would falsify the pivoting argument.
 
@@ -202,14 +233,19 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     """
     run = _split(a_mat)
     rows = run.pivot_rows
+    # system and pool on the pivot rows; an exchange changes one column of each
+    sub = run.basis.submatrix_rows(rows)
+    pool = [[v[t] for t in rows] for v in run.pool]
 
-    def row(i):
-        restricted = Matrix(tuple(tuple(vec[t] for t in rows) for vec in run.pool), rows=len(rows))
-        return solve_row(run.basis.submatrix_rows(rows), restricted, i)
+    def exchanged(i, j, x):
+        nonlocal sub
+        sub = sub.with_column(i, [run.basis.column(i)[t] for t in rows])
+        pool[j] = [run.pool[j][t] for t in rows]
 
-    run.row_major(int(a_mat.max_abs()), row, lambda j: run.solve(run.pool[j]))
+    run.row_major(int(a_mat.max_abs()), lambda i: _row_numerators(sub, pool, i),
+                  lambda j: run.solve(run.pool[j]), exchanged)
     if check_invariants:
-        for vec in run.pool:
-            if any(frac_part(e) != 0 for e in run.solve(vec)):
-                raise InvariantViolationError("pool vector left fractional at exit")
+        d, x_num = _pool_numerators(run)
+        if any(e % d for r in x_num for e in r):
+            raise InvariantViolationError("pool vector left fractional at exit")
     return run.result()

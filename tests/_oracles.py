@@ -1,7 +1,8 @@
 """Independent reference computations used as test oracles.
 
-Deliberately naive implementations (Laplace expansion, adjugate formula)
-that share no code with the package, plus seeded instance helpers.
+Deliberately naive implementations (Laplace expansion, adjugate formula,
+the exchange update in Fraction arithmetic) that share no code with the
+package, plus seeded instance helpers.
 """
 
 import math
@@ -86,6 +87,22 @@ def pivot_argmin_fraction(x):
         if best_dist is None or dist < best_dist:
             best, best_dist = j, dist
     return best
+
+
+def exchange_update_fraction(mat, i, w):
+    """``F**-1 @ mat`` in Fraction arithmetic, ``F`` the identity with column ``i`` set to ``w``.
+
+    Row ``i`` is divided by ``w[i] != 0``, then ``w[k]`` times it is
+    subtracted from every other row ``k``.
+    """
+    inv = 1 / Fraction(w[i])
+    out = []
+    for col in mat.columns:
+        head = col[i] * inv
+        new_col = [e - wk * head for e, wk in zip(col, w)]
+        new_col[i] = head
+        out.append(tuple(new_col))
+    return Matrix(tuple(out), rows=mat.rows)
 
 
 def random_int_matrix(rng, n, m, bound):

@@ -24,11 +24,12 @@ from lattice_euclid import (
     mod_parallelepiped,
     mod_prime,
     next_int,
+    rowwise_variant_basis,
     solve_in_span,
     solve_system,
 )
-
-from lattice_euclid.euclid import _independent_columns, _weights
+from lattice_euclid.errors import InvariantViolationError
+from lattice_euclid.euclid import _independent_columns, _split, _weights
 
 from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix
 
@@ -392,3 +393,30 @@ def test_basic_basis_random_runs_preserve_lattice_and_halve():
                 if pivots:
                     x = solve_system(res.basis, a.column(j))
                     assert all(frac_part(e) == 0 for e in x)
+
+
+# --- row-major order ---------------------------------------------------------
+
+
+def test_row_major_scans_integer_rows_over_a_negative_denominator():
+    # basis (-2, 0), (0, 3) has det -6; the pool's solutions are (1, 1) and
+    # (-1/2, 1/3), so row 0 is (-6, 3) over -6: the first entry divides
+    # evenly, the second is the pivot
+    a = Matrix.from_rows([[-2, 0, -2, 1], [0, 3, 3, 1]])
+    traces = []
+    for sign in (1, -1):  # the same row over -6 and over +6
+        run = _split(a)
+        assert run.det == -6
+
+        def row(i):
+            den = sign * run.det
+            return [int(run.solve(v)[i] * den) for v in run.pool], den
+
+        run.row_major(3, row, lambda j: run.solve(run.pool[j]))
+        assert (run.trace[0].pivot_row, run.trace[0].column) == (0, 1)
+        traces.append(tuple(run.trace))
+    assert traces[0] == traces[1] == rowwise_variant_basis(a).trace
+
+    run = _split(a)
+    with pytest.raises(InvariantViolationError):  # row disagrees with the column
+        run.row_major(3, lambda i: ([-6, 3 - 6], -6), lambda j: run.solve(run.pool[j]))

@@ -18,9 +18,15 @@ from lattice_euclid import (
     solve_system,
 )
 
-from lattice_euclid.exact import _exchange_update
+from lattice_euclid.exact import _eliminate, _exchange_update, _rational_exchange_update
 
-from _oracles import adjugate_inverse, cofactor_det, random_int_matrix, random_nonsingular
+from _oracles import (
+    adjugate_inverse,
+    cofactor_det,
+    exchange_update_fraction,
+    random_int_matrix,
+    random_nonsingular,
+)
 
 
 # --- Matrix type -----------------------------------------------------------
@@ -285,7 +291,8 @@ def test_column_update_matches_full_inversion():
 
 
 def test_exchange_update_is_the_elementary_inverse_product():
-    # F**-1 @ m on non-square m, with zeros in m (row i included) and in w
+    # the lcm**2 wrapper, F**-1 @ m on non-square Fraction m, with zeros in m
+    # (row i included) and in w
     rng = random.Random(505)
     for _ in range(60):
         n, cols = rng.randint(1, 5), rng.randint(1, 6)
@@ -300,7 +307,61 @@ def test_exchange_update_is_the_elementary_inverse_product():
             for _ in range(n)
         ])
         f = Matrix.identity(n).with_column(i, w)
-        assert _exchange_update(m, i, w) == invert(f) @ m
+        updated = _rational_exchange_update(m, i, w)
+        assert updated == exchange_update_fraction(m, i, w) == invert(f) @ m
+        # with j, column j is first replaced by e_i
+        j = rng.randrange(cols)
+        z = m.with_column(j, [int(k == i) for k in range(n)])
+        assert _rational_exchange_update(m, i, w, j) == exchange_update_fraction(z, i, w) == invert(f) @ z
+
+
+def test_integer_exchange_update_matches_fraction_oracle():
+    # N = d * B**-1 C over the signed d = det B; replacing column i of B
+    # with u is F(w, i) for w = B**-1 u, numerators W = d * w
+    rng = random.Random(606)
+    seen = set()
+    for _ in range(150):
+        n, cols = rng.randint(1, 5), rng.randint(1, 7)
+        b = random_nonsingular(rng, n, 9)
+        i = rng.randrange(n)
+        # C mixes random columns with columns of B (zero in row i of X)
+        c_cols = [
+            b.column(rng.randrange(n)) if rng.random() < 0.3
+            else tuple(rng.randint(-9, 9) for _ in range(n))
+            for _ in range(cols)
+        ]
+        # u = B @ t (W zero where t is) or a random column
+        if rng.random() < 0.5:
+            t = [0 if rng.random() < 0.5 else rng.randint(-3, 3) for _ in range(n)]
+            t[i] = rng.choice([-2, -1, 1, 2])
+            u = b.mat_vec(t)
+        else:
+            u = tuple(rng.randint(-9, 9) for _ in range(n))
+        b_new = b.with_column(i, u)
+        det_new = bareiss_det(b_new)
+        if det_new == 0:
+            continue
+        d, x_cols = _eliminate(b, c_cols)
+        _, (w_num,) = _eliminate(b, (u,))
+        num = [list(r) for r in zip(*x_cols)]
+        out = _exchange_update(num, d, i, w_num)
+        assert w_num[i] == det_new
+        x = Matrix(tuple(tuple(Fraction(e, d) for e in col) for col in x_cols), rows=n)
+        w = [Fraction(e, d) for e in w_num]
+        expected = exchange_update_fraction(x, i, w)
+        assert out == [[e * det_new for e in expected.row(k)] for k in range(n)]
+        assert all(e.__class__ is int for r in out for e in r)
+        # and a fresh solve against B' gives the same numerators
+        assert [list(r) for r in zip(*_eliminate(b_new, c_cols)[1])] == out
+        # exchanging pool column j = u in: column j becomes B e_i, and X column j e_i
+        j = rng.randrange(cols)
+        c_cols[j] = u
+        num = [list(r) for r in zip(*_eliminate(b, c_cols)[1])]
+        c_cols[j] = b.column(i)
+        assert _exchange_update(num, d, i, w_num, j) == [list(r) for r in zip(*_eliminate(b_new, c_cols)[1])]
+        seen.add((d < 0, any(e == 0 for e in w_num), any(r[i] == 0 for r in x_cols)))
+    assert {s[0] for s in seen} == {False, True}  # both signs of d
+    assert any(s[1] for s in seen) and any(s[2] for s in seen)
 
 
 def test_column_update_singular_raises():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lattice_euclid import (
+    InstanceParams,
     IntegralPivotError,
     Matrix,
     basic_basis,
@@ -15,6 +16,7 @@ from lattice_euclid import (
     inverse_variant_basis,
     lattice_equal,
     mod_prime,
+    random_instance,
     rowwise_variant_basis,
     solution_update,
     solution_variant_basis,
@@ -22,6 +24,10 @@ from lattice_euclid import (
     solve_system,
     y_update,
 )
+
+from lattice_euclid.errors import InvariantViolationError
+from lattice_euclid.euclid import _weights
+from lattice_euclid.variants import _advance
 
 from _oracles import random_int_matrix, random_nonsingular
 
@@ -122,6 +128,13 @@ def test_solution_update_second_column():
 def test_solution_update_rejects_integral_pivot():
     with pytest.raises(IntegralPivotError):
         solution_update(Matrix.from_rows([[3, Fraction(1, 2)]]), 0, 0)
+
+
+def test_solution_update_rejects_a_column_out_of_range():
+    x = Matrix.from_rows([[Fraction(1, 2), Fraction(3, 2)]])
+    for j in (-1, 2):
+        with pytest.raises(IndexError):
+            solution_update(x, 0, j)
 
 
 def _random_exchange_config(rng, max_n=6, max_extra=4):
@@ -362,3 +375,43 @@ def test_variants_agree_on_gcd_and_edge_shapes():
     for a in cases:
         forms = [hnf(fn(a).basis) for fn in ALL_VARIANTS]
         assert all(f == forms[0] for f in forms[1:])
+
+
+def test_integer_weights_match_the_fraction_weights():
+    # the drivers' update builds d * _weights(x, i) in ints; with num = d * I
+    # the kernel's column i is -W off the pivot row and d on it
+    rng = random.Random(707)
+    cases = [([3, -3, 9, -9], 6, 0), ([3, -3, 9, -9], -6, 1), ([0, 5, -5], 10, 2)]  # halves
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        d = rng.choice([-1, 1]) * rng.randint(1, 40)
+        cases.append(([rng.randint(-200, 200) for _ in range(n)], d, rng.randrange(n)))
+    for x_num, d, i in cases:
+        n = len(x_num)
+        w = [d * e for e in _weights([Fraction(e, d) for e in x_num], i)]
+        num, det = _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, x_num, w[i])
+        assert det == w[i]
+        assert [r[i] for r in num] == [d if k == i else -w[k] for k in range(n)]
+        with pytest.raises(InvariantViolationError):
+            _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, x_num, w[i] + 1)
+
+
+def test_drivers_agree_at_benchmark_scale():
+    # the acceptance suite stops at entries of 20; these are the benchmark's
+    # shapes: 10x16 and 6x96 at entries to 1000, and a rank-8 16x32 product
+    rng = random.Random(4242)
+    lowrank = random_int_matrix(rng, 16, 8, 9) @ random_int_matrix(rng, 8, 32, 9)
+    assert len(find_independent_columns(lowrank)) == 8
+    cases = [
+        random_instance(InstanceParams(n=10, m=16, bound=1000, seed=31)),
+        random_instance(InstanceParams(n=6, m=96, bound=1000, seed=32)),
+        lowrank,
+    ]
+    for a in cases:
+        basic, inverse = basic_basis(a), inverse_variant_basis(a)
+        solution = solution_variant_basis(a, check_invariants=True)
+        rowwise = rowwise_variant_basis(a, check_invariants=True)
+        assert solution.exchanges > 0
+        assert (inverse.basis, inverse.trace) == (basic.basis, basic.trace)
+        assert (solution.basis, solution.trace) == (rowwise.basis, rowwise.trace)
+        assert lattice_equal(solution.basis, basic.basis)
