@@ -71,6 +71,13 @@ class Matrix:
         self._columns = cols
 
     @classmethod
+    def _trusted(cls, columns: tuple[tuple[Scalar, ...], ...], rows: int) -> "Matrix":
+        """A matrix of entries already checked: ``rows``-long tuples of ints and Fractions."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._columns = rows, len(columns), columns
+        return m
+
+    @classmethod
     def from_rows(cls, rows_data: Iterable[Sequence[Scalar]]) -> "Matrix":
         rows_tup = tuple(tuple(r) for r in rows_data)
         if not rows_tup:
@@ -107,10 +114,8 @@ class Matrix:
     def with_column(self, j: int, column: Sequence[Scalar]) -> "Matrix":
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range for {self.cols} columns")
-        return Matrix(
-            self._columns[:j] + (tuple(column),) + self._columns[j + 1 :],
-            rows=self.rows,
-        )
+        new = Matrix((column,), rows=self.rows).column(0)  # checks the new column only
+        return Matrix._trusted(self._columns[:j] + (new,) + self._columns[j + 1 :], self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if other.rows != self.rows:
@@ -119,13 +124,10 @@ class Matrix:
 
     def submatrix_rows(self, row_indices: Sequence[int]) -> "Matrix":
         idx = tuple(row_indices)
-        return Matrix(
-            tuple(tuple(col[i] for i in idx) for col in self._columns),
-            rows=len(idx),
-        )
+        return Matrix._trusted(tuple(tuple(col[i] for i in idx) for col in self._columns), len(idx))
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.row(i) for i in range(self.rows)), rows=self.cols)
+        return Matrix._trusted(tuple(self.row(i) for i in range(self.rows)), self.cols)
 
     def mat_vec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
@@ -147,7 +149,7 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix(tuple(self.mat_vec(col) for col in other._columns), rows=self.rows)
+        return Matrix._trusted(tuple(self.mat_vec(col) for col in other._columns), self.rows)
 
     def is_integral(self) -> bool:
         return all(

@@ -9,8 +9,8 @@ vectors against the basis:
 * ``solution_variant_basis`` solves all pool vectors up front into a
   solution matrix ``X``; exchanges also accumulate into a rational
   transform ``Y``.
-* ``rowwise_variant_basis`` recomputes one row of ``X`` at a time with a
-  single transposed solve.
+* ``rowwise_variant_basis`` forms one row of ``X`` at a time as one row of
+  the cached adjugate times the pool.
 
 An exchange is ``B' = B @ F``, ``F`` the identity with column ``i`` set to
 ``w``: ``Y`` advances by ``F`` (:func:`y_update`), the cached inverse and ``X``
@@ -72,15 +72,12 @@ def _pool_numerators(run: _Run) -> tuple[int, list[list[int]]]:
     return d, [list(r) for r in zip(*columns)] if columns else [[] for _ in rows]
 
 
-def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
-    """Basis computation with a cached inverse, updated per exchange.
+def _adjugate(run: _Run):
+    """``(solve, row, exchanged)`` on the adjugate ``d * B**-1``, ``B`` the pivot-row system.
 
-    Behaves exactly like :func:`lattice_euclid.euclid.basic_basis` (same
-    pivots, same trace, same early stop once ``|det| == 1``) except that
-    each solve is an integer matrix-vector product against the cached
-    adjugate ``d * B**-1``, divided by ``d`` once per entry.
+    One elimination builds it; ``exchanged`` multiplies it by ``F**-1``. ``row(i)`` is
+    ``(z, d)``, ``z / d`` row ``i`` of the pool's solutions, read on the pivot rows.
     """
-    run = _split(a_mat)
     rows = run.pivot_rows
     covered = len(rows) == run.basis.rows
     d, columns = _eliminate(run.basis.submatrix_rows(rows), Matrix.identity(len(rows)).columns)
@@ -93,10 +90,27 @@ def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
             check_off_pivot_rows(run.basis, rows, [d * e for e in vec], num)
         return tuple(Fraction(e, d) for e in num)
 
+    def row(i):
+        r = adj[i]
+        return [sum(map(mul, r, v if covered else map(v.__getitem__, rows))) for v in run.pool], d
+
     def exchanged(i, j, x):
         nonlocal adj, d
         adj, d = _advance(adj, d, i, _numerators(x, d), run.det)
 
+    return solve, row, exchanged
+
+
+def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
+    """Basis computation with a cached inverse, updated per exchange.
+
+    Behaves exactly like :func:`lattice_euclid.euclid.basic_basis` (same
+    pivots, same trace, same early stop once ``|det| == 1``) except that
+    each solve is an integer matrix-vector product against the cached
+    adjugate ``d * B**-1``, divided by ``d`` once per entry.
+    """
+    run = _split(a_mat)
+    solve, _, exchanged = _adjugate(run)
     run.fifo(solve, exchanged)
     return run.result()
 
@@ -193,12 +207,6 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     return run.result(transform=y_mat)
 
 
-def _row_numerators(b_mat: Matrix, c_columns: Sequence[Sequence[int]], i: int) -> tuple[list[int], int]:
-    """``(z, det)`` with ``z / det`` row ``i`` of ``b_mat**-1 @ C``, in ints."""
-    d, (y,) = _eliminate(b_mat.transpose(), (_unit(i, b_mat.rows),))
-    return [sum(map(mul, y, col)) for col in c_columns], d
-
-
 def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
     """Row ``i`` of the exact solution matrix of ``b_mat @ X == c_mat``.
 
@@ -213,18 +221,18 @@ def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
         raise DimensionMismatchError("right-hand-side rows must match the system")
     if not 0 <= i < n:
         raise IndexError(f"row {i} out of range")
-    z, d = _row_numerators(b_mat, c_mat.columns, i)
-    return tuple(Fraction(e, d) for e in z)
+    d, (y,) = _eliminate(b_mat.transpose(), (_unit(i, n),))
+    return tuple(Fraction(sum(map(mul, y, col)), d) for col in c_mat.columns)
 
 
 def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
     """Basis computation with row-by-row pivoting and bounded entries.
 
-    Walks solution rows top-down: recompute row ``i`` as :func:`solve_row`
-    does, and while it has a fractional entry, exchange on it (full solve
-    for that one pool column) and recompute. Once a row is integral it
-    stays integral, so the walk never backtracks. Both the per-step growth
-    cap ``new <= old + (n-1)*||A||`` and the global :func:`coefficient_bound`
+    Walks solution rows top-down: row ``i`` is row ``i`` of the cached adjugate
+    (as :func:`inverse_variant_basis` keeps it) times the pool; while it has a
+    fractional entry, exchange on it and form the row again. Once a row is
+    integral it stays integral, so the walk never backtracks. Both the per-step
+    growth cap ``new <= old + (n-1)*||A||`` and the global :func:`coefficient_bound`
     are enforced on every exchange; a violation raises
     InvariantViolationError since it would falsify the pivoting argument.
 
@@ -232,18 +240,8 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     and verifies every solution is integral.
     """
     run = _split(a_mat)
-    rows = run.pivot_rows
-    # system and pool on the pivot rows; an exchange changes one column of each
-    sub = run.basis.submatrix_rows(rows)
-    pool = [[v[t] for t in rows] for v in run.pool]
-
-    def exchanged(i, j, x):
-        nonlocal sub
-        sub = sub.with_column(i, [run.basis.column(i)[t] for t in rows])
-        pool[j] = [run.pool[j][t] for t in rows]
-
-    run.row_major(int(a_mat.max_abs()), lambda i: _row_numerators(sub, pool, i),
-                  lambda j: run.solve(run.pool[j]), exchanged)
+    solve, row, exchanged = _adjugate(run)
+    run.row_major(int(a_mat.max_abs()), row, lambda j: solve(run.pool[j]), exchanged)
     if check_invariants:
         d, x_num = _pool_numerators(run)
         if any(e % d for r in x_num for e in r):

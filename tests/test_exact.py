@@ -66,6 +66,45 @@ def test_matrix_with_column_shares_rest():
     assert m2.column(1) is m.column(1)
 
 
+def test_with_column_checks_only_the_new_column():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    for bad in ((1.5, 2), (1, True)):
+        with pytest.raises(TypeError):
+            m.with_column(0, bad)
+    for bad in ((1,), (1, 2, 3)):
+        with pytest.raises(DimensionMismatchError):
+            m.with_column(1, bad)
+    assert m.with_column(1, [Fraction(1, 2), 5]) == Matrix.from_rows([[1, Fraction(1, 2)], [3, 5]])
+
+
+def test_derived_matrices_equal_checked_ones():
+    # transpose, submatrix_rows and @ skip re-checking their entries; each
+    # result must equal (and hash like) the same matrix built with checks
+    rng = random.Random(97)
+
+    def draw(rows, cols):
+        return Matrix.from_rows(
+            [[rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+              for _ in range(cols)] for _ in range(rows)]
+        )
+
+    for _ in range(30):
+        n, m, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = draw(n, m), draw(m, k)
+        idx = rng.sample(range(n), rng.randint(1, n))
+        product = Matrix.from_rows(
+            [[sum(a.entry(i, t) * b.entry(t, j) for t in range(m)) for j in range(k)] for i in range(n)]
+        )
+        pairs = [
+            (a.transpose(), Matrix.from_rows([list(col) for col in a.columns])),
+            (a.submatrix_rows(idx), Matrix.from_rows([a.row(i) for i in idx])),
+            (a @ b, product),
+        ]
+        for derived, checked in pairs:
+            assert derived == checked
+            assert hash(derived) == hash(checked)
+
+
 def test_matrix_products():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])

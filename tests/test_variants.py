@@ -25,6 +25,7 @@ from lattice_euclid import (
     y_update,
 )
 
+from lattice_euclid import euclid, variants
 from lattice_euclid.errors import InvariantViolationError
 from lattice_euclid.euclid import _weights
 from lattice_euclid.variants import _advance
@@ -313,6 +314,32 @@ def test_rowwise_variant_no_exchanges_when_pool_divides():
 def test_rowwise_variant_gcd():
     res = rowwise_variant_basis(Matrix.from_rows([[12, 18]]))
     assert res.basis.to_rows() == [[-6]]
+
+
+def test_rowwise_variant_eliminates_once(monkeypatch):
+    # one elimination builds the cached adjugate; no row step and no
+    # exchange solves from scratch, on full and on deficient rank
+    rng = random.Random(4243)
+    lowrank = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
+    assert len(find_independent_columns(lowrank)) < lowrank.rows
+    cases = [random_instance(InstanceParams(n=6, m=10, bound=1000, seed=33)), lowrank]
+    expected = [solution_variant_basis(a) for a in cases]
+    calls = []
+
+    def counting(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for module, name in ((variants, "_eliminate"), (euclid, "solve_system")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for a, want in zip(cases, expected):
+        calls.clear()
+        res = rowwise_variant_basis(a)
+        assert res.exchanges > 0
+        assert calls == ["_eliminate"]
+        assert (res.basis, res.trace) == (want.basis, want.trace)
 
 
 def test_rowwise_pivot_rows_are_nondecreasing():
