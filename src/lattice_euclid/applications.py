@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InvariantViolationError, SingularMatrixError
 from .exact import Matrix, bareiss_det
-from .euclid import ExchangeRecord, _Run, _scaled_det, _split, _unit, frac_part
+from .euclid import ExchangeRecord, _Run, _scaled_det, _split, _unit
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def determinant_with_trace(b_mat: Matrix) -> tuple[int, tuple[ExchangeRecord, ..
     # det after step k = det(B) * product of the first k+1 factors
     records = []
     for rec in run.trace:
-        det = _scaled_det(rec.factor, det)
+        det = _scaled_det(det, rec.factor.numerator, rec.factor.denominator)
         records.append(ExchangeRecord(rec.step, rec.pivot_row, rec.column, rec.factor, det))
     return value, tuple(records)
 
@@ -116,7 +116,7 @@ def diophantine_run(
     transform = TransformU(run.tags)
     if check_invariants and (a_mat @ transform.matrix) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
-    x = run.solve(tuple(rhs))  # SpanMismatchError if infeasible
-    if any(frac_part(q) != 0 for q in x):
+    num, d = run.solve(tuple(rhs))  # SpanMismatchError if infeasible
+    if any(e % d for e in num):
         return None, transform, tuple(run.trace)
-    return transform.matrix.mat_vec([int(q) for q in x]), transform, tuple(run.trace)
+    return transform.matrix.mat_vec([e // d for e in num]), transform, tuple(run.trace)

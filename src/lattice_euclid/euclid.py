@@ -28,6 +28,12 @@ coordinate nearest an integer and stops once ``|det| == 1``;
 enforced coefficient-growth caps. A driver only supplies how pool vectors
 are solved and what it tracks besides the basis. :func:`basic_basis` is the
 plainest configuration: FIFO order, every system solved from scratch.
+
+The engine works in integers: a solver returns ``(num, d)``, the numerators
+of ``x`` over a signed common denominator, and the pivot, floors, rounding and
+determinant update are integer operations on them. An exchange builds one
+Fraction, its trace factor. The public Fraction functions (:func:`mod_prime`,
+:func:`choose_pivot_argmin`, :func:`exchange_step`) clear denominators first.
 """
 
 from __future__ import annotations
@@ -35,15 +41,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import IntegralPivotError, InvariantViolationError, SpanMismatchError
-from .exact import Matrix, Scalar, _integer_multiple, bareiss_det, solve_system
+from .exact import Matrix, Scalar, _eliminate_rows, _integer_multiple, bareiss_det, solve_system
+
+
+def _nearest(e: int, d: int) -> int:
+    """Nearest integer to ``e / d`` (``d`` of either sign); halves round toward +infinity."""
+    return (2 * e + d) // (2 * d)
 
 
 def next_int(q: Scalar) -> int:
     """Nearest integer to ``q``; halves round toward +infinity."""
-    return math.floor(q + Fraction(1, 2))
+    d, (e,) = _integer_multiple((q,))
+    return _nearest(e, d)
 
 
 def frac_part(q: Scalar) -> Scalar:
@@ -113,6 +126,43 @@ def mod_parallelepiped(b_mat: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(v - w for v, w in zip(vec, bx))
 
 
+def _rounded(num: Sequence[int], d: int, i: int) -> list[int]:
+    """What an exchange at pivot ``i`` subtracts: ``num / d`` floored, rounded to nearest at ``i``."""
+    out = [e // d for e in num]
+    out[i] = _nearest(num[i], d)
+    return out
+
+
+def _weights(num: Sequence[int], d: int, i: int) -> list[int]:
+    """``d * w`` for ``w = num / d - _rounded(num, d, i)``: the remainder's coordinates in the basis."""
+    return [e - d * r for e, r in zip(num, _rounded(num, d, i))]
+
+
+def _pivot(num: Sequence[int], d: int) -> Optional[int]:
+    """Index of the fractional entry of ``num / d`` closest to an integer, or None.
+
+    The distance of entry ``e`` is ``min(r, |d| - r) / |d|`` for ``r = e mod |d|``;
+    ties break toward the smallest index, as in :func:`choose_pivot_argmin`.
+    """
+    den = abs(d)
+    best, best_dist = None, den
+    for j, e in enumerate(num):
+        r = e % den
+        if r:
+            dist = min(r, den - r)
+            if dist < best_dist:
+                best, best_dist = j, dist
+    return best
+
+
+def _scaled_det(det: int, w: int, d: int) -> int:
+    """``det * w / d``, the determinant after an exchange with factor ``w / d``; must be exact."""
+    det, r = divmod(det * w, d)
+    if r:
+        raise InvariantViolationError("exchange factor does not divide the determinant")
+    return det
+
+
 def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) -> tuple[int, ...]:
     """Residue with the pivot coordinate rounded to the nearest integer.
 
@@ -121,12 +171,10 @@ def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) ->
     nearest integer. Swapping column ``i`` for the result scales the
     determinant by ``x[i] - next_int(x[i])``, of magnitude at most 1/2.
     """
-    if frac_part(x[i]) == 0:
+    d, num = _integer_multiple(x)
+    if not num[i] % d:
         raise IntegralPivotError(f"coordinate {i} of the solution is integral")
-    rounded = [math.floor(q) for q in x]
-    rounded[i] = next_int(x[i])
-    bx = b_mat.mat_vec(rounded)
-    return tuple(v - w for v, w in zip(vec, bx))
+    return tuple(v - w for v, w in zip(vec, b_mat.mat_vec(_rounded(num, d, i))))
 
 
 def choose_pivot_argmin(x: Sequence[Scalar]) -> Optional[int]:
@@ -135,56 +183,49 @@ def choose_pivot_argmin(x: Sequence[Scalar]) -> Optional[int]:
     Ties break toward the smallest index; returns None when ``x`` is
     integral. Any fractional coordinate would preserve correctness, but the
     closest one maximizes the determinant shrink of the resulting exchange.
-    The distance ``min(r, d - r) / d`` with ``r = numerator mod d`` is
-    compared by cross-multiplication, in ints.
+    The distances are compared over the common denominator of ``x``, in ints.
     """
-    best: Optional[int] = None
-    best_dist, best_den = 0, 1
-    for j, q in enumerate(x):
-        den = q.denominator
-        if den == 1:
-            continue
-        r = q.numerator % den
-        dist = min(r, den - r)
-        if best is None or dist * best_den < best_dist * den:
-            best, best_dist, best_den = j, dist, den
-    return best
+    d, num = _integer_multiple(x)
+    return _pivot(num, d)
 
 
-def _weights(x: Sequence[Scalar], i: int) -> tuple[Scalar, ...]:
-    """Coordinates ``w`` of the :func:`mod_prime` remainder in the old basis.
+def _eliminate_column(rows: list[list[int]], free: Sequence[int], p: int, j: int, prev: int) -> None:
+    """Clear column ``j`` of the ``free`` rows with row ``p``, as ``exact._bareiss`` does.
 
-    ``w = x - rounded(x)``: the exchange factor ``x[i] - next_int(x[i])`` at
-    the pivot ``i``, ``frac_part`` elsewhere.
+    Right of ``j``, ``r <- (rows[p][j] * r - r[j] * rows[p]) / prev``, an exact division.
     """
-    return tuple(q - next_int(q) if k == i else frac_part(q) for k, q in enumerate(x))
+    pivot, tail = rows[p][j], rows[p][j + 1 :]
+    for t in free:
+        r = rows[t]
+        h = r[j]
+        if prev == 1:  # the first step has nothing to divide by
+            r[j + 1 :] = [pivot * e - h * f for e, f in zip(r[j + 1 :], tail)]
+        else:
+            r[j + 1 :] = [(pivot * e - h * f) // prev for e, f in zip(r[j + 1 :], tail)]
 
 
 def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int]]:
-    # Greedy left-to-right exact elimination in integers. Accepted columns
-    # are kept in echelon form, divided by their content; each contributes
-    # a fresh pivot row, and the accepted original columns restricted to
-    # those rows are nonsingular. The cross-multiplied update
-    # ``v <- u[p] * v - v[p] * u`` is a nonzero multiple of the rational one,
-    # so it has the same zero pattern and picks the same columns and rows.
-    echelon: list[tuple[int, list[int]]] = []
+    # Greedy left-to-right fraction-free elimination (Bareiss 1968) by rows.
+    # Column j is independent of the kept columns iff it is nonzero on a row
+    # not yet a pivot row; the first such row becomes its pivot row. Those
+    # entries are the column reduced against the kept columns (a Schur
+    # complement), so the choice is that of a rational column elimination.
+    # Every entry is a minor of the input (columns scaled by their lcm), so
+    # each division is exact and entries stay within Hadamard's bound.
+    rows = [list(r) for r in zip(*(_integer_multiple(c)[1] for c in a_mat.columns))]
+    free = list(range(a_mat.rows))
     col_idx: list[int] = []
     pivot_rows: list[int] = []
-    for j, column in enumerate(a_mat.columns):
-        v = _integer_multiple(column)[1]
-        for p, u in echelon:
-            vp = v[p]
-            if vp:
-                up = u[p]
-                v = [up * e - vp * f for e, f in zip(v, u)]
-        p = next((t for t, e in enumerate(v) if e), None)
-        if p is not None:
-            g = math.gcd(*v)
-            if g != 1:
-                v = [e // g for e in v]
-            echelon.append((p, v))
-            col_idx.append(j)
-            pivot_rows.append(p)
+    prev = 1
+    for j in range(a_mat.cols):
+        p = next((t for t in free if rows[t][j]), None)
+        if p is None:
+            continue
+        free.remove(p)
+        _eliminate_column(rows, free, p, j, prev)
+        prev = rows[p][j]
+        col_idx.append(j)
+        pivot_rows.append(p)
     return col_idx, sorted(pivot_rows)
 
 
@@ -199,15 +240,8 @@ def check_off_pivot_rows(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence
     Compared in integers: ``x`` is scaled by the lcm ``L`` of its
     denominators and each row is checked as ``basis[i] @ (L * x) == L * vec[i]``.
     """
-    covered = set(pivot_rows)
     mu, scaled = _integer_multiple(x)
-    columns = basis.columns
-    for irow in range(basis.rows):
-        if irow in covered:
-            continue
-        acc = sum(col[irow] * s for col, s in zip(columns, scaled))
-        if acc != vec[irow] * mu:
-            raise SpanMismatchError(f"vector leaves the column span at row {irow}")
+    _Run(basis, (), pivot_rows, None).check_span(vec, scaled, mu)
 
 
 def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) -> tuple[Fraction, ...]:
@@ -225,11 +259,6 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
     return x
 
 
-def _ceil_log2(value: int) -> int:
-    # ceil(log2(value)) for value >= 1, computed on bit length (no floats)
-    return (value - 1).bit_length()
-
-
 def coefficient_bound(n_rows: int, max_entry: int) -> int:
     """Worst-case infinity norm of a basis built under row-wise pivoting.
 
@@ -240,40 +269,32 @@ def coefficient_bound(n_rows: int, max_entry: int) -> int:
     """
     if max_entry <= 0:
         return 0
-    return max(max_entry, n_rows * n_rows * max_entry * _ceil_log2(n_rows * max_entry))
-
-
-def _scaled_det(factor: Fraction, det: int) -> int:
-    scaled = factor * det
-    if scaled.denominator != 1:
-        raise InvariantViolationError("exchange factor does not divide the determinant")
-    return int(scaled)
+    ceil_log2 = (n_rows * max_entry - 1).bit_length()  # on the bit length, without floats
+    return max(max_entry, n_rows * n_rows * max_entry * ceil_log2)
 
 
 class _Run:
     """Mutable state of one exchange run, the engine behind every driver.
 
-    An exchange is ``basis' = basis @ F``, ``F`` the identity with column
-    ``i`` set to ``w = _weights(x, i)``; ``det`` is multiplied by ``w[i]``.
-    Drivers get ``x`` from an ``exchanged(i, j, x)`` callback (``j`` is the
-    source's pool slot) and build ``w`` only if they track something by ``F``.
+    Solvers hand the engine ``x`` as ``(num, d)``: integer numerators over a
+    signed common denominator. An exchange is ``basis' = basis @ F``, ``F``
+    the identity with column ``i`` set to ``w = _weights(num, d, i) / d``;
+    ``det`` is multiplied by ``w[i]``. Drivers get ``(num, d)`` from an
+    ``exchanged(i, j, (num, d))`` callback (``j`` is the source's pool slot)
+    and build ``d * w`` only if they track something by ``F``.
 
     ``det`` is the signed determinant of the pivot-row subsystem, or None
     where the run must not know it (determinant mode); ``trajectory`` lists
     its values. When ``tags`` is set, it is a matrix whose column ``k``
     belongs to basis column ``k``, and ``pool_tags[j]`` belongs to
     ``pool[j]``: each exchange applies to the tags the same integer
-    combination it applies to the vectors.
+    combination it applies to the vectors. ``rows`` holds the basis rows as
+    int lists, rewritten in place by each exchange; ``off_rows`` those off the
+    pivot rows, as ``(index, row)``.
     """
 
-    def __init__(
-        self,
-        basis: Matrix,
-        pool: Iterable[Sequence[int]],
-        pivot_rows: Sequence[int],
-        det: Optional[int],
-        discards: int = 0,
-    ):
+    def __init__(self, basis: Matrix, pool: Iterable[Sequence[int]], pivot_rows: Sequence[int],
+                 det: Optional[int], discards: int = 0):
         self.basis = basis
         self.pool = list(pool)
         self.pivot_rows = tuple(pivot_rows)
@@ -283,43 +304,62 @@ class _Run:
         self.discards = discards
         self.tags: Optional[Matrix] = None
         self.pool_tags: list = [None] * len(self.pool)
+        self.rows = [list(basis.row(t)) for t in range(basis.rows)]
+        covered = set(self.pivot_rows)
+        self.off_rows = [(t, r) for t, r in enumerate(self.rows) if t not in covered]
 
-    def solve(self, vec: Sequence[int]) -> tuple[Fraction, ...]:
-        """Solution of ``basis @ x == vec``, solved from scratch."""
-        return solve_in_span(self.basis, self.pivot_rows, vec)
+    def check_span(self, vec: Sequence[int], num: Sequence[int], d: int) -> None:
+        """Raise SpanMismatchError unless ``basis @ num == d * vec`` off the pivot rows."""
+        for t, row in self.off_rows:
+            if sum(map(mul, row, num)) != d * vec[t]:
+                raise SpanMismatchError(f"vector leaves the column span at row {t}")
 
-    def exchange(self, j: int, x: Sequence[Scalar], i: int) -> tuple[int, ...]:
+    def solve(self, vec: Sequence[int]) -> tuple[list[int], int]:
+        """``(num, d)`` with ``basis @ num == d * vec``, ``d`` the determinant; eliminates from scratch."""
+        rows = self.rows
+        d, (num,) = _eliminate_rows([rows[t] + [vec[t]] for t in self.pivot_rows], self.basis.cols, 1)
+        self.check_span(vec, num, d)
+        return num, d
+
+    def exchange(self, j: int, x: tuple[Sequence[int], int], i: int) -> tuple[int, ...]:
         """Swap basis column ``i`` for the residue of ``pool[j]``; return it.
 
-        ``x`` must solve ``basis @ x == pool[j]`` with ``x[i]`` fractional.
-        The old basis column, with its tag, takes pool slot ``j``.
+        ``x = (num, d)`` must solve ``basis @ num == d * pool[j]``, ``num[i] / d``
+        fractional. The old basis column, with its tag, takes pool slot ``j``.
         """
-        factor = x[i] - next_int(x[i])
-        remainder = mod_prime(self.basis, self.pool[j], x, i)
+        num, d = x
+        if not num[i] % d:
+            raise IntegralPivotError(f"coordinate {i} of the solution is integral")
+        rounded = _rounded(num, d, i)
+        w_i = num[i] - d * rounded[i]
         if self.det is not None:
-            self.det = _scaled_det(factor, self.det)
+            self.det = _scaled_det(self.det, w_i, d)
             self.trajectory.append(self.det)
-        self.trace.append(ExchangeRecord(len(self.trace), i, j, factor, self.det))
+        self.trace.append(ExchangeRecord(len(self.trace), i, j, Fraction(w_i, d), self.det))
+        remainder = tuple(v - sum(map(mul, r, rounded)) for v, r in zip(self.pool[j], self.rows))
         if self.tags is not None:
-            tag = mod_prime(self.tags, self.pool_tags[j], x, i)
+            tag = tuple(v - e for v, e in zip(self.pool_tags[j], self.tags.mat_vec(rounded)))
             self.pool_tags[j] = self.tags.column(i)
             self.tags = self.tags.with_column(i, tag)
         self.pool[j] = self.basis.column(i)
         self.basis = self.basis.with_column(i, remainder)
+        for r, e in zip(self.rows, remainder):
+            r[i] = e
         return remainder
 
     def fifo(self, solve: Callable, exchanged: Optional[Callable] = None) -> None:
-        """Pool first in, first out; pivot by :func:`choose_pivot_argmin`.
+        """Pool first in, first out; pivot as :func:`choose_pivot_argmin` does.
 
-        A pool vector whose solution is integral is discarded; an exchanged
-        one's old basis column joins the back of the pool. Stops once
-        ``|det| == 1``: every remaining pool vector then divides evenly and
-        is discarded unexamined. ``exchanged(i, 0, x)`` follows each exchange.
+        ``solve(vec)`` returns ``(num, d)``. A pool vector whose solution is
+        integral is discarded; an exchanged one's old basis column joins the
+        back of the pool. Stops once ``|det| == 1``: every remaining pool vector
+        then divides evenly and is discarded unexamined. ``exchanged(i, 0, x)``
+        follows each exchange.
         """
         pool, tags = self.pool, self.pool_tags
         while pool and self.det not in (1, -1):
             x = solve(pool[0])
-            i = choose_pivot_argmin(x)
+            i = _pivot(*x)
             if i is None:
                 self.discards += 1
                 pool.pop(0)
@@ -338,14 +378,14 @@ class _Run:
         """Clear fractional solution entries row by row, top down.
 
         ``row(i)`` is row ``i`` of the pool's solution matrix as ``(ints, den)``
-        (``den`` of either sign), ``column(j)`` the solution of ``pool[j]``. Each
-        exchange pivots on the first fractional entry of the topmost row
-        that has one. Rows above stay integral, so the walk never
+        (``den`` of either sign), ``column(j)`` the solution of ``pool[j]`` as
+        ``(num, d)``. Each exchange pivots on the first fractional entry of the
+        topmost row that has one. Rows above stay integral, so the walk never
         backtracks, and each exchange grows the touched column by at most
         ``(n-1) * norm_a``. That per-step cap and :func:`coefficient_bound`
         are enforced on every exchange; a violation raises
         InvariantViolationError since it would falsify the pivoting
-        argument. ``exchanged(i, j, x)`` runs after each exchange.
+        argument. ``exchanged(i, j, (num, d))`` runs after each exchange.
         """
         n = self.basis.rows
         bound = coefficient_bound(n, norm_a)
@@ -357,7 +397,8 @@ class _Run:
                 i += 1
                 continue
             x = column(j)
-            if x[i] * den != z[j]:
+            num, d = x
+            if num[i] * den != z[j] * d:
                 raise InvariantViolationError("row solve disagrees with the full solve")
             old_peak = max(abs(e) for e in self.basis.column(i))
             peak = max(abs(e) for e in self.exchange(j, x, i))
@@ -370,15 +411,8 @@ class _Run:
                 exchanged(i, j, x)
 
     def result(self, transform: Optional[Matrix] = None) -> BasisResult:
-        return BasisResult(
-            basis=self.basis,
-            exchanges=len(self.trace),
-            discards=self.discards,
-            det_trajectory=tuple(self.trajectory),
-            max_abs_entry=int(self.basis.max_abs()),
-            trace=tuple(self.trace),
-            transform=transform,
-        )
+        return BasisResult(self.basis, len(self.trace), self.discards, tuple(self.trajectory),
+                           int(self.basis.max_abs()), tuple(self.trace), transform)
 
 
 def _unit(k: int, n: int) -> tuple[int, ...]:
@@ -396,13 +430,8 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(a_mat.columns) if j not in chosen and any(col)]
     basis = Matrix(tuple(a_mat.column(j) for j in col_idx), rows=a_mat.rows)
-    run = _Run(
-        basis,
-        (a_mat.column(j) for j in pooled),
-        pivot_rows,
-        bareiss_det(basis.submatrix_rows(pivot_rows)),
-        discards=a_mat.cols - len(col_idx) - len(pooled),
-    )
+    run = _Run(basis, (a_mat.column(j) for j in pooled), pivot_rows, bareiss_det(basis.submatrix_rows(pivot_rows)),
+               discards=a_mat.cols - len(col_idx) - len(pooled))
     if coordinates:
         m = a_mat.cols
         run.tags = Matrix(tuple(_unit(j, m) for j in col_idx), rows=m)
@@ -423,7 +452,8 @@ def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i
         raise ValueError("exchange source vector is not in the pool") from None
     run = _Run(state.basis, state.pool, state.pivot_rows, state.det)
     run.trace = list(state.trace)
-    run.exchange(j, x, i)
+    d, num = _integer_multiple(x)
+    run.exchange(j, (num, d), i)
     run.pool.append(run.pool.pop(j))
     return EuclidState(run.basis, tuple(run.pool), run.pivot_rows, run.det, tuple(run.trace))
 

@@ -56,15 +56,11 @@ class Matrix:
         cols = tuple(tuple(col) for col in columns)
         if rows is None:
             if not cols:
-                raise DimensionMismatchError(
-                    "a matrix without columns needs an explicit row count"
-                )
+                raise DimensionMismatchError("a matrix without columns needs an explicit row count")
             rows = len(cols[0])
         for col in cols:
             if len(col) != rows:
-                raise DimensionMismatchError(
-                    f"column of length {len(col)} in a {rows}-row matrix"
-                )
+                raise DimensionMismatchError(f"column of length {len(col)} in a {rows}-row matrix")
         _check_entries(chain.from_iterable(cols))
         self.rows = rows
         self.cols = len(cols)
@@ -86,17 +82,11 @@ class Matrix:
         for r in rows_tup:
             if len(r) != width:
                 raise DimensionMismatchError("rows of unequal length")
-        return cls(
-            tuple(tuple(r[j] for r in rows_tup) for j in range(width)),
-            rows=len(rows_tup),
-        )
+        return cls(tuple(tuple(r[j] for r in rows_tup) for j in range(width)), rows=len(rows_tup))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n)),
-            rows=n,
-        )
+        return cls(tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n)), rows=n)
 
     @property
     def columns(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -117,11 +107,6 @@ class Matrix:
         new = Matrix((column,), rows=self.rows).column(0)  # checks the new column only
         return Matrix._trusted(self._columns[:j] + (new,) + self._columns[j + 1 :], self.rows)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if other.rows != self.rows:
-            raise DimensionMismatchError("hstack needs matching row counts")
-        return Matrix(self._columns + other._columns, rows=self.rows)
-
     def submatrix_rows(self, row_indices: Sequence[int]) -> "Matrix":
         idx = tuple(row_indices)
         return Matrix._trusted(tuple(tuple(col[i] for i in idx) for col in self._columns), len(idx))
@@ -131,9 +116,7 @@ class Matrix:
 
     def mat_vec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
-            raise DimensionMismatchError(
-                f"vector of length {len(vec)} against {self.cols} columns"
-            )
+            raise DimensionMismatchError(f"vector of length {len(vec)} against {self.cols} columns")
         _check_entries(vec)
         out: list[Scalar] = [0] * self.rows
         for col, scale in zip(self._columns, vec):
@@ -146,31 +129,15 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
-            raise DimensionMismatchError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
+            raise DimensionMismatchError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return Matrix._trusted(tuple(self.mat_vec(col) for col in other._columns), self.rows)
-
-    def is_integral(self) -> bool:
-        return all(
-            not isinstance(e, Fraction) or e.denominator == 1
-            for col in self._columns
-            for e in col
-        )
 
     def to_int(self) -> "Matrix":
         """Copy with plain int entries; raises ValueError on fractional input."""
-        out = []
-        for col in self._columns:
-            new_col = []
-            for e in col:
-                if isinstance(e, Fraction):
-                    if e.denominator != 1:
-                        raise ValueError(f"non-integral entry {e}")
-                    e = int(e)
-                new_col.append(e)
-            out.append(tuple(new_col))
-        return Matrix(tuple(out), rows=self.rows)
+        for e in chain.from_iterable(self._columns):
+            if e.__class__ is not int and e.denominator != 1:
+                raise ValueError(f"non-integral entry {e}")
+        return Matrix._trusted(tuple(tuple(map(int, col)) for col in self._columns), self.rows)
 
     def max_abs(self) -> Scalar:
         """Largest absolute entry (0 for an empty matrix)."""
@@ -253,11 +220,18 @@ def _eliminate(b_mat: Matrix, rhs_columns: Sequence[Sequence[Scalar]]) -> tuple[
     signed determinant of the scaled rows (``det b_mat`` for integer input),
     so ``d * x`` is integral by Cramer's rule and every division is exact.
     """
-    n = b_mat.rows
     a = [_integer_multiple(row)[1] for row in zip(*b_mat.columns, *rhs_columns)]
+    return _eliminate_rows(a, b_mat.rows, len(rhs_columns))
+
+
+def _eliminate_rows(a: list[list[int]], n: int, n_rhs: int) -> tuple[int, list[list[int]]]:
+    """:func:`_eliminate` on the ``n`` integer rows of ``(B | R)``, ``n_rhs`` columns in ``R``.
+
+    The rows are overwritten.
+    """
     d = _bareiss(a, n) * a[n - 1][n - 1] if n else 1
     out = []
-    for c in range(n, n + len(rhs_columns)):
+    for c in range(n, n + n_rhs):
         y = [0] * n
         for k in range(n - 1, -1, -1):
             row = a[k]
@@ -282,9 +256,7 @@ def solve_system(b_mat: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
     if b_mat.cols != n:
         raise DimensionMismatchError("solve_system needs a square matrix")
     if len(rhs) != n:
-        raise DimensionMismatchError(
-            f"right-hand side of length {len(rhs)} against {n} rows"
-        )
+        raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {n} rows")
     d, (y,) = _eliminate(b_mat, (rhs,))
     return tuple(Fraction(e, d) for e in y)
 
@@ -367,16 +339,12 @@ def column_update_inverse(b_inv: Matrix, i: int, new_column: Sequence[Scalar]) -
     if b_inv.cols != n:
         raise DimensionMismatchError("column_update_inverse needs a square inverse")
     if len(new_column) != n:
-        raise DimensionMismatchError(
-            f"replacement column of length {len(new_column)} against {n} rows"
-        )
+        raise DimensionMismatchError(f"replacement column of length {len(new_column)} against {n} rows")
     if not 0 <= i < n:
         raise IndexError(f"column {i} out of range")
     w = b_inv.mat_vec(new_column)
     if w[i] == 0:
-        raise SingularUpdateError(
-            "replacement column is linearly dependent on the remaining columns"
-        )
+        raise SingularUpdateError("replacement column is linearly dependent on the remaining columns")
     return _rational_exchange_update(b_inv, i, w)
 
 

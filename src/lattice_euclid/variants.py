@@ -7,14 +7,17 @@ vectors against the basis:
 * ``inverse_variant_basis`` runs the FIFO order of ``basic_basis`` (same
   pivots, same trace) against a cached inverse of the independent system.
 * ``solution_variant_basis`` solves all pool vectors up front into a
-  solution matrix ``X``; exchanges also accumulate into a rational
-  transform ``Y``.
+  solution matrix ``X``; exchanges also accumulate into the transform
+  ``Y``, kept as the integer matrix ``d0 * Y`` (``d0`` the initial
+  determinant) and returned as Fractions.
 * ``rowwise_variant_basis`` forms one row of ``X`` at a time as one row of
   the cached adjugate times the pool.
 
-An exchange is ``B' = B @ F``, ``F`` the identity with column ``i`` set to
-``w``: ``Y`` advances by ``F`` (:func:`y_update`), the cached inverse and ``X``
-in integer numerators over ``det B`` by ``F**-1`` (``exact._exchange_update``).
+Every solver hands the engine ``(num, d)``, integer numerators over the
+tracked determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity
+with column ``i`` set to ``w``: ``Y`` advances by ``F`` (:func:`y_update`), the
+cached inverse and ``X`` in integer numerators over ``det B`` by ``F**-1``
+(``exact._exchange_update``); all three updates run in ints on ``d * w``.
 
 The last two run the engine's row-major order, so they produce the same
 trace. That order is what tames coefficient growth: when rows above ``i``
@@ -31,32 +34,17 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolationError
-from .exact import (
-    Matrix,
-    Scalar,
-    _eliminate,
-    _exchange_update,
-    _numerators,
-    _rational_exchange_update,
-    solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
-)
-from .euclid import (
-    BasisResult,
-    _Run,
-    _split,
-    _unit,
-    _weights,
-    check_off_pivot_rows,
-    coefficient_bound,  # re-exported: defined beside the engine that enforces it
-)
+from .exact import Matrix, Scalar, _eliminate, _exchange_update, _integer_multiple, _rational_exchange_update
+from .exact import solve_system  # unused here; perfbench/test_perfbench.py looks the name up in this module
+from .euclid import BasisResult, _Run, _split, _unit, _weights
+from .euclid import coefficient_bound  # re-exported: defined beside the engine that enforces it
 
 
-def _advance(num: list[list[int]], d: int, i: int, x_num: Sequence[int], det: int, j: int | None = None):
-    """``(numerators, det)`` of ``F(w, i)**-1 @ (num / d)``, ``w = _weights(x_num / d, i)``.
+def _advance(num: list[list[int]], d: int, i: int, w_num: Sequence[int], det: int, j: int | None = None):
+    """``(numerators, det)`` of ``F(w, i)**-1 @ (num / d)`` for ``w_num == d * w``, as ``_weights`` builds it.
 
-    ``w`` is built in ints, as ``d * w``; ``det`` must be the new denominator ``d * w[i]``.
+    ``det`` must be the new denominator ``d * w[i]``.
     """
-    w_num = [e - d * ((2 * e + d) // (2 * d)) if k == i else e % d for k, e in enumerate(x_num)]
     if w_num[i] != det:
         raise InvariantViolationError("exchange update disagrees with the tracked determinant")
     return _exchange_update(num, d, i, w_num, j), det
@@ -68,15 +56,16 @@ def _pool_numerators(run: _Run) -> tuple[int, list[list[int]]]:
     d, columns = _eliminate(run.basis.submatrix_rows(rows), [[v[t] for t in rows] for v in run.pool])
     if len(rows) < run.basis.rows:  # the other rows, checked as solve_in_span does
         for vec, col in zip(run.pool, columns):
-            check_off_pivot_rows(run.basis, rows, [d * e for e in vec], col)
+            run.check_span(vec, col, d)
     return d, [list(r) for r in zip(*columns)] if columns else [[] for _ in rows]
 
 
 def _adjugate(run: _Run):
     """``(solve, row, exchanged)`` on the adjugate ``d * B**-1``, ``B`` the pivot-row system.
 
-    One elimination builds it; ``exchanged`` multiplies it by ``F**-1``. ``row(i)`` is
-    ``(z, d)``, ``z / d`` row ``i`` of the pool's solutions, read on the pivot rows.
+    One elimination builds it; ``exchanged`` multiplies it by ``F**-1``. ``solve(vec)``
+    is ``(num, d)``, ``num / d`` the solution; ``row(i)`` is ``(z, d)``, ``z / d`` row
+    ``i`` of the pool's solutions. Both read the pivot rows.
     """
     rows = run.pivot_rows
     covered = len(rows) == run.basis.rows
@@ -87,8 +76,8 @@ def _adjugate(run: _Run):
         v = [vec[t] for t in rows]
         num = [sum(map(mul, r, v)) for r in adj]
         if not covered:
-            check_off_pivot_rows(run.basis, rows, [d * e for e in vec], num)
-        return tuple(Fraction(e, d) for e in num)
+            run.check_span(vec, num, d)
+        return num, d
 
     def row(i):
         r = adj[i]
@@ -96,7 +85,7 @@ def _adjugate(run: _Run):
 
     def exchanged(i, j, x):
         nonlocal adj, d
-        adj, d = _advance(adj, d, i, _numerators(x, d), run.det)
+        adj, d = _advance(adj, d, i, _weights(x[0], d, i), run.det)
 
     return solve, row, exchanged
 
@@ -107,7 +96,7 @@ def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
     Behaves exactly like :func:`lattice_euclid.euclid.basic_basis` (same
     pivots, same trace, same early stop once ``|det| == 1``) except that
     each solve is an integer matrix-vector product against the cached
-    adjugate ``d * B**-1``, divided by ``d`` once per entry.
+    adjugate ``d * B**-1``, handed to the engine as numerators over ``d``.
     """
     run = _split(a_mat)
     solve, _, exchanged = _adjugate(run)
@@ -134,10 +123,26 @@ def solution_update(x_mat: Matrix, i: int, j: int) -> Matrix:
     """
     if not 0 <= j < x_mat.cols:
         raise IndexError(f"column {j} out of range for {x_mat.cols} columns")
-    w = _weights(x_mat.column(j), i)
+    d, num = _integer_multiple(x_mat.column(j))
+    w = _weights(num, d, i)
     if w[i] == 0:
         raise IntegralPivotError(f"entry ({i}, {j}) of the solution matrix is integral")
-    return _rational_exchange_update(x_mat, i, w, j)
+    return _rational_exchange_update(x_mat, i, [Fraction(e, d) for e in w], j)
+
+
+def _y_column(columns: Sequence[Sequence[Scalar]], v: Sequence[Scalar], i: int, units: Sequence[Sequence[Scalar]]):
+    """``Y @ v``, column ``i`` of ``Y @ F`` for ``F`` the identity with column ``i`` set to ``v``.
+
+    ``columns`` are those of ``Y``, which started as the columns ``units`` of
+    ``u * I``. When ``v`` vanishes above ``i`` and every column of ``Y`` below
+    ``i`` is still its unit, the product collapses to ``Y_i * v[i]`` plus ``u``
+    times the tail of ``v``: O(n) operations instead of O(n^2).
+    """
+    r = len(v)
+    if any(v[:i]) or any(columns[k] != units[k] for k in range(i + 1, r)):
+        return Matrix._trusted(tuple(columns), r).mat_vec(v)
+    old, vi, u = columns[i], v[i], units[i][i]
+    return tuple(old[t] * vi + u * v[t] if t > i else old[t] * vi for t in range(r))
 
 
 def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
@@ -153,18 +158,7 @@ def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
     r = y_mat.rows
     if y_mat.cols != r or len(v) != r:
         raise DimensionMismatchError("y_update needs a square transform and a matching vector")
-    shortcut = all(v[k] == 0 for k in range(i)) and all(
-        y_mat.column(k) == _unit(k, r)
-        for k in range(i + 1, r)
-    )
-    if shortcut:
-        old = y_mat.column(i)
-        new_col = tuple(
-            old[t] * v[i] + (v[t] if t > i else 0) for t in range(r)
-        )
-    else:
-        new_col = y_mat.mat_vec(v)
-    return y_mat.with_column(i, new_col)
+    return y_mat.with_column(i, _y_column(y_mat.columns, v, i, Matrix.identity(r).columns))
 
 
 def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
@@ -173,10 +167,14 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     Solves every pool vector in one elimination, then repeatedly exchanges
     on the minimal fractional row (smallest column on ties), updating ``X``
     as :func:`solution_update` does but over the determinant in ints, and
-    folding each exchange into the transform ``Y`` with :func:`y_update`;
-    ``initial_basis @ Y`` must reproduce the basis at the end. The per-step
-    growth bound ``new <= old + (n-1)*||A||`` and :func:`coefficient_bound`
-    are enforced on every exchange.
+    folding each exchange into the transform ``Y`` as :func:`y_update` does.
+    ``Y`` is kept as the integer ``d0 * Y``, ``d0`` the initial determinant:
+    ``d0 * Y == adj(B0) @ B`` for the initial basis ``B0``, so column ``i``
+    advances exactly by ``(d0 * Y) @ (d * w) // d``. ``initial_basis @ Y``
+    must reproduce the basis at the end; ``result.transform`` is ``Y`` as
+    Fractions, with the untouched columns left as int unit vectors. The
+    per-step growth bound ``new <= old + (n-1)*||A||`` and
+    :func:`coefficient_bound` are enforced on every exchange.
 
     ``check_invariants`` additionally verifies, per iteration, that
     ``initial_basis @ Y`` reproduces the basis, and at the end checks the
@@ -184,27 +182,31 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     Violations raise InvariantViolationError.
     """
     run = _split(a_mat)
-    initial = run.basis
+    initial_rows = [r[:] for r in run.rows]
     d, x_num = _pool_numerators(run)
-    y_mat = Matrix.identity(initial.cols)
+    d0, n = d, run.basis.cols
+    units = [tuple(d0 if t == k else 0 for t in range(n)) for k in range(n)]
+    y = list(units)  # columns of d0 * Y
 
     def check_transform():
-        if initial @ y_mat != run.basis:
-            raise InvariantViolationError("transform product drifted from the basis")
+        for col, b in zip(y, run.basis.columns):
+            if [sum(map(mul, r, col)) for r in initial_rows] != [d0 * e for e in b]:
+                raise InvariantViolationError("transform product drifted from the basis")
 
     def exchanged(i, j, x):
-        nonlocal d, x_num, y_mat
-        y_mat = y_update(y_mat, _weights(x, i), i)
-        x_num, d = _advance(x_num, d, i, [r[j] for r in x_num], run.det, j)
+        nonlocal d, x_num
+        w = _weights(x[0], d, i)
+        y[i] = tuple(e // d for e in _y_column(y, w, i, units))
+        x_num, d = _advance(x_num, d, i, w, run.det, j)
         if check_invariants:
             check_transform()
 
-    run.row_major(int(a_mat.max_abs()), lambda i: (x_num[i], d),
-                  lambda j: tuple(Fraction(r[j], d) for r in x_num), exchanged)
+    run.row_major(int(a_mat.max_abs()), lambda i: (x_num[i], d), lambda j: ([r[j] for r in x_num], d), exchanged)
     check_transform()
     if check_invariants and _pool_numerators(run) != (run.det, x_num):
         raise InvariantViolationError("determinant or solution matrix disagrees with a fresh elimination")
-    return run.result(transform=y_mat)
+    transform = tuple(_unit(k, n) if c is units[k] else tuple(Fraction(e, d0) for e in c) for k, c in enumerate(y))
+    return run.result(transform=Matrix._trusted(transform, n))
 
 
 def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:

@@ -48,6 +48,11 @@ def adjugate_inverse(rows):
     return out
 
 
+def is_integral(mat):
+    """Whether every entry of ``mat`` is an integer (an int or a Fraction over 1)."""
+    return all(Fraction(e).denominator == 1 for col in mat.columns for e in col)
+
+
 def fraction_echelon(a_mat):
     """Greedy independent columns and their pivot rows, by rational elimination.
 

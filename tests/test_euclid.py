@@ -28,8 +28,10 @@ from lattice_euclid import (
     solve_in_span,
     solve_system,
 )
+from lattice_euclid import euclid
 from lattice_euclid.errors import InvariantViolationError
 from lattice_euclid.euclid import _independent_columns, _split, _weights
+from lattice_euclid.exact import _integer_multiple
 
 from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix
 
@@ -127,7 +129,8 @@ def test_mod_prime_consistency_random():
         r = mod_prime(b, a, x, i)
         rounded = [next_int(q) if k == i else math.floor(q) for k, q in enumerate(x)]
         assert r == tuple(v - w for v, w in zip(a, b.mat_vec(rounded)))
-        assert b.mat_vec(_weights(x, i)) == r
+        d, num = _integer_multiple(x)
+        assert b.mat_vec(_weights(num, d, i)) == tuple(d * e for e in r)
         done += 1
 
 
@@ -204,6 +207,27 @@ def test_independent_columns_match_fraction_echelon():
         expected = fraction_echelon(a)
         assert _independent_columns(a) == expected
         assert find_independent_columns(a) == expected[0]
+
+
+def test_independent_columns_stay_within_hadamards_bound(monkeypatch):
+    # the split divides by the previous pivot (Sylvester's identity), so every
+    # entry it computes is a minor of order <= rank: at most the product of
+    # the rank largest column norms. Without the division the reduced columns
+    # of such a product grow past 150 bits.
+    rng = random.Random(4242)
+    a = random_int_matrix(rng, 16, 8, 9) @ random_int_matrix(rng, 8, 32, 9)
+    squares = sorted((sum(e * e for e in col) for col in a.columns), reverse=True)
+    bound_bits = (math.prod(squares[:8]).bit_length() + 1) // 2
+    original, widest = euclid._eliminate_column, []
+
+    def recording(rows, *args):
+        original(rows, *args)
+        widest.append(max(abs(e).bit_length() for r in rows for e in r))
+
+    monkeypatch.setattr(euclid, "_eliminate_column", recording)
+    assert _independent_columns(a) == fraction_echelon(a)
+    assert len(widest) == 8
+    assert max(widest) <= bound_bits < 100
 
 
 def test_solve_in_span_rank_deficient_random():
@@ -304,8 +328,8 @@ def test_exchange_step_preserves_generated_lattice():
             continue
         state = _state(basis, [vec])
         nxt = exchange_step(state, vec, x, i)
-        before = basis.hstack(Matrix((vec,), rows=n))
-        after = nxt.basis.hstack(Matrix(nxt.pool, rows=n))
+        before = Matrix(basis.columns + (vec,), rows=n)
+        after = Matrix(nxt.basis.columns + nxt.pool, rows=n)
         assert lattice_equal(before, after)
         assert 0 < abs(nxt.trace[0].factor) <= Fraction(1, 2)
         done += 1
@@ -401,16 +425,18 @@ def test_basic_basis_random_runs_preserve_lattice_and_halve():
 def test_row_major_scans_integer_rows_over_a_negative_denominator():
     # basis (-2, 0), (0, 3) has det -6; the pool's solutions are (1, 1) and
     # (-1/2, 1/3), so row 0 is (-6, 3) over -6: the first entry divides
-    # evenly, the second is the pivot
+    # evenly, the second is the pivot. The solver hands out numerators over
+    # the signed determinant, -6.
     a = Matrix.from_rows([[-2, 0, -2, 1], [0, 3, 3, 1]])
     traces = []
     for sign in (1, -1):  # the same row over -6 and over +6
         run = _split(a)
         assert run.det == -6
+        assert run.solve(run.pool[1]) == ([3, -2], -6)
 
         def row(i):
             den = sign * run.det
-            return [int(run.solve(v)[i] * den) for v in run.pool], den
+            return [num[i] * den // d for num, d in map(run.solve, run.pool)], den
 
         run.row_major(3, row, lambda j: run.solve(run.pool[j]))
         assert (run.trace[0].pivot_row, run.trace[0].column) == (0, 1)

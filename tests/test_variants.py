@@ -15,7 +15,9 @@ from lattice_euclid import (
     invert,
     inverse_variant_basis,
     lattice_equal,
+    diophantine_run,
     mod_prime,
+    next_int,
     random_instance,
     rowwise_variant_basis,
     solution_update,
@@ -27,10 +29,10 @@ from lattice_euclid import (
 
 from lattice_euclid import euclid, variants
 from lattice_euclid.errors import InvariantViolationError
-from lattice_euclid.euclid import _weights
-from lattice_euclid.variants import _advance
+from lattice_euclid.euclid import _split, _weights
+from lattice_euclid.variants import _advance, _pool_numerators, _y_column
 
-from _oracles import random_int_matrix, random_nonsingular
+from _oracles import is_integral, random_int_matrix, random_nonsingular
 
 WORKED = Matrix.from_rows([[2, 0, 1], [0, 3, 1]])  # initial det 6, ends unimodular
 
@@ -267,7 +269,7 @@ def test_solution_variant_transform_reproduces_basis_random():
             tuple(a.column(j) for j in find_independent_columns(a)), rows=n
         )
         product = initial @ res.transform
-        assert product.is_integral()
+        assert is_integral(product)
         assert product.to_int() == res.basis
         assert lattice_equal(a, res.basis)
 
@@ -332,7 +334,7 @@ def test_rowwise_variant_eliminates_once(monkeypatch):
             return original(*args)
         return call
 
-    for module, name in ((variants, "_eliminate"), (euclid, "solve_system")):
+    for module, name in ((variants, "_eliminate"), (euclid, "_eliminate_rows"), (euclid, "solve_system")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for a, want in zip(cases, expected):
         calls.clear()
@@ -405,8 +407,9 @@ def test_variants_agree_on_gcd_and_edge_shapes():
 
 
 def test_integer_weights_match_the_fraction_weights():
-    # the drivers' update builds d * _weights(x, i) in ints; with num = d * I
-    # the kernel's column i is -W off the pivot row and d on it
+    # the engine builds d * w in ints, as _weights(x_num, d, i); it must be d
+    # times the Fraction definition, and with num = d * I the kernel's
+    # column i is -W off the pivot row and d on it
     rng = random.Random(707)
     cases = [([3, -3, 9, -9], 6, 0), ([3, -3, 9, -9], -6, 1), ([0, 5, -5], 10, 2)]  # halves
     for _ in range(300):
@@ -415,12 +418,71 @@ def test_integer_weights_match_the_fraction_weights():
         cases.append(([rng.randint(-200, 200) for _ in range(n)], d, rng.randrange(n)))
     for x_num, d, i in cases:
         n = len(x_num)
-        w = [d * e for e in _weights([Fraction(e, d) for e in x_num], i)]
-        num, det = _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, x_num, w[i])
+        x = [Fraction(e, d) for e in x_num]
+        w = [d * (q - next_int(q) if k == i else frac_part(q)) for k, q in enumerate(x)]
+        assert _weights(x_num, d, i) == w
+        num, det = _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, w, w[i])
         assert det == w[i]
         assert [r[i] for r in num] == [d if k == i else -w[k] for k in range(n)]
         with pytest.raises(InvariantViolationError):
-            _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, x_num, w[i] + 1)
+            _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, w, w[i] + 1)
+
+
+def test_the_exchange_path_builds_one_fraction_per_exchange(monkeypatch):
+    # solvers hand the engine integer numerators; the only Fraction an
+    # exchange builds is its trace factor (the solution driver builds its
+    # touched transform columns once, at the end)
+    a = random_instance(InstanceParams(n=10, m=16, bound=1000, seed=7))
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    for module in (euclid, variants):
+        monkeypatch.setattr(module, "Fraction", counting)
+    for driver in (basic_basis, inverse_variant_basis, solution_variant_basis, rowwise_variant_basis):
+        made.clear()
+        res = driver(a)
+        touched = 0 if res.transform is None else len({rec.pivot_row for rec in res.trace})
+        assert res.exchanges > 0
+        assert len(made) == res.exchanges + touched * res.basis.cols, driver.__name__
+    made.clear()
+    _, _, trace = diophantine_run(a, a.mat_vec(range(a.cols)))
+    assert len(made) == len(trace) > 0
+
+
+def test_integer_transform_divides_exactly_and_matches_the_rational_one():
+    # the solution driver keeps d0 * Y in ints (d0 the initial determinant)
+    # and advances column i by (d0 * Y) @ (d * w) // d; replay that beside the
+    # rational y_update of the same exchanges
+    rng = random.Random(909)
+    cases = [Matrix.from_rows([[0, 2, 1], [3, 0, 1]])]  # d0 == -6
+    cases += [random_int_matrix(rng, n, n + 3, 15) for n in (1, 2, 3, 4, 5, 6) for _ in range(5)]
+    signs = set()
+    for a in cases:
+        run = _split(a)
+        d, x_num = _pool_numerators(run)
+        d0, n = d, run.basis.cols
+        units = [tuple(d0 * (t == k) for t in range(n)) for k in range(n)]
+        y_int, y_rat = list(units), Matrix.identity(n)
+        signs.add(d0 > 0)
+
+        def exchanged(i, j, x):
+            nonlocal d, x_num, y_rat
+            w = _weights(x[0], d, i)
+            col = _y_column(y_int, w, i, units)
+            assert all(e % d == 0 for e in col)
+            y_int[i] = tuple(e // d for e in col)
+            y_rat = y_update(y_rat, [Fraction(e, d) for e in w], i)
+            assert [tuple(d0 * e for e in c) for c in y_rat.columns] == y_int
+            x_num, d = _advance(x_num, d, i, w, run.det, j)
+
+        run.row_major(int(a.max_abs()), lambda i: (x_num[i], d), lambda j: ([r[j] for r in x_num], d), exchanged)
+        transform = solution_variant_basis(a).transform
+        assert transform == y_rat
+        assert [[type(e) for e in c] for c in transform.columns] == [[type(e) for e in c] for c in y_rat.columns]
+    assert signs == {False, True}
 
 
 def test_drivers_agree_at_benchmark_scale():
