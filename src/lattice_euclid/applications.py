@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InvariantViolationError, SingularMatrixError
-from .exact import Matrix, bareiss_det
+from .exact import Matrix, _integer_multiple, bareiss_det
 from .euclid import ExchangeRecord, _Run, _scaled_det, _split, _unit
 
 
@@ -116,7 +116,9 @@ def diophantine_run(
     transform = TransformU(run.tags)
     if check_invariants and (a_mat @ transform.matrix) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
-    num, d = run.solve(tuple(rhs))  # SpanMismatchError if infeasible
+    mu, vec = _integer_multiple(rhs)  # TypeError on entries that are not int or Fraction
+    num, d = run.solve(vec)  # SpanMismatchError if infeasible
+    d *= mu  # x == num / d
     if any(e % d for e in num):
         return None, transform, tuple(run.trace)
     return transform.matrix.mat_vec([e // d for e in num]), transform, tuple(run.trace)

@@ -33,7 +33,8 @@ The engine works in integers: a solver returns ``(num, d)``, the numerators
 of ``x`` over a signed common denominator, and the pivot, floors, rounding and
 determinant update are integer operations on them. An exchange builds one
 Fraction, its trace factor. The public Fraction functions (:func:`mod_prime`,
-:func:`choose_pivot_argmin`, :func:`exchange_step`) clear denominators first.
+:func:`choose_pivot_argmin`, :func:`exchange_step`, :func:`solve_in_span`,
+:func:`check_off_pivot_rows`) clear denominators and call the same core.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import IntegralPivotError, InvariantViolationError, SpanMismatchError
-from .exact import Matrix, Scalar, _eliminate_rows, _integer_multiple, bareiss_det, solve_system
+from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolationError, SpanMismatchError
+from .exact import Matrix, Scalar, _eliminate, _eliminate_rows, _integer_multiple, bareiss_det, solve_system
 
 
 def _nearest(e: int, d: int) -> int:
@@ -234,6 +235,19 @@ def find_independent_columns(a_mat: Matrix) -> list[int]:
     return _independent_columns(a_mat)[0]
 
 
+def _off_rows(rows: Sequence[Sequence[Scalar]], pivot_rows: Sequence[int]) -> list:
+    """``(index, row)`` for each of ``rows`` whose index is not in ``pivot_rows``."""
+    covered = set(pivot_rows)
+    return [(t, r) for t, r in enumerate(rows) if t not in covered]
+
+
+def _check_span(off_rows: Iterable, vec: Sequence[Scalar], num: Sequence[int], d: int) -> None:
+    """Raise SpanMismatchError unless ``row @ num == d * vec[t]`` for each ``(t, row)`` in ``off_rows``."""
+    for t, row in off_rows:
+        if sum(map(mul, row, num)) != d * vec[t]:
+            raise SpanMismatchError(f"vector leaves the column span at row {t}")
+
+
 def check_off_pivot_rows(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int], x: Sequence[Scalar]) -> None:
     """Verify ``basis @ x == vec`` on the rows *not* in ``pivot_rows``.
 
@@ -241,7 +255,7 @@ def check_off_pivot_rows(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence
     denominators and each row is checked as ``basis[i] @ (L * x) == L * vec[i]``.
     """
     mu, scaled = _integer_multiple(x)
-    _Run(basis, (), pivot_rows, None).check_span(vec, scaled, mu)
+    _check_span(_off_rows(basis.to_rows(), pivot_rows), vec, scaled, mu)
 
 
 def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) -> tuple[Fraction, ...]:
@@ -251,12 +265,19 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
     has fewer columns than rows, the remaining rows are then checked
     exactly, so a vector outside the column span raises SpanMismatchError
     instead of silently returning a non-solution.
+
+    The engine's integer solve: ``(num, d)`` from one elimination of the
+    pivot rows of ``(basis | vec)``, the other rows checked on ``num``;
+    Fractions are built only for the result.
     """
-    if len(pivot_rows) == basis.rows:
-        return solve_system(basis, vec)
-    x = solve_system(basis.submatrix_rows(pivot_rows), [vec[i] for i in pivot_rows])
-    check_off_pivot_rows(basis, pivot_rows, vec, x)
-    return x
+    if len(pivot_rows) != basis.cols or len(vec) != basis.rows:
+        raise DimensionMismatchError(
+            f"{len(pivot_rows)} pivot rows and a vector of length {len(vec)} "
+            f"against a {basis.rows}x{basis.cols} basis"
+        )
+    d, (num,) = _eliminate(basis.submatrix_rows(pivot_rows), ([vec[t] for t in pivot_rows],))
+    _check_span(_off_rows(basis.to_rows(), pivot_rows), vec, num, d)
+    return tuple(Fraction(e, d) for e in num)
 
 
 def coefficient_bound(n_rows: int, max_entry: int) -> int:
@@ -293,8 +314,14 @@ class _Run:
     pivot rows, as ``(index, row)``.
     """
 
-    def __init__(self, basis: Matrix, pool: Iterable[Sequence[int]], pivot_rows: Sequence[int],
-                 det: Optional[int], discards: int = 0):
+    def __init__(
+        self,
+        basis: Matrix,
+        pool: Iterable[Sequence[int]],
+        pivot_rows: Sequence[int],
+        det: Optional[int],
+        discards: int = 0,
+    ):
         self.basis = basis
         self.pool = list(pool)
         self.pivot_rows = tuple(pivot_rows)
@@ -304,21 +331,17 @@ class _Run:
         self.discards = discards
         self.tags: Optional[Matrix] = None
         self.pool_tags: list = [None] * len(self.pool)
-        self.rows = [list(basis.row(t)) for t in range(basis.rows)]
-        covered = set(self.pivot_rows)
-        self.off_rows = [(t, r) for t, r in enumerate(self.rows) if t not in covered]
-
-    def check_span(self, vec: Sequence[int], num: Sequence[int], d: int) -> None:
-        """Raise SpanMismatchError unless ``basis @ num == d * vec`` off the pivot rows."""
-        for t, row in self.off_rows:
-            if sum(map(mul, row, num)) != d * vec[t]:
-                raise SpanMismatchError(f"vector leaves the column span at row {t}")
+        self.rows = basis.to_rows()
+        self.off_rows = _off_rows(self.rows, self.pivot_rows)
 
     def solve(self, vec: Sequence[int]) -> tuple[list[int], int]:
-        """``(num, d)`` with ``basis @ num == d * vec``, ``d`` the determinant; eliminates from scratch."""
+        """``(num, d)`` with ``basis @ num == d * vec``, ``d`` the determinant, as :func:`solve_in_span`.
+
+        ``vec`` must be integral: the cached int rows skip the clearing.
+        """
         rows = self.rows
         d, (num,) = _eliminate_rows([rows[t] + [vec[t]] for t in self.pivot_rows], self.basis.cols, 1)
-        self.check_span(vec, num, d)
+        _check_span(self.off_rows, vec, num, d)
         return num, d
 
     def exchange(self, j: int, x: tuple[Sequence[int], int], i: int) -> tuple[int, ...]:
@@ -411,8 +434,15 @@ class _Run:
                 exchanged(i, j, x)
 
     def result(self, transform: Optional[Matrix] = None) -> BasisResult:
-        return BasisResult(self.basis, len(self.trace), self.discards, tuple(self.trajectory),
-                           int(self.basis.max_abs()), tuple(self.trace), transform)
+        return BasisResult(
+            basis=self.basis,
+            exchanges=len(self.trace),
+            discards=self.discards,
+            det_trajectory=tuple(self.trajectory),
+            max_abs_entry=int(self.basis.max_abs()),
+            trace=tuple(self.trace),
+            transform=transform,
+        )
 
 
 def _unit(k: int, n: int) -> tuple[int, ...]:
@@ -430,8 +460,13 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(a_mat.columns) if j not in chosen and any(col)]
     basis = Matrix(tuple(a_mat.column(j) for j in col_idx), rows=a_mat.rows)
-    run = _Run(basis, (a_mat.column(j) for j in pooled), pivot_rows, bareiss_det(basis.submatrix_rows(pivot_rows)),
-               discards=a_mat.cols - len(col_idx) - len(pooled))
+    run = _Run(
+        basis,
+        (a_mat.column(j) for j in pooled),
+        pivot_rows,
+        bareiss_det(basis.submatrix_rows(pivot_rows)),
+        discards=a_mat.cols - len(col_idx) - len(pooled),
+    )
     if coordinates:
         m = a_mat.cols
         run.tags = Matrix(tuple(_unit(j, m) for j in col_idx), rows=m)
@@ -450,6 +485,8 @@ def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i
         j = state.pool.index(tuple(vec))
     except ValueError:
         raise ValueError("exchange source vector is not in the pool") from None
+    if len(x) != state.basis.cols:
+        raise DimensionMismatchError(f"solution of length {len(x)} against {state.basis.cols} columns")
     run = _Run(state.basis, state.pool, state.pivot_rows, state.det)
     run.trace = list(state.trace)
     d, num = _integer_multiple(x)

@@ -56,11 +56,15 @@ class Matrix:
         cols = tuple(tuple(col) for col in columns)
         if rows is None:
             if not cols:
-                raise DimensionMismatchError("a matrix without columns needs an explicit row count")
+                raise DimensionMismatchError(
+                    "a matrix without columns needs an explicit row count"
+                )
             rows = len(cols[0])
         for col in cols:
             if len(col) != rows:
-                raise DimensionMismatchError(f"column of length {len(col)} in a {rows}-row matrix")
+                raise DimensionMismatchError(
+                    f"column of length {len(col)} in a {rows}-row matrix"
+                )
         _check_entries(chain.from_iterable(cols))
         self.rows = rows
         self.cols = len(cols)
@@ -82,11 +86,17 @@ class Matrix:
         for r in rows_tup:
             if len(r) != width:
                 raise DimensionMismatchError("rows of unequal length")
-        return cls(tuple(tuple(r[j] for r in rows_tup) for j in range(width)), rows=len(rows_tup))
+        return cls(
+            tuple(tuple(r[j] for r in rows_tup) for j in range(width)),
+            rows=len(rows_tup),
+        )
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n)), rows=n)
+        return cls(
+            tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n)),
+            rows=n,
+        )
 
     @property
     def columns(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -116,7 +126,9 @@ class Matrix:
 
     def mat_vec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
-            raise DimensionMismatchError(f"vector of length {len(vec)} against {self.cols} columns")
+            raise DimensionMismatchError(
+                f"vector of length {len(vec)} against {self.cols} columns"
+            )
         _check_entries(vec)
         out: list[Scalar] = [0] * self.rows
         for col, scale in zip(self._columns, vec):
@@ -129,15 +141,24 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
-            raise DimensionMismatchError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+            raise DimensionMismatchError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
         return Matrix._trusted(tuple(self.mat_vec(col) for col in other._columns), self.rows)
 
     def to_int(self) -> "Matrix":
         """Copy with plain int entries; raises ValueError on fractional input."""
-        for e in chain.from_iterable(self._columns):
-            if e.__class__ is not int and e.denominator != 1:
-                raise ValueError(f"non-integral entry {e}")
-        return Matrix._trusted(tuple(tuple(map(int, col)) for col in self._columns), self.rows)
+        out = []
+        for col in self._columns:
+            new_col = []
+            for e in col:
+                if isinstance(e, Fraction):
+                    if e.denominator != 1:
+                        raise ValueError(f"non-integral entry {e}")
+                    e = int(e)
+                new_col.append(e)
+            out.append(tuple(new_col))
+        return Matrix(tuple(out), rows=self.rows)
 
     def max_abs(self) -> Scalar:
         """Largest absolute entry (0 for an empty matrix)."""
@@ -256,7 +277,9 @@ def solve_system(b_mat: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
     if b_mat.cols != n:
         raise DimensionMismatchError("solve_system needs a square matrix")
     if len(rhs) != n:
-        raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {n} rows")
+        raise DimensionMismatchError(
+            f"right-hand side of length {len(rhs)} against {n} rows"
+        )
     d, (y,) = _eliminate(b_mat, (rhs,))
     return tuple(Fraction(e, d) for e in y)
 
@@ -339,12 +362,16 @@ def column_update_inverse(b_inv: Matrix, i: int, new_column: Sequence[Scalar]) -
     if b_inv.cols != n:
         raise DimensionMismatchError("column_update_inverse needs a square inverse")
     if len(new_column) != n:
-        raise DimensionMismatchError(f"replacement column of length {len(new_column)} against {n} rows")
+        raise DimensionMismatchError(
+            f"replacement column of length {len(new_column)} against {n} rows"
+        )
     if not 0 <= i < n:
         raise IndexError(f"column {i} out of range")
     w = b_inv.mat_vec(new_column)
     if w[i] == 0:
-        raise SingularUpdateError("replacement column is linearly dependent on the remaining columns")
+        raise SingularUpdateError(
+            "replacement column is linearly dependent on the remaining columns"
+        )
     return _rational_exchange_update(b_inv, i, w)
 
 

@@ -34,10 +34,24 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolationError
-from .exact import Matrix, Scalar, _eliminate, _exchange_update, _integer_multiple, _rational_exchange_update
-from .exact import solve_system  # unused here; perfbench/test_perfbench.py looks the name up in this module
-from .euclid import BasisResult, _Run, _split, _unit, _weights
-from .euclid import coefficient_bound  # re-exported: defined beside the engine that enforces it
+from .exact import (
+    Matrix,
+    Scalar,
+    _eliminate,
+    _exchange_update,
+    _integer_multiple,
+    _rational_exchange_update,
+    solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
+)
+from .euclid import (
+    BasisResult,
+    _Run,
+    _check_span,
+    _split,
+    _unit,
+    _weights,
+    coefficient_bound,  # re-exported: defined beside the engine that enforces it
+)
 
 
 def _advance(num: list[list[int]], d: int, i: int, w_num: Sequence[int], det: int, j: int | None = None):
@@ -56,7 +70,7 @@ def _pool_numerators(run: _Run) -> tuple[int, list[list[int]]]:
     d, columns = _eliminate(run.basis.submatrix_rows(rows), [[v[t] for t in rows] for v in run.pool])
     if len(rows) < run.basis.rows:  # the other rows, checked as solve_in_span does
         for vec, col in zip(run.pool, columns):
-            run.check_span(vec, col, d)
+            _check_span(run.off_rows, vec, col, d)
     return d, [list(r) for r in zip(*columns)] if columns else [[] for _ in rows]
 
 
@@ -76,7 +90,7 @@ def _adjugate(run: _Run):
         v = [vec[t] for t in rows]
         num = [sum(map(mul, r, v)) for r in adj]
         if not covered:
-            run.check_span(vec, num, d)
+            _check_span(run.off_rows, vec, num, d)
         return num, d
 
     def row(i):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,19 @@ def test_diophantine_span_mismatch_is_an_error():
     assert diophantine_solve(a, (5, 0)) == (5,)
     with pytest.raises(DimensionMismatchError):
         diophantine_solve(a, (5,))
+
+
+def test_diophantine_rational_right_hand_side():
+    # a fractional right-hand side has a rational solution but no integral one
+    assert diophantine_solve(Matrix.from_rows([[2]]), (Fraction(1, 2),)) is None
+    a = Matrix.from_rows([[12, 18], [0, 0]])
+    assert diophantine_solve(a, (Fraction(7, 3), 0)) is None
+    x = diophantine_solve(a, (Fraction(12, 2), 0))
+    assert x is not None and a.mat_vec(x) == (6, 0)
+    with pytest.raises(SpanMismatchError):
+        diophantine_solve(a, (6, Fraction(1, 3)))
+    with pytest.raises(TypeError):
+        diophantine_solve(Matrix.from_rows([[2]]), (1.0,))
 
 
 def test_diophantine_all_zero_system():

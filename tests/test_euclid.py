@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lattice_euclid import (
+    DimensionMismatchError,
     EuclidState,
     IntegralPivotError,
     Matrix,
@@ -263,6 +264,32 @@ def test_solve_in_span_guards_off_pivot_rows():
     assert solve_in_span(basis, (0, 1), (1, 1, 1)) == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(SpanMismatchError):
         solve_in_span(basis, (0, 1), (1, 1, 0))
+    # rows with Fractions are cleared row by row, as solve_system does
+    basis = Matrix.from_rows([[Fraction(1, 2), 0], [0, 1], [1, 1]])
+    assert solve_in_span(basis, (0, 1), (Fraction(1, 4), 3, Fraction(7, 2))) == (Fraction(1, 2), 3)
+    with pytest.raises(SpanMismatchError):
+        solve_in_span(basis, (0, 1), (Fraction(1, 4), 3, 3))
+
+
+def test_solve_in_span_checks_dimensions():
+    basis = Matrix.from_rows([[2, 0], [0, 2], [1, 1]])
+    with pytest.raises(DimensionMismatchError):
+        solve_in_span(basis, (0,), (1, 1, 1))
+    with pytest.raises(DimensionMismatchError):
+        solve_in_span(basis, (0, 1), (1, 1))
+    with pytest.raises(SingularMatrixError):
+        solve_in_span(Matrix.from_rows([[1, 1], [1, 1]]), (0, 1), (1, 1))
+
+
+def test_check_off_pivot_rows():
+    basis = Matrix.from_rows([[2, 0], [0, 2], [1, 1]])
+    half = (Fraction(1, 2), Fraction(1, 2))
+    euclid.check_off_pivot_rows(basis, (0, 1), (1, 1, 1), half)
+    euclid.check_off_pivot_rows(basis, (0, 1, 2), (9, 9, 9), half)  # no row left to check
+    with pytest.raises(SpanMismatchError):
+        euclid.check_off_pivot_rows(basis, (0, 1), (1, 1, 0), half)
+    with pytest.raises(SpanMismatchError):
+        euclid.check_off_pivot_rows(basis, (1, 2), (2, 1, 1), half)
 
 
 # --- exchange step ----------------------------------------------------------
@@ -311,6 +338,14 @@ def test_exchange_step_requires_pool_membership():
     x = solve_system(B23, (2, 0))
     with pytest.raises(ValueError):
         exchange_step(state, (2, 0), x, 0)
+
+
+def test_exchange_step_rejects_a_solution_of_the_wrong_length():
+    state = _state(B23, [(1, 0)])
+    x = solve_system(B23, (1, 0))
+    for bad in (x[:1], x + (Fraction(1, 2),)):
+        with pytest.raises(DimensionMismatchError):
+            exchange_step(state, (1, 0), bad, 0)
 
 
 def test_exchange_step_preserves_generated_lattice():
