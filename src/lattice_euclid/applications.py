@@ -45,8 +45,9 @@ def lattice_determinant(b_mat: Matrix) -> int:
     """Exact signed determinant via exchange-factor accumulation.
 
     Singular input returns 0 (detected when the first exact solve against
-    the would-be basis fails). The only elimination performed is a single
-    final call on a unimodular matrix to fix the sign.
+    the would-be basis fails). The run does not know the determinant, so
+    every FIFO step solves from scratch; a final elimination of the
+    unimodular end basis fixes the sign.
     """
     value, _ = determinant_with_trace(b_mat)
     return value

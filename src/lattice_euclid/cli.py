@@ -186,6 +186,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
+        if args.trials < 1:
+            raise ValueError("trials must be at least 1")
         instances = [
             InstanceParams(n=args.n, m=args.m, bound=args.bound, seed=args.seed + trial)
             for trial in range(args.trials)

@@ -46,7 +46,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolationError, SpanMismatchError
-from .exact import Matrix, Scalar, _eliminate, _eliminate_rows, _integer_multiple, bareiss_det, solve_system
+from .exact import Matrix, Scalar, _bareiss, _eliminate, _eliminate_rows, _integer_multiple, solve_system
 
 
 def _nearest(e: int, d: int) -> int:
@@ -190,44 +190,17 @@ def choose_pivot_argmin(x: Sequence[Scalar]) -> Optional[int]:
     return _pivot(num, d)
 
 
-def _eliminate_column(rows: list[list[int]], free: Sequence[int], p: int, j: int, prev: int) -> None:
-    """Clear column ``j`` of the ``free`` rows with row ``p``, as ``exact._bareiss`` does.
-
-    Right of ``j``, ``r <- (rows[p][j] * r - r[j] * rows[p]) / prev``, an exact division.
-    """
-    pivot, tail = rows[p][j], rows[p][j + 1 :]
-    for t in free:
-        r = rows[t]
-        h = r[j]
-        if prev == 1:  # the first step has nothing to divide by
-            r[j + 1 :] = [pivot * e - h * f for e, f in zip(r[j + 1 :], tail)]
-        else:
-            r[j + 1 :] = [(pivot * e - h * f) // prev for e, f in zip(r[j + 1 :], tail)]
-
-
-def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int]]:
-    # Greedy left-to-right fraction-free elimination (Bareiss 1968) by rows.
-    # Column j is independent of the kept columns iff it is nonzero on a row
-    # not yet a pivot row; the first such row becomes its pivot row. Those
-    # entries are the column reduced against the kept columns (a Schur
-    # complement), so the choice is that of a rational column elimination.
-    # Every entry is a minor of the input (columns scaled by their lcm), so
-    # each division is exact and entries stay within Hadamard's bound.
+def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int], int]:
+    # One greedy left-to-right fraction-free elimination, exact._bareiss, on
+    # the rows (columns scaled by their lcm). Column j is independent of the
+    # kept columns iff it is nonzero on a row not yet a pivot row; the first
+    # such row becomes its pivot row. Those entries are the column reduced
+    # against the kept columns (a Schur complement), so the choice is that of
+    # a rational column elimination. Each entry is a minor of the input and
+    # stays within Hadamard's bound; the last pivot gives the determinant.
     rows = [list(r) for r in zip(*(_integer_multiple(c)[1] for c in a_mat.columns))]
-    free = list(range(a_mat.rows))
-    col_idx: list[int] = []
-    pivot_rows: list[int] = []
-    prev = 1
-    for j in range(a_mat.cols):
-        p = next((t for t in free if rows[t][j]), None)
-        if p is None:
-            continue
-        free.remove(p)
-        _eliminate_column(rows, free, p, j, prev)
-        prev = rows[p][j]
-        col_idx.append(j)
-        pivot_rows.append(p)
-    return col_idx, sorted(pivot_rows)
+    pivot_rows, col_idx, det = _bareiss(rows, a_mat.cols)
+    return col_idx, sorted(pivot_rows), det
 
 
 def find_independent_columns(a_mat: Matrix) -> list[int]:
@@ -455,8 +428,10 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     Zero columns are discarded, the first maximal independent set of
     columns forms the basis and the rest is pooled. With ``coordinates``
     every vector is tagged with its coordinates in the columns of ``a_mat``.
+    Raises ValueError on a non-integral entry.
     """
-    col_idx, pivot_rows = _independent_columns(a_mat)
+    a_mat.to_int()  # raises on a non-integral Fraction
+    col_idx, pivot_rows, det = _independent_columns(a_mat)
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(a_mat.columns) if j not in chosen and any(col)]
     basis = Matrix(tuple(a_mat.column(j) for j in col_idx), rows=a_mat.rows)
@@ -464,7 +439,7 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
         basis,
         (a_mat.column(j) for j in pooled),
         pivot_rows,
-        bareiss_det(basis.submatrix_rows(pivot_rows)),
+        det,
         discards=a_mat.cols - len(col_idx) - len(pooled),
     )
     if coordinates:

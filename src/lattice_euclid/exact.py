@@ -5,10 +5,11 @@ Everything here is exact: integers are Python ints, rationals are
 fully reduced). Floating point is rejected at the door and never enters any
 code path.
 
-The eliminations behind :func:`solve_system`, :func:`invert` and
-:func:`bareiss_det` are fraction-free (Bareiss 1968, "Sylvester's identity
-and multistep integer-preserving Gaussian elimination"): they run on Python
-ints with exact divisions, and Fractions appear only in their outputs.
+One fraction-free forward elimination, ``_bareiss`` (Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination"), serves the whole package: :func:`solve_system`,
+:func:`invert`, :func:`bareiss_det` and the engine's column split. It runs on
+Python ints with exact divisions, and Fractions appear only in the outputs.
 
 After an exchange nothing is eliminated again: the cached inverse and the
 solution matrix advance by the exchange's elementary matrix in one integer
@@ -147,7 +148,9 @@ class Matrix:
         return Matrix._trusted(tuple(self.mat_vec(col) for col in other._columns), self.rows)
 
     def to_int(self) -> "Matrix":
-        """Copy with plain int entries; raises ValueError on fractional input."""
+        """This matrix with plain int entries; raises ValueError on fractional input."""
+        if {int}.issuperset(map(type, chain.from_iterable(self._columns))):
+            return self  # already plain ints, and immutable
         out = []
         for col in self._columns:
             new_col = []
@@ -200,37 +203,51 @@ def _integer_multiple(vec: Sequence[Scalar]) -> tuple[int, list[int]]:
     return mu, _numerators(vec, mu)
 
 
-def _bareiss(a: list[list[int]], n: int) -> int:
-    """Fraction-free forward elimination on the first ``n`` columns of ``a``.
+def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free forward elimination on the first ``width`` columns of ``a``.
 
-    Works in place on the ``n`` integer rows of ``a`` (extra columns are
-    right-hand sides and are carried along). By Sylvester's identity every
-    division by the previous pivot is exact, so all entries stay integral;
-    afterwards the upper triangle holds the eliminated system and the last
-    pivot ``a[n-1][n-1]`` is ``sign * det``. The first nonzero entry of each
-    column is the pivot. Returns ``sign``, the parity of the row swaps, and
-    raises SingularMatrixError if some column has no usable pivot. Entries
-    below the diagonal are left as they were.
+    Works in place on the integer rows of ``a``, any number of them; later
+    columns are right-hand sides, carried along. Column ``j`` pivots on the
+    first row in input order that is not yet a pivot row and is nonzero in
+    ``j``, else it is skipped; that row moves up behind the pivot rows, the
+    others keep their order. Every division by the previous pivot is exact
+    (Sylvester's identity), so each entry is a minor of the input. Returns
+    the pivot rows (input indices, in pivot order), the pivot columns, and
+    the determinant of their minor, its rows in increasing order (1 for none).
     """
-    sign = 1
+    n = len(a)
+    order = list(range(n))
+    cols: list[int] = []
+    passed = 0  # rows the pivot rows moved up past
     prev = 1
-    for k in range(n):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                raise SingularMatrixError(f"no pivot in column {k}")
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot_tail = a[k][k + 1 :]
-        pivot = a[k][k]
-        for r in range(k + 1, n):
-            row = a[r]
-            head = row[k]
-            row[k + 1 :] = [
-                (e * pivot - head * p) // prev for e, p in zip(row[k + 1 :], pivot_tail)
+    k = 0
+    for j in range(width):
+        if k == n:
+            break
+        if not a[k][j]:
+            r = next((r for r in range(k + 1, n) if a[r][j]), None)
+            if r is None:
+                if not any(any(row[j + 1 : width]) for row in a[k:]):
+                    break  # the rows left are zero from here on: no more pivots
+                continue
+            a.insert(k, a.pop(r))
+            order.insert(k, order.pop(r))
+            passed += r - k
+        pivot_tail = a[k][j + 1 :]
+        pivot = a[k][j]
+        for row in a[k + 1 :]:
+            head = row[j]
+            row[j + 1 :] = [
+                (e * pivot - head * p) // prev for e, p in zip(row[j + 1 :], pivot_tail)
             ]
         prev = pivot
-    return sign
+        cols.append(j)
+        k += 1
+    if k < n:
+        # pivot rows moving past a row that never pivots leave the minor as
+        # it is; such a row, input index q, ends at position t >= k, passed t - q times
+        passed -= sum(range(k, n)) - sum(order[k:])
+    return order[:k], cols, -prev if passed % 2 else prev
 
 
 def _eliminate(b_mat: Matrix, rhs_columns: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
@@ -248,9 +265,12 @@ def _eliminate(b_mat: Matrix, rhs_columns: Sequence[Sequence[Scalar]]) -> tuple[
 def _eliminate_rows(a: list[list[int]], n: int, n_rhs: int) -> tuple[int, list[list[int]]]:
     """:func:`_eliminate` on the ``n`` integer rows of ``(B | R)``, ``n_rhs`` columns in ``R``.
 
-    The rows are overwritten.
+    The rows are overwritten. Raises SingularMatrixError if some column has
+    no pivot.
     """
-    d = _bareiss(a, n) * a[n - 1][n - 1] if n else 1
+    _, cols, d = _bareiss(a, n)
+    if len(cols) < n:
+        raise SingularMatrixError(f"only {len(cols)} of {n} columns have a pivot")
     out = []
     for c in range(n, n + n_rhs):
         y = [0] * n
@@ -291,12 +311,11 @@ def bareiss_det(b_mat: Matrix) -> int:
     no rational bookkeeping at all. Singular input returns 0; a
     non-integral entry raises ValueError.
     """
-    if b_mat.cols != b_mat.rows:
+    n = b_mat.rows
+    if b_mat.cols != n:
         raise DimensionMismatchError("determinant needs a square matrix")
-    try:
-        return _eliminate(b_mat.to_int(), ())[0]
-    except SingularMatrixError:
-        return 0
+    _, cols, d = _bareiss([list(r) for r in zip(*b_mat.to_int().columns)], n)
+    return d if len(cols) == n else 0
 
 
 def invert(b_mat: Matrix) -> Matrix:

@@ -202,12 +202,13 @@ def test_bench_csv_shape(capsys):
 
 
 def test_bench_rejects_bad_params(capsys):
-    argv = ["bench", "--seed", "1", "--trials", "1", "--n", "0", "--m", "2", "--bound", "5"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("bench: ")
-    assert len(captured.err.splitlines()) == 1
+    for trials, n in (("1", "0"), ("-1", "2"), ("0", "2")):
+        argv = ["bench", "--seed", "1", "--trials", trials, "--n", n, "--m", "2", "--bound", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bench: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_basis_of_all_zero_input_checks_equal(tmp_path, capsys):

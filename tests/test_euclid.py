@@ -16,23 +16,26 @@ from lattice_euclid import (
     bareiss_det,
     basic_basis,
     choose_pivot_argmin,
+    diophantine_run,
     exchange_step,
     find_independent_columns,
     frac_part,
     hnf,
+    inverse_variant_basis,
     lattice_equal,
     member,
     mod_parallelepiped,
     mod_prime,
     next_int,
     rowwise_variant_basis,
+    solution_variant_basis,
     solve_in_span,
     solve_system,
 )
-from lattice_euclid import euclid
+from lattice_euclid import euclid, exact
 from lattice_euclid.errors import InvariantViolationError
 from lattice_euclid.euclid import _independent_columns, _split, _weights
-from lattice_euclid.exact import _integer_multiple
+from lattice_euclid.exact import _bareiss, _integer_multiple
 
 from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix
 
@@ -206,11 +209,11 @@ def test_independent_columns_match_fraction_echelon():
                 rows=n,
             )
         expected = fraction_echelon(a)
-        assert _independent_columns(a) == expected
+        assert _independent_columns(a)[:2] == expected
         assert find_independent_columns(a) == expected[0]
 
 
-def test_independent_columns_stay_within_hadamards_bound(monkeypatch):
+def test_independent_columns_stay_within_hadamards_bound():
     # the split divides by the previous pivot (Sylvester's identity), so every
     # entry it computes is a minor of order <= rank: at most the product of
     # the rank largest column norms. Without the division the reduced columns
@@ -219,16 +222,66 @@ def test_independent_columns_stay_within_hadamards_bound(monkeypatch):
     a = random_int_matrix(rng, 16, 8, 9) @ random_int_matrix(rng, 8, 32, 9)
     squares = sorted((sum(e * e for e in col) for col in a.columns), reverse=True)
     bound_bits = (math.prod(squares[:8]).bit_length() + 1) // 2
-    original, widest = euclid._eliminate_column, []
-
-    def recording(rows, *args):
-        original(rows, *args)
-        widest.append(max(abs(e).bit_length() for r in rows for e in r))
-
-    monkeypatch.setattr(euclid, "_eliminate_column", recording)
-    assert _independent_columns(a) == fraction_echelon(a)
+    widest = []
+    for width in range(1, a.cols + 1):
+        rows = a.to_rows()  # _bareiss(rows, width): the state after the first width columns
+        if len(_bareiss(rows, width)[1]) > len(widest):  # this column was a pivot step
+            widest.append(max(abs(e).bit_length() for r in rows for e in r))
+    assert _independent_columns(a)[:2] == fraction_echelon(a)
     assert len(widest) == 8
     assert max(widest) <= bound_bits < 100
+
+
+def test_split_sign_counts_only_rows_that_pivot():
+    # row 0 is zero: column 0 pivots on row 1, moved up past row 0, which
+    # never pivots, so the determinant keeps its sign
+    a = Matrix([[0, 5], [0, 3]])
+    for driver in (basic_basis, inverse_variant_basis, solution_variant_basis, rowwise_variant_basis):
+        assert driver(a).det_trajectory == (5, -2, 1)
+    rng = random.Random(25)
+    for _ in range(200):
+        n, m = rng.randint(2, 7), rng.randint(1, 9)
+        rows = _low_rank(rng, n, m, rng.randint(1, n), 5).to_rows()
+        a = Matrix.from_rows([[0] * m if rng.random() < 0.4 else r for r in rows])
+        run = _split(a)
+        assert run.det == bareiss_det(run.basis.submatrix_rows(run.pivot_rows))
+
+
+def test_split_eliminates_once(monkeypatch):
+    # the elimination that picks the columns and pivot rows also yields the
+    # determinant: no second elimination of the pivot minor
+    calls = []
+
+    def counting(original):
+        def call(*args):
+            calls.append(args[1])
+            return original(*args)
+        return call
+
+    for module in (euclid, exact):
+        monkeypatch.setattr(module, "_bareiss", counting(module._bareiss))
+    rng = random.Random(26)
+    for a in (random_int_matrix(rng, 6, 10, 9), _low_rank(rng, 8, 12, 4, 9)):
+        calls.clear()
+        _split(a)
+        assert calls == [a.cols]
+
+
+def test_split_rejects_non_integral_input():
+    ints = Matrix.from_rows([[2, 4, 3], [1, 5, 7]])
+    half = Matrix.from_rows([[2, Fraction(1, 2), 3], [1, 5, 7]])
+    off_pivot = Matrix([[6, 1, Fraction(1, 2)]])  # 1/2 on a row that never pivots
+    four = Matrix.from_rows([[2, Fraction(4), 3], [1, 5, 7]])  # integral: accepted
+    for driver in (basic_basis, inverse_variant_basis, solution_variant_basis, rowwise_variant_basis):
+        for bad in (half, off_pivot):
+            with pytest.raises(ValueError):
+                driver(bad)
+        assert driver(four) == driver(ints)
+    for bad in (half, off_pivot):
+        with pytest.raises(ValueError):
+            diophantine_run(bad, (1,) * bad.rows)
+    assert diophantine_run(four, (1, 1)) == diophantine_run(ints, (1, 1))
+    assert find_independent_columns(half) == [0, 1]  # columns scaled by their lcm
 
 
 def test_solve_in_span_rank_deficient_random():
