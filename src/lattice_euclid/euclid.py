@@ -32,7 +32,10 @@ plainest configuration: FIFO order, every system solved from scratch.
 The engine works in integers: a solver returns ``(num, d)``, the numerators
 of ``x`` over a signed common denominator, and the pivot, floors, rounding and
 determinant update are integer operations on them. An exchange builds one
-Fraction, its trace factor. The public Fraction functions (:func:`mod_prime`,
+Fraction, its trace factor. A run keeps its basis once, as int rows that each
+exchange rewrites in place; every solver starts from one elimination of their
+pivot rows, ``_Run.eliminate``, and a ``Matrix`` of the basis is built only at
+the edges. The public Fraction functions (:func:`mod_prime`,
 :func:`choose_pivot_argmin`, :func:`exchange_step`, :func:`solve_in_span`,
 :func:`check_off_pivot_rows`) clear denominators and call the same core.
 """
@@ -172,6 +175,8 @@ def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) ->
     nearest integer. Swapping column ``i`` for the result scales the
     determinant by ``x[i] - next_int(x[i])``, of magnitude at most 1/2.
     """
+    if len(vec) != b_mat.rows:
+        raise DimensionMismatchError(f"vector of length {len(vec)} against {b_mat.rows} rows")
     d, num = _integer_multiple(x)
     if not num[i] % d:
         raise IntegralPivotError(f"coordinate {i} of the solution is integral")
@@ -190,17 +195,17 @@ def choose_pivot_argmin(x: Sequence[Scalar]) -> Optional[int]:
     return _pivot(num, d)
 
 
-def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int], int]:
+def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int]]:
     # One greedy left-to-right fraction-free elimination, exact._bareiss, on
     # the rows (columns scaled by their lcm). Column j is independent of the
     # kept columns iff it is nonzero on a row not yet a pivot row; the first
     # such row becomes its pivot row. Those entries are the column reduced
     # against the kept columns (a Schur complement), so the choice is that of
     # a rational column elimination. Each entry is a minor of the input and
-    # stays within Hadamard's bound; the last pivot gives the determinant.
+    # stays within Hadamard's bound.
     rows = [list(r) for r in zip(*(_integer_multiple(c)[1] for c in a_mat.columns))]
-    pivot_rows, col_idx, det = _bareiss(rows, a_mat.cols)
-    return col_idx, sorted(pivot_rows), det
+    pivot_rows, col_idx, _ = _bareiss(rows, a_mat.cols)
+    return col_idx, sorted(pivot_rows)
 
 
 def find_independent_columns(a_mat: Matrix) -> list[int]:
@@ -227,6 +232,8 @@ def check_off_pivot_rows(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence
     Compared in integers: ``x`` is scaled by the lcm ``L`` of its
     denominators and each row is checked as ``basis[i] @ (L * x) == L * vec[i]``.
     """
+    if len(x) != basis.cols or len(vec) != basis.rows:
+        raise DimensionMismatchError(f"lengths {len(x)} and {len(vec)} against a {basis.rows}x{basis.cols} basis")
     mu, scaled = _integer_multiple(x)
     _check_span(_off_rows(basis.to_rows(), pivot_rows), vec, scaled, mu)
 
@@ -282,9 +289,12 @@ class _Run:
     its values. When ``tags`` is set, it is a matrix whose column ``k``
     belongs to basis column ``k``, and ``pool_tags[j]`` belongs to
     ``pool[j]``: each exchange applies to the tags the same integer
-    combination it applies to the vectors. ``rows`` holds the basis rows as
-    int lists, rewritten in place by each exchange; ``off_rows`` those off the
-    pivot rows, as ``(index, row)``.
+    combination it applies to the vectors.
+
+    The run keeps its basis once: ``rows``, the basis rows as int lists, which
+    each exchange rewrites in place; ``off_rows`` are those off the pivot rows,
+    as ``(index, row)``. ``basis`` is a ``Matrix`` built from them on each
+    access, for the edges that need one.
     """
 
     def __init__(
@@ -295,7 +305,6 @@ class _Run:
         det: Optional[int],
         discards: int = 0,
     ):
-        self.basis = basis
         self.pool = list(pool)
         self.pivot_rows = tuple(pivot_rows)
         self.det = det
@@ -307,13 +316,23 @@ class _Run:
         self.rows = basis.to_rows()
         self.off_rows = _off_rows(self.rows, self.pivot_rows)
 
-    def solve(self, vec: Sequence[int]) -> tuple[list[int], int]:
-        """``(num, d)`` with ``basis @ num == d * vec``, ``d`` the determinant, as :func:`solve_in_span`.
+    @property
+    def basis(self) -> Matrix:
+        return Matrix._trusted(tuple(zip(*self.rows)), len(self.rows))
 
-        ``vec`` must be integral: the cached int rows skip the clearing.
+    def eliminate(self, vecs: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+        """``(d, [num for each vec])``, ``num / d`` solving the pivot rows of ``basis @ x == vec``.
+
+        One elimination, ``d`` the pivot rows' determinant. The ``vecs`` are ambient
+        and integral; their entries off the pivot rows are neither read nor checked.
         """
         rows = self.rows
-        d, (num,) = _eliminate_rows([rows[t] + [vec[t]] for t in self.pivot_rows], self.basis.cols, 1)
+        a = [rows[t] + [v[t] for v in vecs] for t in self.pivot_rows]
+        return _eliminate_rows(a, len(self.pivot_rows), len(vecs))
+
+    def solve(self, vec: Sequence[int]) -> tuple[list[int], int]:
+        """``(num, d)`` with ``basis @ num == d * vec``, ``d`` the determinant, as :func:`solve_in_span`."""
+        d, (num,) = self.eliminate((vec,))
         _check_span(self.off_rows, vec, num, d)
         return num, d
 
@@ -337,8 +356,7 @@ class _Run:
             tag = tuple(v - e for v, e in zip(self.pool_tags[j], self.tags.mat_vec(rounded)))
             self.pool_tags[j] = self.tags.column(i)
             self.tags = self.tags.with_column(i, tag)
-        self.pool[j] = self.basis.column(i)
-        self.basis = self.basis.with_column(i, remainder)
+        self.pool[j] = tuple(r[i] for r in self.rows)
         for r, e in zip(self.rows, remainder):
             r[i] = e
         return remainder
@@ -383,10 +401,10 @@ class _Run:
         InvariantViolationError since it would falsify the pivoting
         argument. ``exchanged(i, j, (num, d))`` runs after each exchange.
         """
-        n = self.basis.rows
+        n = len(self.rows)
         bound = coefficient_bound(n, norm_a)
         i = 0
-        while i < self.basis.cols:
+        while i < len(self.pivot_rows):
             z, den = row(i)
             j = next((k for k, e in enumerate(z) if e % den), None)
             if j is None:
@@ -396,7 +414,7 @@ class _Run:
             num, d = x
             if num[i] * den != z[j] * d:
                 raise InvariantViolationError("row solve disagrees with the full solve")
-            old_peak = max(abs(e) for e in self.basis.column(i))
+            old_peak = max(abs(r[i]) for r in self.rows)
             peak = max(abs(e) for e in self.exchange(j, x, i))
             if peak > old_peak + (n - 1) * norm_a:
                 raise InvariantViolationError("per-step coefficient growth bound violated")
@@ -430,15 +448,16 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     every vector is tagged with its coordinates in the columns of ``a_mat``.
     Raises ValueError on a non-integral entry.
     """
-    a_mat.to_int()  # raises on a non-integral Fraction
-    col_idx, pivot_rows, det = _independent_columns(a_mat)
+    a_mat = a_mat.to_int()  # raises on a non-integral Fraction
+    # the elimination of _independent_columns, on entries already checked
+    pivot_rows, col_idx, det = _bareiss([list(r) for r in zip(*a_mat.columns)], a_mat.cols)
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(a_mat.columns) if j not in chosen and any(col)]
-    basis = Matrix(tuple(a_mat.column(j) for j in col_idx), rows=a_mat.rows)
+    basis = Matrix._trusted(tuple(a_mat.column(j) for j in col_idx), a_mat.rows)
     run = _Run(
         basis,
         (a_mat.column(j) for j in pooled),
-        pivot_rows,
+        sorted(pivot_rows),
         det,
         discards=a_mat.cols - len(col_idx) - len(pooled),
     )

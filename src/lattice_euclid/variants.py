@@ -66,12 +66,10 @@ def _advance(num: list[list[int]], d: int, i: int, w_num: Sequence[int], det: in
 
 def _pool_numerators(run: _Run) -> tuple[int, list[list[int]]]:
     """``(det, rows of det * X)`` for the pool against the basis, by one elimination."""
-    rows = run.pivot_rows
-    d, columns = _eliminate(run.basis.submatrix_rows(rows), [[v[t] for t in rows] for v in run.pool])
-    if len(rows) < run.basis.rows:  # the other rows, checked as solve_in_span does
-        for vec, col in zip(run.pool, columns):
-            _check_span(run.off_rows, vec, col, d)
-    return d, [list(r) for r in zip(*columns)] if columns else [[] for _ in rows]
+    d, columns = run.eliminate(run.pool)
+    for vec, col in zip(run.pool, columns):  # the other rows, checked as solve_in_span does
+        _check_span(run.off_rows, vec, col, d)
+    return d, [list(r) for r in zip(*columns)] if columns else [[] for _ in run.pivot_rows]
 
 
 def _adjugate(run: _Run):
@@ -81,9 +79,8 @@ def _adjugate(run: _Run):
     is ``(num, d)``, ``num / d`` the solution; ``row(i)`` is ``(z, d)``, ``z / d`` row
     ``i`` of the pool's solutions. Both read the pivot rows.
     """
-    rows = run.pivot_rows
-    covered = len(rows) == run.basis.rows
-    d, columns = _eliminate(run.basis.submatrix_rows(rows), Matrix.identity(len(rows)).columns)
+    rows, covered = run.pivot_rows, not run.off_rows
+    d, columns = run.eliminate([_unit(t, len(run.rows)) for t in rows])
     adj = [list(r) for r in zip(*columns)]
 
     def solve(vec):
@@ -198,7 +195,7 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     run = _split(a_mat)
     initial_rows = [r[:] for r in run.rows]
     d, x_num = _pool_numerators(run)
-    d0, n = d, run.basis.cols
+    d0, n = d, len(run.pivot_rows)
     units = [tuple(d0 if t == k else 0 for t in range(n)) for k in range(n)]
     y = list(units)  # columns of d0 * Y
 

@@ -115,6 +115,15 @@ def test_mod_prime_integral_pivot_rejected():
         mod_prime(Matrix.identity(2), (3, 4), x, 0)
 
 
+def test_mod_prime_rejects_wrong_lengths():
+    b = Matrix.from_rows([[2, 0], [0, 3]])
+    x = (Fraction(1, 2), Fraction(1, 3))
+    assert mod_prime(b, (1, 1), x, 0) == (-1, 1)
+    for vec, sol in (((1, 1, 99), x), ((1,), x), ((1, 1), x + (Fraction(1, 2),))):
+        with pytest.raises(DimensionMismatchError):
+            mod_prime(b, vec, sol, 0)
+
+
 def test_mod_prime_consistency_random():
     # r' = a - B*xt with xt floored except the rounded pivot, and equally
     # B applied to the fractional vector with the pivot entry recentred
@@ -267,6 +276,26 @@ def test_split_eliminates_once(monkeypatch):
         assert calls == [a.cols]
 
 
+def test_split_checks_integer_entries_once(monkeypatch):
+    # Matrix.to_int's one type scan at entry is the only check: no column is
+    # cleared of denominators, as find_independent_columns does
+    calls = []
+
+    def counting(original):
+        def call(*args):
+            calls.append(args)
+            return original(*args)
+        return call
+
+    for module in (euclid, exact):
+        monkeypatch.setattr(module, "_integer_multiple", counting(module._integer_multiple))
+    rng = random.Random(27)
+    for a in (random_int_matrix(rng, 6, 10, 9), _low_rank(rng, 8, 12, 4, 9)):
+        run = _split(a)
+        assert run.det == bareiss_det(run.basis.submatrix_rows(run.pivot_rows))
+    assert calls == []
+
+
 def test_split_rejects_non_integral_input():
     ints = Matrix.from_rows([[2, 4, 3], [1, 5, 7]])
     half = Matrix.from_rows([[2, Fraction(1, 2), 3], [1, 5, 7]])
@@ -277,6 +306,7 @@ def test_split_rejects_non_integral_input():
             with pytest.raises(ValueError):
                 driver(bad)
         assert driver(four) == driver(ints)
+        assert {type(e) for c in driver(four).basis.columns for e in c} == {int}
     for bad in (half, off_pivot):
         with pytest.raises(ValueError):
             diophantine_run(bad, (1,) * bad.rows)
@@ -343,6 +373,14 @@ def test_check_off_pivot_rows():
         euclid.check_off_pivot_rows(basis, (0, 1), (1, 1, 0), half)
     with pytest.raises(SpanMismatchError):
         euclid.check_off_pivot_rows(basis, (1, 2), (2, 1, 1), half)
+
+
+def test_check_off_pivot_rows_rejects_wrong_lengths():
+    basis = Matrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    euclid.check_off_pivot_rows(basis, (0, 1), (1, 0, 1), (1, 0))
+    for vec, x in (((1, 0, 1), (1, 0, 5)), ((1, 0, 1), (1,)), ((1, 0), (1, 0)), ((1, 0, 1, 7), (1, 0))):
+        with pytest.raises(DimensionMismatchError):
+            euclid.check_off_pivot_rows(basis, (0, 1), vec, x)
 
 
 # --- exchange step ----------------------------------------------------------

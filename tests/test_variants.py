@@ -319,8 +319,9 @@ def test_rowwise_variant_gcd():
 
 
 def test_rowwise_variant_eliminates_once(monkeypatch):
-    # one elimination builds the cached adjugate; no row step and no
-    # exchange solves from scratch, on full and on deficient rank
+    # one elimination of the run's pivot rows (_Run.eliminate) builds the
+    # cached adjugate; no row step and no exchange solves from scratch, on
+    # full and on deficient rank
     rng = random.Random(4243)
     lowrank = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
     assert len(find_independent_columns(lowrank)) < lowrank.rows
@@ -340,8 +341,26 @@ def test_rowwise_variant_eliminates_once(monkeypatch):
         calls.clear()
         res = rowwise_variant_basis(a)
         assert res.exchanges > 0
-        assert calls == ["_eliminate"]
+        assert calls == ["_eliminate_rows"]
         assert (res.basis, res.trace) == (want.basis, want.trace)
+
+
+def test_exchanges_build_no_basis_matrix(monkeypatch):
+    # the run keeps its basis once, as int rows rewritten in place; a Matrix
+    # of it is built only for the result
+    a = random_instance(InstanceParams(10, 16, 1000, 7))
+    calls = []
+    with_column = Matrix.with_column
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return with_column(self, *args)
+
+    monkeypatch.setattr(Matrix, "with_column", counting)
+    for driver in (basic_basis, inverse_variant_basis, solution_variant_basis, rowwise_variant_basis):
+        calls.clear()
+        assert driver(a).exchanges > 0
+        assert calls == [], driver.__name__
 
 
 def test_rowwise_pivot_rows_are_nondecreasing():
