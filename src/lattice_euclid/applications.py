@@ -11,10 +11,12 @@ solves, the order of :func:`lattice_euclid.euclid.basic_basis`:
   ever being computed directly. The run does not know the determinant, so
   it never stops early; the determinants in its trace are reconstructed
   afterwards.
-* ``A x = b`` over the integers is solved by tagging every vector the run
-  touches with its integer coordinates with respect to the original
-  columns; the run itself is that of ``basic_basis``, trace included. At
-  the end the tags form an integral ``U`` with ``A @ U = basis``;
+* ``A x = b`` over the integers is solved on the columns of ``A`` stacked
+  over ``I_m`` (Cohen 1993, section 2.4): the run carries the ``m`` identity
+  rows below the basis rows, so every vector holds its integer coordinates
+  with respect to the original columns, and each exchange moves them with
+  it. The run itself is that of ``basic_basis``, trace included. At the end
+  the carried rows are an integral ``U`` with ``A @ U = basis``;
   feasibility then reduces to whether ``basis`` divides ``b`` evenly, and a
   witness is ``U @ (basis**-1 b)``.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InvariantViolationError, SingularMatrixError
@@ -62,7 +65,7 @@ def determinant_with_trace(b_mat: Matrix) -> tuple[int, tuple[ExchangeRecord, ..
     n = b_mat.rows
     if b_mat.cols != n:
         raise DimensionMismatchError("determinant needs a square matrix")
-    run = _Run(b_mat.to_int(), (_unit(k, n) for k in range(n)), range(n), None)
+    run = _Run([list(r) for r in zip(*b_mat.to_int().columns)], (_unit(k, n) for k in range(n)), range(n), None)
     try:
         run.fifo(run.solve)
     except SingularMatrixError:
@@ -108,13 +111,14 @@ def diophantine_run(
     if len(rhs) != a_mat.rows:
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
     run = _split(a_mat, coordinates=True)
+    coords = run.rows[run.dim :]  # U, m rows: A @ U == basis
 
     def exchanged(i, j, x):
-        if a_mat.mat_vec(run.tags.column(i)) != run.basis.column(i):
+        if a_mat.mat_vec([r[i] for r in coords]) != run.basis.column(i):
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 
     run.fifo(run.solve, exchanged if check_invariants else None)
-    transform = TransformU(run.tags)
+    transform = TransformU(Matrix._trusted(tuple(zip(*coords)), a_mat.cols))
     if check_invariants and (a_mat @ transform.matrix) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
     mu, vec = _integer_multiple(rhs)  # TypeError on entries that are not int or Fraction
@@ -122,4 +126,5 @@ def diophantine_run(
     d *= mu  # x == num / d
     if any(e % d for e in num):
         return None, transform, tuple(run.trace)
-    return transform.matrix.mat_vec([e // d for e in num]), transform, tuple(run.trace)
+    y = [e // d for e in num]
+    return tuple(sum(map(mul, r, y)) for r in coords), transform, tuple(run.trace)

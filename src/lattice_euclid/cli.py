@@ -281,6 +281,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10.0-3.10.6 have no limit to lift
+        return _run(argv)
+    # entries and results are decimal integers of any length; the interpreter
+    # limits int/str conversion to 4300 digits by default
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -35,7 +35,8 @@ determinant update are integer operations on them. An exchange builds one
 Fraction, its trace factor. A run keeps its basis once, as int rows that each
 exchange rewrites in place; every solver starts from one elimination of their
 pivot rows, ``_Run.eliminate``, and a ``Matrix`` of the basis is built only at
-the edges. The public Fraction functions (:func:`mod_prime`,
+the edges. Rows below the basis rows ride along: the same exchange moves them
+with the vectors, so the Diophantine coordinates need no second copy. The public Fraction functions (:func:`mod_prime`,
 :func:`choose_pivot_argmin`, :func:`exchange_step`, :func:`solve_in_span`,
 :func:`check_off_pivot_rows`) clear denominators and call the same core.
 """
@@ -167,6 +168,12 @@ def _scaled_det(det: int, w: int, d: int) -> int:
     return det
 
 
+def _check_pivot(i: int, n: int) -> None:
+    """Raise IndexError unless ``i`` indexes one of ``n`` coordinates."""
+    if not 0 <= i < n:
+        raise IndexError(f"pivot {i} out of range for {n} coordinates")
+
+
 def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) -> tuple[int, ...]:
     """Residue with the pivot coordinate rounded to the nearest integer.
 
@@ -177,6 +184,7 @@ def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) ->
     """
     if len(vec) != b_mat.rows:
         raise DimensionMismatchError(f"vector of length {len(vec)} against {b_mat.rows} rows")
+    _check_pivot(i, len(x))
     d, num = _integer_multiple(x)
     if not num[i] % d:
         raise IntegralPivotError(f"coordinate {i} of the solution is integral")
@@ -285,40 +293,39 @@ class _Run:
     and build ``d * w`` only if they track something by ``F``.
 
     ``det`` is the signed determinant of the pivot-row subsystem, or None
-    where the run must not know it (determinant mode); ``trajectory`` lists
-    its values. When ``tags`` is set, it is a matrix whose column ``k``
-    belongs to basis column ``k``, and ``pool_tags[j]`` belongs to
-    ``pool[j]``: each exchange applies to the tags the same integer
-    combination it applies to the vectors.
+    where the run must not know it (determinant mode); ``det0`` is its value
+    before any exchange, and the trace holds it after each one.
 
-    The run keeps its basis once: ``rows``, the basis rows as int lists, which
-    each exchange rewrites in place; ``off_rows`` are those off the pivot rows,
-    as ``(index, row)``. ``basis`` is a ``Matrix`` built from them on each
-    access, for the edges that need one.
+    The run keeps its basis once: ``rows``, int lists that each exchange
+    rewrites in place. The first ``dim`` are the basis rows; ``off_rows`` are
+    those off the pivot rows, as ``(index, row)``, and ``basis`` is a
+    ``Matrix`` built from them on each access, for the edges that need one.
+    Rows below the first ``dim`` are carried: pool vectors are as long as
+    ``rows``, and an exchange moves the carried entries with the vectors
+    (``_split`` carries each vector's coordinates in the input columns).
     """
 
     def __init__(
         self,
-        basis: Matrix,
+        rows: list[list[int]],
         pool: Iterable[Sequence[int]],
         pivot_rows: Sequence[int],
         det: Optional[int],
         discards: int = 0,
+        dim: Optional[int] = None,
     ):
+        self.rows = rows
+        self.dim = len(rows) if dim is None else dim
         self.pool = list(pool)
         self.pivot_rows = tuple(pivot_rows)
-        self.det = det
-        self.trajectory = [det]
+        self.det0 = self.det = det
         self.trace: list[ExchangeRecord] = []
         self.discards = discards
-        self.tags: Optional[Matrix] = None
-        self.pool_tags: list = [None] * len(self.pool)
-        self.rows = basis.to_rows()
-        self.off_rows = _off_rows(self.rows, self.pivot_rows)
+        self.off_rows = _off_rows(rows[: self.dim], self.pivot_rows)
 
     @property
     def basis(self) -> Matrix:
-        return Matrix._trusted(tuple(zip(*self.rows)), len(self.rows))
+        return Matrix._trusted(tuple(zip(*self.rows[: self.dim])), self.dim)
 
     def eliminate(self, vecs: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
         """``(d, [num for each vec])``, ``num / d`` solving the pivot rows of ``basis @ x == vec``.
@@ -340,7 +347,7 @@ class _Run:
         """Swap basis column ``i`` for the residue of ``pool[j]``; return it.
 
         ``x = (num, d)`` must solve ``basis @ num == d * pool[j]``, ``num[i] / d``
-        fractional. The old basis column, with its tag, takes pool slot ``j``.
+        fractional. The old basis column takes pool slot ``j``.
         """
         num, d = x
         if not num[i] % d:
@@ -349,13 +356,8 @@ class _Run:
         w_i = num[i] - d * rounded[i]
         if self.det is not None:
             self.det = _scaled_det(self.det, w_i, d)
-            self.trajectory.append(self.det)
         self.trace.append(ExchangeRecord(len(self.trace), i, j, Fraction(w_i, d), self.det))
         remainder = tuple(v - sum(map(mul, r, rounded)) for v, r in zip(self.pool[j], self.rows))
-        if self.tags is not None:
-            tag = tuple(v - e for v, e in zip(self.pool_tags[j], self.tags.mat_vec(rounded)))
-            self.pool_tags[j] = self.tags.column(i)
-            self.tags = self.tags.with_column(i, tag)
         self.pool[j] = tuple(r[i] for r in self.rows)
         for r, e in zip(self.rows, remainder):
             r[i] = e
@@ -370,23 +372,20 @@ class _Run:
         then divides evenly and is discarded unexamined. ``exchanged(i, 0, x)``
         follows each exchange.
         """
-        pool, tags = self.pool, self.pool_tags
+        pool = self.pool
         while pool and self.det not in (1, -1):
             x = solve(pool[0])
             i = _pivot(*x)
             if i is None:
                 self.discards += 1
                 pool.pop(0)
-                tags.pop(0)
                 continue
             self.exchange(0, x, i)
             pool.append(pool.pop(0))
-            tags.append(tags.pop(0))
             if exchanged is not None:
                 exchanged(i, 0, x)
         self.discards += len(pool)
         pool.clear()
-        tags.clear()
 
     def row_major(self, norm_a: int, row: Callable, column: Callable, exchanged: Optional[Callable] = None) -> None:
         """Clear fractional solution entries row by row, top down.
@@ -401,7 +400,7 @@ class _Run:
         InvariantViolationError since it would falsify the pivoting
         argument. ``exchanged(i, j, (num, d))`` runs after each exchange.
         """
-        n = len(self.rows)
+        n = self.dim
         bound = coefficient_bound(n, norm_a)
         i = 0
         while i < len(self.pivot_rows):
@@ -414,8 +413,8 @@ class _Run:
             num, d = x
             if num[i] * den != z[j] * d:
                 raise InvariantViolationError("row solve disagrees with the full solve")
-            old_peak = max(abs(r[i]) for r in self.rows)
-            peak = max(abs(e) for e in self.exchange(j, x, i))
+            old_peak = max(abs(r[i]) for r in self.rows[:n])
+            peak = max(abs(e) for e in self.exchange(j, x, i)[:n])
             if peak > old_peak + (n - 1) * norm_a:
                 raise InvariantViolationError("per-step coefficient growth bound violated")
             # the other columns were checked when they entered, or are input
@@ -429,7 +428,7 @@ class _Run:
             basis=self.basis,
             exchanges=len(self.trace),
             discards=self.discards,
-            det_trajectory=tuple(self.trajectory),
+            det_trajectory=(self.det0, *(rec.det_after for rec in self.trace)),
             max_abs_entry=int(self.basis.max_abs()),
             trace=tuple(self.trace),
             transform=transform,
@@ -437,7 +436,7 @@ class _Run:
 
 
 def _unit(k: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if t == k else 0 for t in range(n))
+    return (0,) * k + (1,) + (0,) * (n - k - 1)
 
 
 def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
@@ -445,27 +444,29 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
 
     Zero columns are discarded, the first maximal independent set of
     columns forms the basis and the rest is pooled. With ``coordinates``
-    every vector is tagged with its coordinates in the columns of ``a_mat``.
-    Raises ValueError on a non-integral entry.
+    the run carries, below each vector, its coordinates in the columns of
+    ``a_mat``: ``m`` rows below the ``n`` basis rows, the unit vector
+    ``e_j`` below column ``j``. Raises ValueError on a non-integral entry.
     """
     a_mat = a_mat.to_int()  # raises on a non-integral Fraction
+    columns = a_mat.columns
     # the elimination of _independent_columns, on entries already checked
-    pivot_rows, col_idx, det = _bareiss([list(r) for r in zip(*a_mat.columns)], a_mat.cols)
+    pivot_rows, col_idx, det = _bareiss([list(r) for r in zip(*columns)], a_mat.cols)
     chosen = set(col_idx)
-    pooled = [j for j, col in enumerate(a_mat.columns) if j not in chosen and any(col)]
-    basis = Matrix._trusted(tuple(a_mat.column(j) for j in col_idx), a_mat.rows)
-    run = _Run(
-        basis,
-        (a_mat.column(j) for j in pooled),
+    pooled = [j for j, col in enumerate(columns) if j not in chosen and any(col)]
+    height = a_mat.rows
+    if coordinates:
+        m = a_mat.cols
+        columns = [col + _unit(j, m) for j, col in enumerate(columns)]
+        height += m
+    return _Run(
+        [list(r) for r in zip(*(columns[j] for j in col_idx))] or [[] for _ in range(height)],
+        (columns[j] for j in pooled),
         sorted(pivot_rows),
         det,
         discards=a_mat.cols - len(col_idx) - len(pooled),
+        dim=a_mat.rows,
     )
-    if coordinates:
-        m = a_mat.cols
-        run.tags = Matrix(tuple(_unit(j, m) for j in col_idx), rows=m)
-        run.pool_tags = [_unit(j, m) for j in pooled]
-    return run
 
 
 def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i: int) -> EuclidState:
@@ -481,7 +482,8 @@ def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i
         raise ValueError("exchange source vector is not in the pool") from None
     if len(x) != state.basis.cols:
         raise DimensionMismatchError(f"solution of length {len(x)} against {state.basis.cols} columns")
-    run = _Run(state.basis, state.pool, state.pivot_rows, state.det)
+    _check_pivot(i, len(x))
+    run = _Run([list(r) for r in zip(*state.basis.columns)], state.pool, state.pivot_rows, state.det)
     run.trace = list(state.trace)
     d, num = _integer_multiple(x)
     run.exchange(j, (num, d), i)

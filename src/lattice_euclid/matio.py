@@ -5,13 +5,19 @@ whitespace-separated decimal integers (any length). Lines starting with
 ``#`` and blank lines are ignored, so a matrix without columns is its
 header alone. Vectors are single-column matrices.
 ASCII decimal with LF newlines, so files diff cleanly and round-trip
-bit-exactly at any precision.
+bit-exactly at any precision. Anything else ``int`` would read, such as
+other scripts' digits or ``_`` separators, is a MatrixParseError naming
+its line, as is any non-ASCII character, in a comment too.
 """
 
 from __future__ import annotations
 
 import os
+import re
+
 from .exact import Matrix
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class MatrixParseError(ValueError):
@@ -22,7 +28,22 @@ class MatrixParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
+def _integers(no: int, line: str, tokens: list[str], what: str) -> list[int]:
+    """``tokens``, the split of line ``no``, as ints: optionally signed decimal digits."""
+    if "_" not in line:  # int() would read 1_000 as 1000
+        try:
+            return [int(tok) for tok in tokens]
+        except ValueError as exc:
+            if all(map(_DECIMAL.fullmatch, tokens)):  # well formed, so past the interpreter's digit limit
+                raise MatrixParseError(no, str(exc)) from None
+    raise MatrixParseError(no, f"{what} must be decimal integers")
+
+
 def parse_matrix(text: str) -> Matrix:
+    if not text.isascii():  # int() would also read other scripts' digits
+        bad = next(k for k, ch in enumerate(text) if not ch.isascii())
+        # the line number splitlines() gives it, as for every other error
+        raise MatrixParseError(len((text[:bad] + "?").splitlines()), "non-ASCII character")
     significant = [
         (no, stripped)
         for no, line in enumerate(text.splitlines(), start=1)
@@ -34,10 +55,7 @@ def parse_matrix(text: str) -> Matrix:
     parts = header.split()
     if len(parts) != 2:
         raise MatrixParseError(header_no, "header must be exactly 'rows cols'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MatrixParseError(header_no, "header entries must be integers") from None
+    n, m = _integers(header_no, header, parts, "header entries")
     if n < 0 or m < 0:
         raise MatrixParseError(header_no, "dimensions must be non-negative")
     body = significant[1:]
@@ -55,10 +73,7 @@ def parse_matrix(text: str) -> Matrix:
         tokens = line.split()
         if len(tokens) != m:
             raise MatrixParseError(no, f"expected {m} entries, found {len(tokens)}")
-        try:
-            rows.append([int(tok) for tok in tokens])
-        except ValueError:
-            raise MatrixParseError(no, "entries must be decimal integers") from None
+        rows.append(_integers(no, line, tokens, "entries"))
     if n == 0:
         return Matrix(((),) * m, rows=0)
     return Matrix.from_rows(rows)
@@ -72,5 +87,6 @@ def format_matrix(mat: Matrix) -> str:
 
 
 def load_matrix(path: str | os.PathLike) -> Matrix:
-    with open(path, "r", encoding="ascii") as handle:
+    # a byte outside ASCII reaches parse_matrix as a lone surrogate, which it rejects
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         return parse_matrix(handle.read())

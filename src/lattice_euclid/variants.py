@@ -46,6 +46,7 @@ from .exact import (
 from .euclid import (
     BasisResult,
     _Run,
+    _check_pivot,
     _check_span,
     _split,
     _unit,
@@ -80,7 +81,7 @@ def _adjugate(run: _Run):
     ``i`` of the pool's solutions. Both read the pivot rows.
     """
     rows, covered = run.pivot_rows, not run.off_rows
-    d, columns = run.eliminate([_unit(t, len(run.rows)) for t in rows])
+    d, columns = run.eliminate([_unit(t, run.dim) for t in rows])
     adj = [list(r) for r in zip(*columns)]
 
     def solve(vec):
@@ -134,6 +135,7 @@ def solution_update(x_mat: Matrix, i: int, j: int) -> Matrix:
     """
     if not 0 <= j < x_mat.cols:
         raise IndexError(f"column {j} out of range for {x_mat.cols} columns")
+    _check_pivot(i, x_mat.rows)
     d, num = _integer_multiple(x_mat.column(j))
     w = _weights(num, d, i)
     if w[i] == 0:

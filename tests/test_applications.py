@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,30 @@ def test_diophantine_rank_deficient_system():
     assert a.mat_vec(x) == (7, 14)
     with pytest.raises(SpanMismatchError):
         diophantine_solve(a, (7, 13))
+
+
+def test_diophantine_run_builds_matrices_only_at_the_edges(monkeypatch):
+    # the coordinates U ride the run's rows: no exchange builds a Matrix or
+    # takes a matrix-vector product, and with_column is never called
+    rng = random.Random(4005)
+    cases = [random_int_matrix(rng, n, n + 4, 50) for n in (2, 4, 6)]
+    cases = [(a, a.mat_vec(range(a.cols))) for a in cases]
+    calls = Counter()
+    for name in ("__init__", "mat_vec", "with_column"):
+
+        def counting(*args, _name=name, _original=getattr(Matrix, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Matrix, name, counting)
+    seen = {}
+    for a, rhs in cases:
+        calls.clear()
+        _, _, trace = diophantine_run(a, rhs)
+        seen[len(trace)] = dict(calls)
+    assert len(seen) == len(cases)  # runs of different lengths...
+    assert len({tuple(sorted(c.items())) for c in seen.values()}) == 1  # ...build alike
+    assert "with_column" not in next(iter(seen.values()))
 
 
 def test_diophantine_transform_tracks_basis():

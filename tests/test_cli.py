@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
-from lattice_euclid import lattice_equal, parse_matrix
+from lattice_euclid import Matrix, bareiss_det, lattice_equal, parse_matrix
 from lattice_euclid.cli import BENCH_COLUMNS, main
 
 
@@ -119,6 +120,37 @@ def test_parse_error_names_line(tmp_path, capsys):
     assert main(["basis", "--alg", "basic", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "bad.mat" in err
+
+
+@pytest.mark.parametrize("body", [b"\xff", b"1_000"])
+def test_entries_outside_the_format_are_input_errors(body, tmp_path, capsys):
+    # a byte outside ASCII and a digit separator int() would accept
+    bad = tmp_path / "bad.mat"
+    bad.write_bytes(b"1 1\n" + body + b"\n")
+    assert main(["basis", "--alg", "basic", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad.mat: line 2:" in err
+
+
+def test_entries_past_the_interpreter_digit_limit(tmp_path):
+    # Python limits int/str conversion to 4300 digits by default; the CLI lifts
+    # the limit for itself, so it runs in a process of its own
+    a, b, c, d = 10**2999 + 7, 3 * 10**2999 + 1, 5 * 10**2999 + 3, 10**2999 - 9
+    square = tmp_path / "big.mat"
+    square.write_text(f"2 2\n{a} {b}\n{c} {d}\n")
+    big = "-" + "7" * 5000
+    column = tmp_path / "column.mat"
+    column.write_text(f"1 1\n{big}\n")
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "lattice_euclid", *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    # Decimal prints an int of any length, where str() is held to the limit here
+    assert run("det", str(square)) == f"{Decimal(bareiss_det(Matrix.from_rows([[a, b], [c, d]])))}\n"
+    assert json.loads(run("basis", "--alg", "basic", "--stats-json", str(square)))["rank"] == 2
+    assert run("basis", "--alg", "basic", str(column)) == f"1 1\n{big}\n"
 
 
 def test_missing_file_is_input_error(capsys):

@@ -124,6 +124,14 @@ def test_mod_prime_rejects_wrong_lengths():
             mod_prime(b, vec, sol, 0)
 
 
+def test_mod_prime_rejects_a_pivot_out_of_range():
+    # -1 would wrap to the last coordinate, 2 would be a bare list IndexError
+    b = Matrix.from_rows([[2, 0], [0, 3]])
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match=f"pivot {i} out of range"):
+            mod_prime(b, (1, 1), (Fraction(1, 2), Fraction(1, 3)), i)
+
+
 def test_mod_prime_consistency_random():
     # r' = a - B*xt with xt floored except the rounded pivot, and equally
     # B applied to the fractional vector with the pivot entry recentred
@@ -296,6 +304,18 @@ def test_split_checks_integer_entries_once(monkeypatch):
     assert calls == []
 
 
+def test_split_carries_coordinates_below_the_basis_rows():
+    # the m coordinate rows sit below the n basis rows, and the run reads
+    # nothing of them: same pivot rows, off-pivot rows and basis
+    rng = random.Random(28)
+    a = _low_rank(rng, 8, 12, 4, 9)
+    run, plain = _split(a, coordinates=True), _split(a)
+    assert run.off_rows == plain.off_rows and len(run.off_rows) == 4
+    assert (run.dim, run.pivot_rows, run.det, run.basis) == (8, plain.pivot_rows, plain.det, plain.basis)
+    assert a @ Matrix.from_rows(run.rows[run.dim :]) == run.basis  # the coordinates U
+    assert [v[: run.dim] for v in run.pool] == plain.pool
+
+
 def test_split_rejects_non_integral_input():
     ints = Matrix.from_rows([[2, 4, 3], [1, 5, 7]])
     half = Matrix.from_rows([[2, Fraction(1, 2), 3], [1, 5, 7]])
@@ -437,6 +457,14 @@ def test_exchange_step_rejects_a_solution_of_the_wrong_length():
     for bad in (x[:1], x + (Fraction(1, 2),)):
         with pytest.raises(DimensionMismatchError):
             exchange_step(state, (1, 0), bad, 0)
+
+
+def test_exchange_step_rejects_a_pivot_out_of_range():
+    state = _state(B23, [(1, 0)])
+    x = solve_system(B23, (1, 0))
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match=f"pivot {i} out of range"):
+            exchange_step(state, (1, 0), x, i)
 
 
 def test_exchange_step_preserves_generated_lattice():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -61,6 +62,11 @@ def test_parse_zero_rows():
         ("1 2\n1 x\n", 2),
         ("-1 2\n", 1),
         ("2 0\n5\n", 2),
+        ("1 1\n1_000\n", 2),  # int() reads it as 1000
+        ("1_0 1\n5\n", 1),
+        ("1 1\n\u0663\n", 2),  # int() reads the Arabic-Indic digit as 3
+        ("# caf\u00e9\n1 1\n5\n", 1),
+        ("1 1\r\n5\udcff\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
@@ -68,6 +74,13 @@ def test_parse_errors_carry_line_numbers(text, line_no):
         parse_matrix(text)
     assert err.value.line_no == line_no
     assert f"line {line_no}" in str(err.value)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int/str digit limit in force")
+def test_parse_error_past_the_interpreter_digit_limit_keeps_its_message():
+    # the limit, not the entry, is at fault: say so, and how to lift it
+    with pytest.raises(MatrixParseError, match="^line 2: .*set_int_max_str_digits"):
+        parse_matrix("1 1\n" + "7" * (sys.get_int_max_str_digits() + 1) + "\n")
 
 
 def test_load_matrix(tmp_path):

@@ -140,6 +140,14 @@ def test_solution_update_rejects_a_column_out_of_range():
             solution_update(x, 0, j)
 
 
+def test_solution_update_rejects_a_pivot_row_out_of_range():
+    # -1 would read the last row and return a wrong matrix
+    x = Matrix.from_rows([[Fraction(1, 2), 1], [Fraction(1, 3), 2]])
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match=f"pivot {i} out of range"):
+            solution_update(x, i, 0)
+
+
 def _random_exchange_config(rng, max_n=6, max_extra=4):
     while True:
         n = rng.randint(1, max_n)
