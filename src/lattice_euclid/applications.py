@@ -1,7 +1,7 @@
 """Determinant and Diophantine solving built on the exchange engine.
 
-Both are configurations of the engine's FIFO order with from-scratch
-solves, the order of :func:`lattice_euclid.euclid.basic_basis`:
+Both are configurations of the engine's FIFO order, the order of
+:func:`lattice_euclid.euclid.basic_basis`:
 
 * The determinant of a square ``B`` falls out of running the exchange loop
   on ``(B | I)``. The identity block forces the generated lattice to be all
@@ -9,16 +9,18 @@ solves, the order of :func:`lattice_euclid.euclid.basic_basis`:
   scales the determinant by its pivot residue, the accumulated product of
   residues is ``det(final) / det(B)`` and ``det(B)`` is recovered without
   ever being computed directly. The run does not know the determinant, so
-  it never stops early; the determinants in its trace are reconstructed
-  afterwards.
+  it solves from scratch and never stops early; the determinants in its
+  trace are reconstructed afterwards.
 * ``A x = b`` over the integers is solved on the columns of ``A`` stacked
   over ``I_m`` (Cohen 1993, section 2.4): the run carries the ``m`` identity
   rows below the basis rows, so every vector holds its integer coordinates
   with respect to the original columns, and each exchange moves them with
-  it. The run itself is that of ``basic_basis``, trace included. At the end
+  it. The run itself is that of ``basic_basis``, trace included, solved
+  on the cached adjugate as in ``inverse_variant_basis`` (``_Run.adjugate``
+  reads only the pivot rows, so the carried rows need nothing). At the end
   the carried rows are an integral ``U`` with ``A @ U = basis``;
-  feasibility then reduces to whether ``basis`` divides ``b`` evenly, and a
-  witness is ``U @ (basis**-1 b)``.
+  feasibility then reduces to whether ``basis`` divides ``b`` evenly, which
+  the same adjugate solves, and a witness is ``U @ (basis**-1 b)``.
 """
 
 from __future__ import annotations
@@ -105,24 +107,29 @@ def diophantine_run(
 
     The transform satisfies ``a_mat @ transform.matrix == basis`` for the
     final basis of the run; with ``check_invariants`` that identity is
-    re-verified after every exchange. The trace is that of
+    re-verified after every exchange, and the final solve on the cached
+    adjugate against a fresh elimination. The trace is that of
     :func:`lattice_euclid.euclid.basic_basis` on ``a_mat``.
     """
     if len(rhs) != a_mat.rows:
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
     run = _split(a_mat, coordinates=True)
-    coords = run.rows[run.dim :]  # U, m rows: A @ U == basis
+    coords = run.rows[run.dim :] or [()] * a_mat.cols  # U, m rows: A @ U == basis
+    solve, _, advance = run.adjugate()
 
     def exchanged(i, j, x):
+        advance(i, j, x)
         if a_mat.mat_vec([r[i] for r in coords]) != run.basis.column(i):
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 
-    run.fifo(run.solve, exchanged if check_invariants else None)
+    run.fifo(solve, exchanged if check_invariants else advance)
     transform = TransformU(Matrix._trusted(tuple(zip(*coords)), a_mat.cols))
     if check_invariants and (a_mat @ transform.matrix) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
     mu, vec = _integer_multiple(rhs)  # TypeError on entries that are not int or Fraction
-    num, d = run.solve(vec)  # SpanMismatchError if infeasible
+    num, d = solve(vec)  # SpanMismatchError if infeasible
+    if check_invariants and run.solve(vec) != (num, d):
+        raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")
     d *= mu  # x == num / d
     if any(e % d for e in num):
         return None, transform, tuple(run.trace)

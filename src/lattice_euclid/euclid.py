@@ -35,8 +35,11 @@ determinant update are integer operations on them. An exchange builds one
 Fraction, its trace factor. A run keeps its basis once, as int rows that each
 exchange rewrites in place; every solver starts from one elimination of their
 pivot rows, ``_Run.eliminate``, and a ``Matrix`` of the basis is built only at
-the edges. Rows below the basis rows ride along: the same exchange moves them
-with the vectors, so the Diophantine coordinates need no second copy. The public Fraction functions (:func:`mod_prime`,
+the edges. ``_Run.adjugate`` is the one cached solver: the adjugate of the
+pivot-row system over the tracked determinant, advanced by each exchange, for
+every run that knows its determinant. Rows below the basis rows ride along:
+the same exchange moves them with the vectors, so the Diophantine coordinates
+need no second copy. The public Fraction functions (:func:`mod_prime`,
 :func:`choose_pivot_argmin`, :func:`exchange_step`, :func:`solve_in_span`,
 :func:`check_off_pivot_rows`) clear denominators and call the same core.
 """
@@ -50,7 +53,16 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolationError, SpanMismatchError
-from .exact import Matrix, Scalar, _bareiss, _eliminate, _eliminate_rows, _integer_multiple, solve_system
+from .exact import (
+    Matrix,
+    Scalar,
+    _bareiss,
+    _eliminate,
+    _eliminate_rows,
+    _exchange_update,
+    _integer_multiple,
+    solve_system,
+)
 
 
 def _nearest(e: int, d: int) -> int:
@@ -136,6 +148,10 @@ def _rounded(num: Sequence[int], d: int, i: int) -> list[int]:
     out = [e // d for e in num]
     out[i] = _nearest(num[i], d)
     return out
+
+
+def _unit(k: int, n: int) -> tuple[int, ...]:
+    return (0,) * k + (1,) + (0,) * (n - k - 1)
 
 
 def _weights(num: Sequence[int], d: int, i: int) -> list[int]:
@@ -268,6 +284,16 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
     return tuple(Fraction(e, d) for e in num)
 
 
+def _advance(num: list[list[int]], d: int, i: int, w_num: Sequence[int], det: int, j: Optional[int] = None):
+    """``(numerators, det)`` of ``F(w, i)**-1 @ (num / d)`` for ``w_num == d * w``, as ``_weights`` builds it.
+
+    ``det`` must be the new denominator ``d * w[i]``.
+    """
+    if w_num[i] != det:
+        raise InvariantViolationError("exchange update disagrees with the tracked determinant")
+    return _exchange_update(num, d, i, w_num, j), det
+
+
 def coefficient_bound(n_rows: int, max_entry: int) -> int:
     """Worst-case infinity norm of a basis built under row-wise pivoting.
 
@@ -303,6 +329,8 @@ class _Run:
     Rows below the first ``dim`` are carried: pool vectors are as long as
     ``rows``, and an exchange moves the carried entries with the vectors
     (``_split`` carries each vector's coordinates in the input columns).
+    A run without columns keeps no rows: ``rows`` is empty, and ``off_rows``
+    yields the ``dim`` empty rows on demand.
     """
 
     def __init__(
@@ -321,7 +349,12 @@ class _Run:
         self.det0 = self.det = det
         self.trace: list[ExchangeRecord] = []
         self.discards = discards
-        self.off_rows = _off_rows(rows[: self.dim], self.pivot_rows)
+        self._off = _off_rows(rows[: self.dim], self.pivot_rows)
+
+    @property
+    def off_rows(self) -> Iterable:
+        """``(index, row)`` for each basis row off the pivot rows; read it afresh for each pass."""
+        return self._off if self.rows else ((t, ()) for t in range(self.dim))
 
     @property
     def basis(self) -> Matrix:
@@ -342,6 +375,37 @@ class _Run:
         d, (num,) = self.eliminate((vec,))
         _check_span(self.off_rows, vec, num, d)
         return num, d
+
+    def adjugate(self) -> tuple[Callable, Callable, Callable]:
+        """``(solve, row, exchanged)`` on the adjugate ``d * B**-1``, ``B`` the pivot-row system.
+
+        One elimination of the unit vectors builds it; ``exchanged(i, j, x)``
+        multiplies it by ``F**-1`` and checks the new ``d`` against ``det``, so
+        the run must know its determinant. ``solve(vec)`` is ``(num, d)`` as
+        :meth:`solve` returns it, the rows off the pivot rows checked likewise;
+        ``row(i)`` is ``(z, d)``, ``z / d`` row ``i`` of the pool's solutions.
+        Both read only the pivot rows, so carried rows need nothing.
+        """
+        rows, covered = self.pivot_rows, not self.off_rows
+        d, columns = self.eliminate([_unit(t, self.dim) for t in rows])
+        adj = [list(r) for r in zip(*columns)]
+
+        def solve(vec):
+            v = [vec[t] for t in rows]
+            num = [sum(map(mul, r, v)) for r in adj]
+            if not covered:
+                _check_span(self.off_rows, vec, num, d)
+            return num, d
+
+        def row(i):
+            r = adj[i]
+            return [sum(map(mul, r, v if covered else map(v.__getitem__, rows))) for v in self.pool], d
+
+        def exchanged(i, j, x):
+            nonlocal adj, d
+            adj, d = _advance(adj, d, i, _weights(x[0], d, i), self.det)
+
+        return solve, row, exchanged
 
     def exchange(self, j: int, x: tuple[Sequence[int], int], i: int) -> tuple[int, ...]:
         """Swap basis column ``i`` for the residue of ``pool[j]``; return it.
@@ -435,10 +499,6 @@ class _Run:
         )
 
 
-def _unit(k: int, n: int) -> tuple[int, ...]:
-    return (0,) * k + (1,) + (0,) * (n - k - 1)
-
-
 def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     """A run on the columns of ``a_mat``, before any exchange.
 
@@ -447,6 +507,7 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     the run carries, below each vector, its coordinates in the columns of
     ``a_mat``: ``m`` rows below the ``n`` basis rows, the unit vector
     ``e_j`` below column ``j``. Raises ValueError on a non-integral entry.
+    Without a nonzero column the run has no columns and keeps no rows.
     """
     a_mat = a_mat.to_int()  # raises on a non-integral Fraction
     columns = a_mat.columns
@@ -454,13 +515,11 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     pivot_rows, col_idx, det = _bareiss([list(r) for r in zip(*columns)], a_mat.cols)
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(columns) if j not in chosen and any(col)]
-    height = a_mat.rows
     if coordinates:
         m = a_mat.cols
         columns = [col + _unit(j, m) for j, col in enumerate(columns)]
-        height += m
     return _Run(
-        [list(r) for r in zip(*(columns[j] for j in col_idx))] or [[] for _ in range(height)],
+        [list(r) for r in zip(*(columns[j] for j in col_idx))],
         (columns[j] for j in pooled),
         sorted(pivot_rows),
         det,

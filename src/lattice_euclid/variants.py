@@ -5,13 +5,14 @@ Each driver here is a configuration of the engine in
 vectors against the basis:
 
 * ``inverse_variant_basis`` runs the FIFO order of ``basic_basis`` (same
-  pivots, same trace) against a cached inverse of the independent system.
+  pivots, same trace) against the engine's cached adjugate of the
+  independent system, ``_Run.adjugate``.
 * ``solution_variant_basis`` solves all pool vectors up front into a
   solution matrix ``X``; exchanges also accumulate into the transform
   ``Y``, kept as the integer matrix ``d0 * Y`` (``d0`` the initial
   determinant) and returned as Fractions.
 * ``rowwise_variant_basis`` forms one row of ``X`` at a time as one row of
-  the cached adjugate times the pool.
+  that same adjugate times the pool.
 
 Every solver hands the engine ``(num, d)``, integer numerators over the
 tracked determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity
@@ -38,13 +39,13 @@ from .exact import (
     Matrix,
     Scalar,
     _eliminate,
-    _exchange_update,
     _integer_multiple,
     _rational_exchange_update,
     solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
 )
 from .euclid import (
     BasisResult,
+    _advance,
     _Run,
     _check_pivot,
     _check_span,
@@ -55,51 +56,12 @@ from .euclid import (
 )
 
 
-def _advance(num: list[list[int]], d: int, i: int, w_num: Sequence[int], det: int, j: int | None = None):
-    """``(numerators, det)`` of ``F(w, i)**-1 @ (num / d)`` for ``w_num == d * w``, as ``_weights`` builds it.
-
-    ``det`` must be the new denominator ``d * w[i]``.
-    """
-    if w_num[i] != det:
-        raise InvariantViolationError("exchange update disagrees with the tracked determinant")
-    return _exchange_update(num, d, i, w_num, j), det
-
-
 def _pool_numerators(run: _Run) -> tuple[int, list[list[int]]]:
     """``(det, rows of det * X)`` for the pool against the basis, by one elimination."""
     d, columns = run.eliminate(run.pool)
     for vec, col in zip(run.pool, columns):  # the other rows, checked as solve_in_span does
         _check_span(run.off_rows, vec, col, d)
     return d, [list(r) for r in zip(*columns)] if columns else [[] for _ in run.pivot_rows]
-
-
-def _adjugate(run: _Run):
-    """``(solve, row, exchanged)`` on the adjugate ``d * B**-1``, ``B`` the pivot-row system.
-
-    One elimination builds it; ``exchanged`` multiplies it by ``F**-1``. ``solve(vec)``
-    is ``(num, d)``, ``num / d`` the solution; ``row(i)`` is ``(z, d)``, ``z / d`` row
-    ``i`` of the pool's solutions. Both read the pivot rows.
-    """
-    rows, covered = run.pivot_rows, not run.off_rows
-    d, columns = run.eliminate([_unit(t, run.dim) for t in rows])
-    adj = [list(r) for r in zip(*columns)]
-
-    def solve(vec):
-        v = [vec[t] for t in rows]
-        num = [sum(map(mul, r, v)) for r in adj]
-        if not covered:
-            _check_span(run.off_rows, vec, num, d)
-        return num, d
-
-    def row(i):
-        r = adj[i]
-        return [sum(map(mul, r, v if covered else map(v.__getitem__, rows))) for v in run.pool], d
-
-    def exchanged(i, j, x):
-        nonlocal adj, d
-        adj, d = _advance(adj, d, i, _weights(x[0], d, i), run.det)
-
-    return solve, row, exchanged
 
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
@@ -111,7 +73,7 @@ def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
     adjugate ``d * B**-1``, handed to the engine as numerators over ``d``.
     """
     run = _split(a_mat)
-    solve, _, exchanged = _adjugate(run)
+    solve, _, exchanged = run.adjugate()
     run.fifo(solve, exchanged)
     return run.result()
 
@@ -255,7 +217,7 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     and verifies every solution is integral.
     """
     run = _split(a_mat)
-    solve, row, exchanged = _adjugate(run)
+    solve, row, exchanged = run.adjugate()
     run.row_major(int(a_mat.max_abs()), row, lambda j: solve(run.pool[j]), exchanged)
     if check_invariants:
         d, x_num = _pool_numerators(run)

@@ -2,8 +2,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_euclid import (
     DimensionMismatchError,
@@ -14,7 +17,9 @@ from lattice_euclid import (
     determinant_with_trace,
     diophantine_run,
     diophantine_solve,
+    inverse_variant_basis,
     lattice_determinant,
+    member,
 )
 
 from _oracles import random_int_matrix
@@ -114,6 +119,17 @@ def test_diophantine_all_zero_system():
         diophantine_solve(a, (1, 0))
 
 
+def test_diophantine_matrix_without_columns():
+    # n x 0: only the zero vector is in the span, and its witness is empty
+    for n in (0, 1, 5):
+        a = Matrix((), rows=n)
+        for check in (False, True):
+            assert diophantine_solve(a, (0,) * n, check_invariants=check) == ()
+            if n:
+                with pytest.raises(SpanMismatchError):
+                    diophantine_solve(a, (0,) * (n - 1) + (3,), check_invariants=check)
+
+
 def test_diophantine_constructed_feasible_instances():
     rng = random.Random(2002)
     for _ in range(60):
@@ -193,3 +209,55 @@ def test_diophantine_transform_tracks_basis():
         assert a @ transform.matrix == basic.basis
         for rec in trace:
             assert 0 < abs(rec.factor) <= 1
+
+
+@st.composite
+def _systems(draw):
+    """``(A, rhs)`` with ``A`` at most 5x9, about a third of them rank-deficient.
+
+    ``rhs`` is either an image of ``A`` before it is scaled by 1, 2 or 3 (so
+    often infeasible once scaled), or free (so often outside the span).
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 9))
+    entries = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    if draw(st.integers(0, 2)) == 0:
+        r = draw(st.integers(0, n - 1))
+        left = [[draw(st.integers(-9, 9)) for _ in range(r)] for _ in range(n)]
+        right = [draw(entries) for _ in range(r)]
+        rows = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(m)] for row in left]
+    else:
+        rows = [draw(entries) for _ in range(n)]
+    scale = draw(st.sampled_from((1, 1, 2, 3)))
+    a = Matrix(tuple(tuple(scale * e for e in col) for col in zip(*rows)), rows=n)
+    if draw(st.booleans()):
+        hidden = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+        rhs = tuple(sum(map(mul, row, hidden)) for row in rows)
+    else:
+        rhs = tuple(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    return a, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_diophantine_run_is_the_fifo_run_and_solves(system):
+    a, rhs = system
+    basic = basic_basis(a)
+    assert inverse_variant_basis(a).trace == basic.trace
+    outcomes = []
+    for check in (False, True):
+        try:
+            outcomes.append(diophantine_run(a, rhs, check_invariants=check))
+        except SpanMismatchError:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]  # the checks change no output
+    if outcomes[0] is None:
+        assert not member(a, rhs)
+        return
+    solution, transform, trace = outcomes[0]
+    assert trace == basic.trace
+    assert a @ transform.matrix == basic.basis
+    if solution is None:
+        assert not member(a, rhs)
+    else:
+        assert a.mat_vec(solution) == rhs

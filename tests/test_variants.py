@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from lattice_euclid import (
 )
 
 from lattice_euclid import euclid, variants
-from lattice_euclid.errors import InvariantViolationError
+from lattice_euclid.errors import InvariantViolationError, SpanMismatchError
 from lattice_euclid.euclid import _split, _weights
 from lattice_euclid.variants import _advance, _pool_numerators, _y_column
 
@@ -353,6 +354,52 @@ def test_rowwise_variant_eliminates_once(monkeypatch):
         assert (res.basis, res.trace) == (want.basis, want.trace)
 
 
+def test_diophantine_run_eliminates_once(monkeypatch):
+    # the Diophantine run solves every FIFO step and its right-hand side on
+    # the cached adjugate: one elimination per run, whatever the number of
+    # exchanges, on full and deficient rank, and whether the right-hand side
+    # is feasible, infeasible or outside the span
+    rng = random.Random(4244)
+    full = random_instance(InstanceParams(n=6, m=10, bound=1000, seed=34))
+    low = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
+    assert len(find_independent_columns(low)) < low.rows
+    even = Matrix.from_rows([[2 * e for e in r] for r in low.to_rows()])
+    odd = low.mat_vec((1,) + (0,) * (low.cols - 1))  # in the span of `even`, not its lattice
+    assert any(e % 2 for e in odd)
+    zero = Matrix.from_rows([[0, 0], [0, 0]])
+    cases = [
+        (full, full.mat_vec(range(full.cols)), "witness"),
+        (low, low.mat_vec(range(low.cols)), "witness"),
+        (even, odd, None),
+        (low, (1,) + (0,) * (low.rows - 1), SpanMismatchError),
+        (zero, (0, 0), "witness"),
+        (zero, (1, 0), SpanMismatchError),
+    ]
+    traces = [basic_basis(a).trace for a, _, _ in cases]
+    calls = []
+
+    def counting(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for module, name in ((variants, "_eliminate"), (euclid, "_eliminate_rows"), (euclid, "_eliminate")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for (a, rhs, want), basic_trace in zip(cases, traces):
+        calls.clear()
+        if want is SpanMismatchError:
+            with pytest.raises(SpanMismatchError):
+                diophantine_run(a, rhs)
+        else:
+            solution, _, trace = diophantine_run(a, rhs)
+            assert (solution is None) == (want is None)
+            assert solution is None or a.mat_vec(solution) == tuple(rhs)
+            assert trace == basic_trace
+        assert calls == ["_eliminate_rows"]
+    assert len({len(t) for t in traces}) > 2
+
+
 def test_exchanges_build_no_basis_matrix(monkeypatch):
     # the run keeps its basis once, as int rows rewritten in place; a Matrix
     # of it is built only for the result
@@ -431,6 +478,26 @@ def test_variants_agree_on_gcd_and_edge_shapes():
     for a in cases:
         forms = [hnf(fn(a).basis) for fn in ALL_VARIANTS]
         assert all(f == forms[0] for f in forms[1:])
+
+
+def test_matrix_without_columns_builds_no_per_row_list():
+    # a header-only matrix file such as "1000000 0" costs no memory per row:
+    # the run keeps no rows and checks the off-pivot rows on demand
+    a = Matrix((), rows=10**6)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for fn in ALL_VARIANTS:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = fn(a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert (res.basis.rows, res.basis.cols, res.exchanges) == (10**6, 0, 0)
+            assert peak < 10**6, (fn.__name__, peak)
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def test_integer_weights_match_the_fraction_weights():
