@@ -3,7 +3,9 @@
 Format: a header line ``rows cols``, then ``rows`` lines of ``cols``
 whitespace-separated decimal integers (any length). Lines starting with
 ``#`` and blank lines are ignored, so a matrix without columns is its
-header alone. Vectors are single-column matrices.
+header alone, and so is one without rows: its header ``0 m`` may claim at
+most ``2**20`` columns, since each costs memory while nothing in the file
+pays for it. Vectors are single-column matrices.
 ASCII decimal with LF newlines, so files diff cleanly and round-trip
 bit-exactly at any precision. Anything else ``int`` would read, such as
 other scripts' digits or ``_`` separators, is a MatrixParseError naming
@@ -18,6 +20,7 @@ import re
 from .exact import Matrix
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+_MAX_EMPTY_COLUMNS = 2**20  # a 0 x m matrix holds m empty columns that no file line pays for
 
 
 class MatrixParseError(ValueError):
@@ -58,6 +61,8 @@ def parse_matrix(text: str) -> Matrix:
     n, m = _integers(header_no, header, parts, "header entries")
     if n < 0 or m < 0:
         raise MatrixParseError(header_no, "dimensions must be non-negative")
+    if n == 0 and m > _MAX_EMPTY_COLUMNS:
+        raise MatrixParseError(header_no, f"a matrix without rows may have at most {_MAX_EMPTY_COLUMNS} columns")
     body = significant[1:]
     if m == 0:
         # the rows of a matrix without columns are empty lines

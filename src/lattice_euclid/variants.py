@@ -8,17 +8,17 @@ vectors against the basis:
   pivots, same trace) against the engine's cached adjugate of the
   independent system, ``_Run.adjugate``.
 * ``solution_variant_basis`` solves all pool vectors up front into a
-  solution matrix ``X``; exchanges also accumulate into the transform
-  ``Y``, kept as the integer matrix ``d0 * Y`` (``d0`` the initial
-  determinant) and returned as Fractions.
+  solution matrix ``X`` and advances only ``X``; its transform ``Y`` comes
+  from one closing elimination of the initial pivot rows against the final
+  basis.
 * ``rowwise_variant_basis`` forms one row of ``X`` at a time as one row of
   that same adjugate times the pool.
 
 Every solver hands the engine ``(num, d)``, integer numerators over the
 tracked determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity
-with column ``i`` set to ``w``: ``Y`` advances by ``F`` (:func:`y_update`), the
-cached inverse and ``X`` in integer numerators over ``det B`` by ``F**-1``
-(``exact._exchange_update``); all three updates run in ints on ``d * w``.
+with column ``i`` set to ``w``: the cached inverse and ``X`` advance in
+integer numerators over ``det B`` by ``F**-1`` (``exact._exchange_update``),
+in ints on ``d * w``; a transform would advance by ``F`` (:func:`y_update`).
 
 The last two run the engine's row-major order, so they produce the same
 trace. That order is what tames coefficient growth: when rows above ``i``
@@ -105,35 +105,16 @@ def solution_update(x_mat: Matrix, i: int, j: int) -> Matrix:
     return _rational_exchange_update(x_mat, i, [Fraction(e, d) for e in w], j)
 
 
-def _y_column(columns: Sequence[Sequence[Scalar]], v: Sequence[Scalar], i: int, units: Sequence[Sequence[Scalar]]):
-    """``Y @ v``, column ``i`` of ``Y @ F`` for ``F`` the identity with column ``i`` set to ``v``.
-
-    ``columns`` are those of ``Y``, which started as the columns ``units`` of
-    ``u * I``. When ``v`` vanishes above ``i`` and every column of ``Y`` below
-    ``i`` is still its unit, the product collapses to ``Y_i * v[i]`` plus ``u``
-    times the tail of ``v``: O(n) operations instead of O(n^2).
-    """
-    r = len(v)
-    if any(v[:i]) or any(columns[k] != units[k] for k in range(i + 1, r)):
-        return Matrix._trusted(tuple(columns), r).mat_vec(v)
-    old, vi, u = columns[i], v[i], units[i][i]
-    return tuple(old[t] * vi + u * v[t] if t > i else old[t] * vi for t in range(r))
-
-
 def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
     """Fold one exchange vector ``v`` into the accumulated transform.
 
     The exchange rewrites the transform as ``Y @ (e_0, ..., v, ..., e_{n-1})``
     with ``v`` in slot ``i``, which only changes column ``i`` to ``Y @ v``.
-    Under row-wise pivoting ``v`` vanishes above ``i`` and the columns of
-    ``Y`` below ``i`` are still unit vectors, so the product collapses to
-    ``Y_i * v[i]`` plus the raw tail of ``v`` -- O(n) scalar operations. The
-    full O(n^2) product is used whenever those preconditions do not hold.
     """
     r = y_mat.rows
     if y_mat.cols != r or len(v) != r:
         raise DimensionMismatchError("y_update needs a square transform and a matching vector")
-    return y_mat.with_column(i, _y_column(y_mat.columns, v, i, Matrix.identity(r).columns))
+    return y_mat.with_column(i, y_mat.mat_vec(v))
 
 
 def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
@@ -141,46 +122,36 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
 
     Solves every pool vector in one elimination, then repeatedly exchanges
     on the minimal fractional row (smallest column on ties), updating ``X``
-    as :func:`solution_update` does but over the determinant in ints, and
-    folding each exchange into the transform ``Y`` as :func:`y_update` does.
-    ``Y`` is kept as the integer ``d0 * Y``, ``d0`` the initial determinant:
-    ``d0 * Y == adj(B0) @ B`` for the initial basis ``B0``, so column ``i``
-    advances exactly by ``(d0 * Y) @ (d * w) // d``. ``initial_basis @ Y``
-    must reproduce the basis at the end; ``result.transform`` is ``Y`` as
-    Fractions, with the untouched columns left as int unit vectors. The
+    as :func:`solution_update` does but over the determinant in ints. The
     per-step growth bound ``new <= old + (n-1)*||A||`` and
     :func:`coefficient_bound` are enforced on every exchange.
 
-    ``check_invariants`` additionally verifies, per iteration, that
-    ``initial_basis @ Y`` reproduces the basis, and at the end checks the
-    multiplicative determinant and ``X`` against a fresh elimination.
-    Violations raise InvariantViolationError.
+    Nothing in the run reads the transform ``Y`` with ``initial_basis @ Y
+    == basis``, so it is not tracked: one closing elimination of the initial
+    pivot rows against the final basis gives ``d0 * Y`` in ints (``d0`` the
+    initial determinant) and checks the rows off the pivot rows exactly.
+    ``result.transform`` is ``Y``: Fractions over ``d0`` in the columns an
+    exchange touched, int unit vectors in the others.
+
+    ``check_invariants`` additionally checks the multiplicative determinant
+    and ``X`` at the end against a fresh elimination. Violations raise
+    InvariantViolationError.
     """
     run = _split(a_mat)
-    initial_rows = [r[:] for r in run.rows]
+    initial = _Run([r[:] for r in run.rows], (), run.pivot_rows, None, dim=run.dim)
     d, x_num = _pool_numerators(run)
-    d0, n = d, len(run.pivot_rows)
-    units = [tuple(d0 if t == k else 0 for t in range(n)) for k in range(n)]
-    y = list(units)  # columns of d0 * Y
-
-    def check_transform():
-        for col, b in zip(y, run.basis.columns):
-            if [sum(map(mul, r, col)) for r in initial_rows] != [d0 * e for e in b]:
-                raise InvariantViolationError("transform product drifted from the basis")
 
     def exchanged(i, j, x):
         nonlocal d, x_num
-        w = _weights(x[0], d, i)
-        y[i] = tuple(e // d for e in _y_column(y, w, i, units))
-        x_num, d = _advance(x_num, d, i, w, run.det, j)
-        if check_invariants:
-            check_transform()
+        x_num, d = _advance(x_num, d, i, _weights(x[0], d, i), run.det, j)
 
     run.row_major(int(a_mat.max_abs()), lambda i: (x_num[i], d), lambda j: ([r[j] for r in x_num], d), exchanged)
-    check_transform()
+    initial.pool = run.basis.columns
+    d0, y_num = _pool_numerators(initial)
     if check_invariants and _pool_numerators(run) != (run.det, x_num):
         raise InvariantViolationError("determinant or solution matrix disagrees with a fresh elimination")
-    transform = tuple(_unit(k, n) if c is units[k] else tuple(Fraction(e, d0) for e in c) for k, c in enumerate(y))
+    n, touched = len(run.pivot_rows), {rec.pivot_row for rec in run.trace}
+    transform = tuple(tuple(Fraction(r[k], d0) for r in y_num) if k in touched else _unit(k, n) for k in range(n))
     return run.result(transform=Matrix._trusted(transform, n))
 
 

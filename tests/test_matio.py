@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -46,8 +47,29 @@ def test_roundtrip_every_shape(n, m, data):
 
 
 def test_parse_zero_rows():
-    m = parse_matrix("0 3\n")
-    assert (m.rows, m.cols) == (0, 3)
+    for cols in (3, 2**20):  # 2**20: the most columns a header without rows may claim
+        m = parse_matrix(f"0 {cols}\n")
+        assert (m.rows, m.cols) == (0, cols)
+        assert parse_matrix(format_matrix(m)) == m
+
+
+def test_parse_zero_rows_caps_the_claimed_columns():
+    # a 0 x m matrix is its header alone, so nothing in the file pays for its
+    # m empty columns: past 2**20 the header line is malformed, before any
+    # column is built
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix("# no rows\n0 1048577\n")
+        assert tracemalloc.get_traced_memory()[1] - base < 10**6
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert err.value.line_no == 2
 
 
 @pytest.mark.parametrize(

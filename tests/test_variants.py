@@ -31,7 +31,7 @@ from lattice_euclid import (
 from lattice_euclid import euclid, variants
 from lattice_euclid.errors import InvariantViolationError, SpanMismatchError
 from lattice_euclid.euclid import _split, _weights
-from lattice_euclid.variants import _advance, _pool_numerators, _y_column
+from lattice_euclid.variants import _advance, _pool_numerators
 
 from _oracles import is_integral, random_int_matrix, random_nonsingular
 
@@ -354,6 +354,41 @@ def test_rowwise_variant_eliminates_once(monkeypatch):
         assert (res.basis, res.trace) == (want.basis, want.trace)
 
 
+def test_solution_variant_eliminates_twice(monkeypatch):
+    # one elimination solves the pool into X, which the exchanges advance;
+    # one closing elimination of the initial pivot rows against the final
+    # basis gives the transform: two per run, whatever the number of
+    # exchanges, on full and deficient rank, square input and no columns
+    rng = random.Random(4245)
+    lowrank = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
+    assert len(find_independent_columns(lowrank)) < lowrank.rows
+    cases = [
+        random_instance(InstanceParams(n=6, m=10, bound=1000, seed=35)),
+        lowrank,
+        Matrix.from_rows([[3, 1], [0, 2]]),
+        Matrix((), rows=3),
+    ]
+    expected = [rowwise_variant_basis(a) for a in cases]
+    calls = []
+
+    def counting(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for module, name in ((variants, "_eliminate"), (euclid, "_eliminate_rows"), (euclid, "solve_system")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    exchanges = []
+    for a, want in zip(cases, expected):
+        calls.clear()
+        res = solution_variant_basis(a)
+        exchanges.append(res.exchanges)
+        assert calls == ["_eliminate_rows", "_eliminate_rows"]
+        assert (res.basis, res.trace) == (want.basis, want.trace)
+    assert exchanges[0] > 0 and exchanges[1] > 0 and exchanges[2:] == [0, 0]
+
+
 def test_diophantine_run_eliminates_once(monkeypatch):
     # the Diophantine run solves every FIFO step and its right-hand side on
     # the cached adjugate: one elimination per run, whatever the number of
@@ -547,9 +582,10 @@ def test_the_exchange_path_builds_one_fraction_per_exchange(monkeypatch):
 
 
 def test_integer_transform_divides_exactly_and_matches_the_rational_one():
-    # the solution driver keeps d0 * Y in ints (d0 the initial determinant)
-    # and advances column i by (d0 * Y) @ (d * w) // d; replay that beside the
-    # rational y_update of the same exchanges
+    # the solution driver solves d0 * Y once, against the final basis (d0 the
+    # initial determinant); it must equal the product form of the same
+    # exchanges, replayed here with the rational y_update, in values and in
+    # entry types
     rng = random.Random(909)
     cases = [Matrix.from_rows([[0, 2, 1], [3, 0, 1]])]  # d0 == -6
     cases += [random_int_matrix(rng, n, n + 3, 15) for n in (1, 2, 3, 4, 5, 6) for _ in range(5)]
@@ -557,19 +593,13 @@ def test_integer_transform_divides_exactly_and_matches_the_rational_one():
     for a in cases:
         run = _split(a)
         d, x_num = _pool_numerators(run)
-        d0, n = d, run.basis.cols
-        units = [tuple(d0 * (t == k) for t in range(n)) for k in range(n)]
-        y_int, y_rat = list(units), Matrix.identity(n)
-        signs.add(d0 > 0)
+        y_rat = Matrix.identity(run.basis.cols)
+        signs.add(d > 0)
 
         def exchanged(i, j, x):
             nonlocal d, x_num, y_rat
             w = _weights(x[0], d, i)
-            col = _y_column(y_int, w, i, units)
-            assert all(e % d == 0 for e in col)
-            y_int[i] = tuple(e // d for e in col)
             y_rat = y_update(y_rat, [Fraction(e, d) for e in w], i)
-            assert [tuple(d0 * e for e in c) for c in y_rat.columns] == y_int
             x_num, d = _advance(x_num, d, i, w, run.det, j)
 
         run.row_major(int(a.max_abs()), lambda i: (x_num[i], d), lambda j: ([r[j] for r in x_num], d), exchanged)
