@@ -12,7 +12,6 @@ and an independent Hermite-form oracle provides ground truth for testing.
 """
 
 from .applications import (
-    TransformU,
     determinant_with_trace,
     diophantine_run,
     diophantine_solve,
@@ -42,18 +41,16 @@ from .euclid import (
     ExchangeRecord,
     basic_basis,
     choose_pivot_argmin,
+    coefficient_bound,
     exchange_step,
     find_independent_columns,
     frac_part,
-    mod_parallelepiped,
     mod_prime,
-    next_int,
     solve_in_span,
 )
 from .matio import MatrixParseError, format_matrix, load_matrix, parse_matrix
 from .oracle import InstanceParams, hnf, lattice_equal, member, random_instance, xgcd
 from .variants import (
-    coefficient_bound,
     inverse_variant_basis,
     rowwise_variant_basis,
     solution_update,
@@ -79,7 +76,6 @@ __all__ = [
     "SingularMatrixError",
     "SingularUpdateError",
     "SpanMismatchError",
-    "TransformU",
     "bareiss_det",
     "basic_basis",
     "choose_pivot_argmin",
@@ -100,9 +96,7 @@ __all__ = [
     "lcm_denominators",
     "load_matrix",
     "member",
-    "mod_parallelepiped",
     "mod_prime",
-    "next_int",
     "parse_matrix",
     "random_instance",
     "rowwise_variant_basis",

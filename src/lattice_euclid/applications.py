@@ -7,10 +7,12 @@ Both are configurations of the engine's FIFO order, the order of
   on ``(B | I)``. The identity block forces the generated lattice to be all
   of ``Z^n``, so the run ends on a unimodular basis; since every exchange
   scales the determinant by its pivot residue, the accumulated product of
-  residues is ``det(final) / det(B)`` and ``det(B)`` is recovered without
-  ever being computed directly. The run does not know the determinant, so
-  it solves from scratch and never stops early; the determinants in its
-  trace are reconstructed afterwards.
+  residues is ``det(final) / det(B)``, and ``det(B)`` is the sign
+  ``det(final)``, read by one closing ``bareiss_det``, over that product.
+  The run does not track the determinant: it solves from scratch, reads
+  each solve's ``d`` (the current system's determinant) only as a
+  denominator, and never stops early; the determinants in its trace are
+  reconstructed afterwards.
 * ``A x = b`` over the integers is solved on the columns of ``A`` stacked
   over ``I_m`` (Cohen 1993, section 2.4): the run carries the ``m`` identity
   rows below the basis rows, so every vector holds its integer coordinates
@@ -26,7 +28,6 @@ Both are configurations of the engine's FIFO order, the order of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -34,16 +35,6 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatchError, InvariantViolationError, SingularMatrixError
 from .exact import Matrix, _integer_multiple, bareiss_det
 from .euclid import ExchangeRecord, _Run, _scaled_det, _split, _unit
-
-
-@dataclass(frozen=True)
-class TransformU:
-    """Integral coordinates of the final basis in the original generators.
-
-    ``matrix`` is the m-by-rank integer matrix with ``A @ matrix == basis``.
-    """
-
-    matrix: Matrix
 
 
 def lattice_determinant(b_mat: Matrix) -> int:
@@ -102,10 +93,10 @@ def diophantine_solve(
 
 def diophantine_run(
     a_mat: Matrix, rhs: Sequence[int], *, check_invariants: bool = False
-) -> tuple[Optional[tuple[int, ...]], TransformU, tuple[ExchangeRecord, ...]]:
-    """Full Diophantine run: witness (or None), transform, exchange trace.
+) -> tuple[Optional[tuple[int, ...]], Matrix, tuple[ExchangeRecord, ...]]:
+    """Full Diophantine run: witness (or None), transform ``U``, exchange trace.
 
-    The transform satisfies ``a_mat @ transform.matrix == basis`` for the
+    ``U`` is the m-by-rank integer matrix with ``a_mat @ U == basis`` for the
     final basis of the run; with ``check_invariants`` that identity is
     re-verified after every exchange, and the final solve on the cached
     adjugate against a fresh elimination. The trace is that of
@@ -123,8 +114,8 @@ def diophantine_run(
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 
     run.fifo(solve, exchanged if check_invariants else advance)
-    transform = TransformU(Matrix._trusted(tuple(zip(*coords)), a_mat.cols))
-    if check_invariants and (a_mat @ transform.matrix) != run.basis:
+    transform = Matrix._trusted(tuple(zip(*coords)), a_mat.cols)
+    if check_invariants and (a_mat @ transform) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
     mu, vec = _integer_multiple(rhs)  # TypeError on entries that are not int or Fraction
     num, d = solve(vec)  # SpanMismatchError if infeasible

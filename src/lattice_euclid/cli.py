@@ -19,16 +19,11 @@ from typing import Sequence
 
 from .applications import determinant_with_trace, diophantine_run
 from .errors import DimensionMismatchError, SpanMismatchError
-from .euclid import BasisResult, ExchangeRecord, basic_basis
+from .euclid import BasisResult, ExchangeRecord, basic_basis, coefficient_bound
 from .exact import Matrix, lcm_denominators
 from .matio import MatrixParseError, format_matrix, load_matrix
 from .oracle import InstanceParams, hnf, lattice_equal, random_instance
-from .variants import (
-    coefficient_bound,
-    inverse_variant_basis,
-    rowwise_variant_basis,
-    solution_variant_basis,
-)
+from .variants import inverse_variant_basis, rowwise_variant_basis, solution_variant_basis
 
 
 class _InputError(Exception):

@@ -61,19 +61,13 @@ from .exact import (
     _eliminate_rows,
     _exchange_update,
     _integer_multiple,
-    solve_system,
+    solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
 )
 
 
 def _nearest(e: int, d: int) -> int:
     """Nearest integer to ``e / d`` (``d`` of either sign); halves round toward +infinity."""
     return (2 * e + d) // (2 * d)
-
-
-def next_int(q: Scalar) -> int:
-    """Nearest integer to ``q``; halves round toward +infinity."""
-    d, (e,) = _integer_multiple((q,))
-    return _nearest(e, d)
 
 
 def frac_part(q: Scalar) -> Scalar:
@@ -85,7 +79,7 @@ def frac_part(q: Scalar) -> Scalar:
 class ExchangeRecord:
     """One exchange step of a run.
 
-    ``factor`` is the pivot residue ``x_i - next_int(x_i)``; it equals the
+    ``factor`` is the pivot residue ``x_i - floor(x_i + 1/2)``; it equals the
     ratio of the basis determinant after and before the step, so
     ``0 < |factor| <= 1/2`` and ``det_after == factor * det_before``.
     ``column`` is the pool slot the source vector occupied when exchanged.
@@ -127,20 +121,6 @@ class BasisResult:
     max_abs_entry: int
     trace: tuple[ExchangeRecord, ...]
     transform: Optional[Matrix] = None
-
-
-def mod_parallelepiped(b_mat: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
-    """Residue of ``vec`` inside the fundamental parallelepiped of ``b_mat``.
-
-    For square nonsingular ``b_mat`` this is ``B * frac(B**-1 vec)``: the
-    unique representative of ``vec`` modulo the lattice of ``b_mat`` lying in
-    ``{B t : t in [0,1)^n}``. The result is integral and differs from ``vec``
-    by a lattice vector.
-    """
-    x = solve_system(b_mat, vec)
-    shifts = [math.floor(q) for q in x]
-    bx = b_mat.mat_vec(shifts)
-    return tuple(v - w for v, w in zip(vec, bx))
 
 
 def _rounded(num: Sequence[int], d: int, i: int) -> list[int]:
@@ -196,7 +176,7 @@ def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) ->
     ``x`` must solve ``b_mat @ x == vec`` and ``x[i]`` must be fractional;
     all coordinates are floored except ``i``, which is rounded to the
     nearest integer. Swapping column ``i`` for the result scales the
-    determinant by ``x[i] - next_int(x[i])``, of magnitude at most 1/2.
+    determinant by ``x[i] - floor(x[i] + 1/2)``, of magnitude at most 1/2.
     """
     if len(vec) != b_mat.rows:
         raise DimensionMismatchError(f"vector of length {len(vec)} against {b_mat.rows} rows")
@@ -219,7 +199,8 @@ def choose_pivot_argmin(x: Sequence[Scalar]) -> Optional[int]:
     return _pivot(num, d)
 
 
-def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int]]:
+def find_independent_columns(a_mat: Matrix) -> list[int]:
+    """Lexicographically first maximal set of independent column indices."""
     # One greedy left-to-right fraction-free elimination, exact._bareiss, on
     # the rows (columns scaled by their lcm). Column j is independent of the
     # kept columns iff it is nonzero on a row not yet a pivot row; the first
@@ -228,13 +209,7 @@ def _independent_columns(a_mat: Matrix) -> tuple[list[int], list[int]]:
     # a rational column elimination. Each entry is a minor of the input and
     # stays within Hadamard's bound.
     rows = [list(r) for r in zip(*(_integer_multiple(c)[1] for c in a_mat.columns))]
-    pivot_rows, col_idx, _ = _bareiss(rows, a_mat.cols)
-    return col_idx, sorted(pivot_rows)
-
-
-def find_independent_columns(a_mat: Matrix) -> list[int]:
-    """Lexicographically first maximal set of independent column indices."""
-    return _independent_columns(a_mat)[0]
+    return _bareiss(rows, a_mat.cols)[1]
 
 
 def _off_rows(rows: Sequence[Sequence[Scalar]], pivot_rows: Sequence[int]) -> list:
@@ -511,13 +486,13 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     """
     a_mat = a_mat.to_int()  # raises on a non-integral Fraction
     columns = a_mat.columns
-    # the elimination of _independent_columns, on entries already checked
+    # the elimination of find_independent_columns, on entries already checked
     pivot_rows, col_idx, det = _bareiss([list(r) for r in zip(*columns)], a_mat.cols)
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(columns) if j not in chosen and any(col)]
-    if coordinates:
+    if coordinates:  # only for the columns the run keeps: a zero column carries nothing
         m = a_mat.cols
-        columns = [col + _unit(j, m) for j, col in enumerate(columns)]
+        columns = {j: columns[j] + _unit(j, m) for j in (*col_idx, *pooled)}
     return _Run(
         [list(r) for r in zip(*(columns[j] for j in col_idx))],
         (columns[j] for j in pooled),

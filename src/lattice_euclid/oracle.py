@@ -43,6 +43,8 @@ def hnf(a_mat: Matrix) -> Matrix:
     cols = [list(a_mat.column(j)) for j in range(a_mat.cols)]
     fixed = 0
     for i in range(a_mat.rows):
+        if fixed == len(cols):  # no column left to pivot on any later row
+            break
         nonzero = [j for j in range(fixed, len(cols)) if cols[j][i] != 0]
         if not nonzero:
             continue

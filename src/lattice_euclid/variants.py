@@ -52,7 +52,6 @@ from .euclid import (
     _split,
     _unit,
     _weights,
-    coefficient_bound,  # re-exported: defined beside the engine that enforces it
 )
 
 

@@ -78,6 +78,11 @@ def fraction_echelon(a_mat):
     return col_idx, sorted(pivot_rows)
 
 
+def round_half_up(q):
+    """Nearest integer to ``q``, halves rounded toward +infinity: ``floor(q + 1/2)``."""
+    return math.floor(q + Fraction(1, 2))
+
+
 def pivot_argmin_fraction(x):
     """Fractional coordinate nearest an integer, by Fraction arithmetic.
 
@@ -88,7 +93,7 @@ def pivot_argmin_fraction(x):
     for j, q in enumerate(x):
         if q == math.floor(q):
             continue
-        dist = abs(q - math.floor(q + Fraction(1, 2)))
+        dist = abs(q - round_half_up(q))
         if best_dist is None or dist < best_dist:
             best, best_dist = j, dist
     return best

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import mul
@@ -130,6 +131,28 @@ def test_diophantine_matrix_without_columns():
                     diophantine_solve(a, (0,) * (n - 1) + (3,), check_invariants=check)
 
 
+def test_diophantine_zero_columns_carry_no_coordinates():
+    # the run carries coordinates only for the columns it keeps, so a header-only
+    # file such as "0 1048576" costs memory linear in m, not m**2 (134 MB at
+    # m = 4096 when every column carried a unit vector)
+    m = 4096
+    sparse = Matrix(((6,), (10,)) + ((0,),) * (m - 2), rows=1)
+    cases = [(Matrix(((),) * m, rows=0), (), (0,) * m), (sparse, (2,), (2, -1) + (0,) * (m - 2))]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for a, rhs, witness in cases:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert diophantine_solve(a, rhs) == witness
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < 4 * 10**6, (a.rows, peak)
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def test_diophantine_constructed_feasible_instances():
     rng = random.Random(2002)
     for _ in range(60):
@@ -206,7 +229,7 @@ def test_diophantine_transform_tracks_basis():
         # the Diophantine run is the basic run with coordinates tagged along
         basic = basic_basis(a)
         assert trace == basic.trace
-        assert a @ transform.matrix == basic.basis
+        assert a @ transform == basic.basis
         for rec in trace:
             assert 0 < abs(rec.factor) <= 1
 
@@ -256,7 +279,7 @@ def test_diophantine_run_is_the_fifo_run_and_solves(system):
         return
     solution, transform, trace = outcomes[0]
     assert trace == basic.trace
-    assert a @ transform.matrix == basic.basis
+    assert a @ transform == basic.basis
     if solution is None:
         assert not member(a, rhs)
     else:

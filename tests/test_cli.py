@@ -253,6 +253,18 @@ def test_basis_of_all_zero_input_checks_equal(tmp_path, capsys):
     assert capsys.readouterr().out == "EQUAL\n"
 
 
+def test_header_only_files_cost_nothing_per_claimed_row(tmp_path):
+    # "n 0" has no cap: hnf leaves its row loop once every column has pivoted,
+    # here at once, so neither command walks the 10**9 rows
+    path = tmp_path / "tall.mat"
+    path.write_text("1000000000 0\n")
+    for argv, out in ((["hnf", str(path)], "1000000000 0\n"), (["check", str(path), str(path)], "EQUAL\n")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattice_euclid", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 def test_module_entry_point(gcd_file):
     proc = subprocess.run(
         [sys.executable, "-m", "lattice_euclid", "basis", "--alg", "basic", gcd_file],

@@ -24,9 +24,7 @@ from lattice_euclid import (
     inverse_variant_basis,
     lattice_equal,
     member,
-    mod_parallelepiped,
     mod_prime,
-    next_int,
     rowwise_variant_basis,
     solution_variant_basis,
     solve_in_span,
@@ -34,10 +32,10 @@ from lattice_euclid import (
 )
 from lattice_euclid import euclid, exact
 from lattice_euclid.errors import InvariantViolationError
-from lattice_euclid.euclid import _independent_columns, _split, _weights
+from lattice_euclid.euclid import _nearest, _pivot, _split, _weights
 from lattice_euclid.exact import _bareiss, _integer_multiple
 
-from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix
+from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix, round_half_up
 
 B23 = Matrix.from_rows([[2, 1], [1, 3]])  # det 5, used throughout
 
@@ -45,16 +43,18 @@ B23 = Matrix.from_rows([[2, 1], [1, 3]])  # det 5, used throughout
 # --- rounding helpers ------------------------------------------------------
 
 
-def test_next_int_examples():
-    assert next_int(Fraction(3, 2)) == 2
-    assert next_int(Fraction(-3, 2)) == -1
-    assert next_int(Fraction(7, 3)) == 2
-    assert next_int(5) == 5
+def test_nearest_rounds_halves_up_for_either_sign_of_d():
+    assert _nearest(1, -2) == 0  # -1/2
+    assert _nearest(-3, -2) == 2  # 3/2
+    assert (_nearest(3, 2), _nearest(-3, 2), _nearest(7, 3), _nearest(10, 2)) == (2, -1, 2, 5)
 
 
-@given(st.fractions(min_value=-100, max_value=100, max_denominator=64))
-def test_next_int_is_nearest_with_ties_up(q):
-    n = next_int(q)
+@given(st.integers(-500, 500), st.integers(1, 64), st.booleans())
+def test_nearest_is_nearest_with_ties_up(e, den, negative):
+    d = -den if negative else den
+    q = Fraction(e, d)
+    n = _nearest(e, d)
+    assert n == round_half_up(q)
     assert abs(q - n) <= Fraction(1, 2)
     if frac_part(q) == Fraction(1, 2):
         assert n == math.floor(q) + 1
@@ -62,29 +62,6 @@ def test_next_int_is_nearest_with_ties_up(q):
 
 
 # --- residue operators -----------------------------------------------------
-
-
-def test_mod_parallelepiped_entrywise():
-    assert mod_parallelepiped(Matrix.from_rows([[2, 0], [0, 2]]), (3, 5)) == (1, 1)
-
-
-def test_mod_parallelepiped_lattice_member_is_zero():
-    a = B23.mat_vec((2, -3))
-    assert mod_parallelepiped(B23, a) == (0, 0)
-
-
-def test_mod_parallelepiped_hand_checked():
-    r = mod_parallelepiped(B23, (1, 0))
-    assert r == (2, 3)
-    # the drop (1,0) - (2,3) must be a lattice vector
-    assert member(B23, (1 - 2, 0 - 3))
-    # residue coordinates lie inside the half-open unit box
-    assert all(0 <= e < 1 for e in solve_system(B23, r))
-
-
-def test_mod_parallelepiped_singular():
-    with pytest.raises(SingularMatrixError):
-        mod_parallelepiped(Matrix.from_rows([[1, 1], [1, 1]]), (1, 0))
 
 
 def test_mod_prime_scalar():
@@ -106,7 +83,7 @@ def test_mod_prime_hand_checked_with_det_ratio():
     assert r == (0, 2)
     replaced = B23.with_column(0, r)
     assert bareiss_det(replaced) == -2
-    assert Fraction(bareiss_det(replaced), bareiss_det(B23)) == x[0] - next_int(x[0])
+    assert Fraction(bareiss_det(replaced), bareiss_det(B23)) == x[0] - round_half_up(x[0])
 
 
 def test_mod_prime_integral_pivot_rejected():
@@ -148,7 +125,7 @@ def test_mod_prime_consistency_random():
         if i is None:
             continue
         r = mod_prime(b, a, x, i)
-        rounded = [next_int(q) if k == i else math.floor(q) for k, q in enumerate(x)]
+        rounded = [round_half_up(q) if k == i else math.floor(q) for k, q in enumerate(x)]
         assert r == tuple(v - w for v, w in zip(a, b.mat_vec(rounded)))
         d, num = _integer_multiple(x)
         assert b.mat_vec(_weights(num, d, i)) == tuple(d * e for e in r)
@@ -189,6 +166,21 @@ def test_choose_pivot_matches_fraction_distances():
         assert choose_pivot_argmin(x) == pivot_argmin_fraction(x), x
 
 
+def test_pivot_ties_go_to_the_smallest_index():
+    # the engine's integer pivot on num / d, with d of either sign
+    assert _pivot([1, 3, -1], 2) == 0  # all halves
+    assert _pivot([4, 1, 7], -6) == 1  # -1/6 and -7/6 tie at 1/6
+    assert _pivot([2, 5, -1], -3) == 0  # -2/3, -5/3 and 1/3 tie at 1/3
+    assert _pivot([5, 3], -4) == 0  # -5/4 and -3/4 tie at 1/4
+    assert _pivot([6, -12, 0], -6) is None
+    assert _pivot([], 5) is None
+    rng = random.Random(6)
+    for _ in range(2000):
+        d = rng.choice([-1, 1]) * rng.randint(1, 12)
+        num = [rng.randint(-40, 40) for _ in range(rng.randint(0, 6))]
+        assert _pivot(num, d) == pivot_argmin_fraction([Fraction(e, d) for e in num]), (num, d)
+
+
 def test_find_independent_columns_examples():
     assert find_independent_columns(Matrix.from_rows([[1, 0, 1], [0, 1, 1]])) == [0, 1]
     assert find_independent_columns(Matrix.from_rows([[1, 2], [2, 4]])) == [0]
@@ -209,6 +201,14 @@ def _low_rank(rng, n, m, rank, bound):
     return left @ right
 
 
+def _echelon(a):
+    # find_independent_columns' elimination, with its pivot rows: exact._bareiss
+    # on the rows of a with each column cleared of its denominators
+    rows = [list(r) for r in zip(*(_integer_multiple(c)[1] for c in a.columns))]
+    pivot_rows, col_idx, _ = _bareiss(rows, a.cols)
+    return col_idx, sorted(pivot_rows)
+
+
 def test_independent_columns_match_fraction_echelon():
     rng = random.Random(23)
     for trial in range(120):
@@ -226,7 +226,7 @@ def test_independent_columns_match_fraction_echelon():
                 rows=n,
             )
         expected = fraction_echelon(a)
-        assert _independent_columns(a)[:2] == expected
+        assert _echelon(a) == expected
         assert find_independent_columns(a) == expected[0]
 
 
@@ -244,7 +244,7 @@ def test_independent_columns_stay_within_hadamards_bound():
         rows = a.to_rows()  # _bareiss(rows, width): the state after the first width columns
         if len(_bareiss(rows, width)[1]) > len(widest):  # this column was a pivot step
             widest.append(max(abs(e).bit_length() for r in rows for e in r))
-    assert _independent_columns(a)[:2] == fraction_echelon(a)
+    assert _echelon(a) == fraction_echelon(a)
     assert len(widest) == 8
     assert max(widest) <= bound_bits < 100
 

@@ -18,7 +18,6 @@ from lattice_euclid import (
     lattice_equal,
     diophantine_run,
     mod_prime,
-    next_int,
     random_instance,
     rowwise_variant_basis,
     solution_update,
@@ -33,7 +32,7 @@ from lattice_euclid.errors import InvariantViolationError, SpanMismatchError
 from lattice_euclid.euclid import _split, _weights
 from lattice_euclid.variants import _advance, _pool_numerators
 
-from _oracles import is_integral, random_int_matrix, random_nonsingular
+from _oracles import is_integral, random_int_matrix, random_nonsingular, round_half_up
 
 WORKED = Matrix.from_rows([[2, 0, 1], [0, 3, 1]])  # initial det 6, ends unimodular
 
@@ -548,7 +547,7 @@ def test_integer_weights_match_the_fraction_weights():
     for x_num, d, i in cases:
         n = len(x_num)
         x = [Fraction(e, d) for e in x_num]
-        w = [d * (q - next_int(q) if k == i else frac_part(q)) for k, q in enumerate(x)]
+        w = [d * (q - round_half_up(q) if k == i else frac_part(q)) for k, q in enumerate(x)]
         assert _weights(x_num, d, i) == w
         num, det = _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, w, w[i])
         assert det == w[i]
