@@ -358,8 +358,10 @@ class _Run:
         multiplies it by ``F**-1`` and checks the new ``d`` against ``det``, so
         the run must know its determinant. ``solve(vec)`` is ``(num, d)`` as
         :meth:`solve` returns it, the rows off the pivot rows checked likewise;
-        ``row(i)`` is ``(z, d)``, ``z / d`` row ``i`` of the pool's solutions.
-        Both read only the pivot rows, so carried rows need nothing.
+        ``row(i)`` is ``(z, d)``, ``z / d`` row ``i`` of the pool's solutions,
+        one dot product per pool vector; :meth:`row_major` calls it once per
+        pivot row and carries the row across that row's exchanges. Both read
+        only the pivot rows, so carried rows need nothing.
         """
         rows, covered = self.pivot_rows, not self.off_rows
         d, columns = self.eliminate([_unit(t, self.dim) for t in rows])
@@ -430,37 +432,42 @@ class _Run:
         """Clear fractional solution entries row by row, top down.
 
         ``row(i)`` is row ``i`` of the pool's solution matrix as ``(ints, den)``
-        (``den`` of either sign), ``column(j)`` the solution of ``pool[j]`` as
-        ``(num, d)``. Each exchange pivots on the first fractional entry of the
-        topmost row that has one. Rows above stay integral, so the walk never
-        backtracks, and each exchange grows the touched column by at most
-        ``(n-1) * norm_a``. That per-step cap and :func:`coefficient_bound`
-        are enforced on every exchange; a violation raises
-        InvariantViolationError since it would falsify the pivoting
-        argument. ``exchanged(i, j, (num, d))`` runs after each exchange.
+        (``den`` of either sign), called once per pivot row, when the walk
+        reaches it; ``column(j)`` is the solution of ``pool[j]`` as ``(num, d)``.
+        Each exchange pivots on the first fractional entry of the topmost row
+        that has one, and the walk carries that row across it on a copy:
+        ``F**-1`` keeps row ``i`` and slot ``j`` now holds the old ``B_i``, so
+        slot ``j`` becomes ``den`` and ``den`` is scaled by the trace factor.
+        Each exchange still checks the carried entry against ``column(j)``.
+        Rows above stay integral, so the walk never backtracks, and each
+        exchange grows the touched column by at most ``(n-1) * norm_a``. That
+        per-step cap and :func:`coefficient_bound` are enforced on every
+        exchange; a violation raises InvariantViolationError since it would
+        falsify the pivoting argument. ``exchanged(i, j, (num, d))`` runs
+        after each exchange.
         """
         n = self.dim
         bound = coefficient_bound(n, norm_a)
-        i = 0
-        while i < len(self.pivot_rows):
+        for i in range(len(self.pivot_rows)):
             z, den = row(i)
-            j = next((k for k, e in enumerate(z) if e % den), None)
-            if j is None:
-                i += 1
-                continue
-            x = column(j)
-            num, d = x
-            if num[i] * den != z[j] * d:
-                raise InvariantViolationError("row solve disagrees with the full solve")
-            old_peak = max(abs(r[i]) for r in self.rows[:n])
-            peak = max(abs(e) for e in self.exchange(j, x, i)[:n])
-            if peak > old_peak + (n - 1) * norm_a:
-                raise InvariantViolationError("per-step coefficient growth bound violated")
-            # the other columns were checked when they entered, or are input
-            if peak > bound:
-                raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
-            if exchanged is not None:
-                exchanged(i, j, x)
+            z = list(z)  # carried across this row's exchanges; the driver may own its list
+            while (j := next((k for k, e in enumerate(z) if e % den), None)) is not None:
+                x = column(j)
+                num, d = x
+                if num[i] * den != z[j] * d:
+                    raise InvariantViolationError("row solve disagrees with the full solve")
+                old_peak = max(abs(r[i]) for r in self.rows[:n])
+                peak = max(abs(e) for e in self.exchange(j, x, i)[:n])
+                if peak > old_peak + (n - 1) * norm_a:
+                    raise InvariantViolationError("per-step coefficient growth bound violated")
+                # the other columns were checked when they entered, or are input
+                if peak > bound:
+                    raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
+                # F**-1 keeps row i, and slot j now holds the old B_i, whose solution is e_i
+                z[j] = den
+                den = _scaled_det(den, num[i] - d * _nearest(num[i], d), d)
+                if exchanged is not None:
+                    exchanged(i, j, x)
 
     def result(self, transform: Optional[Matrix] = None) -> BasisResult:
         return BasisResult(

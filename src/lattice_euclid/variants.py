@@ -11,8 +11,9 @@ vectors against the basis:
   solution matrix ``X`` and advances only ``X``; its transform ``Y`` comes
   from one closing elimination of the initial pivot rows against the final
   basis.
-* ``rowwise_variant_basis`` forms one row of ``X`` at a time as one row of
-  that same adjugate times the pool.
+* ``rowwise_variant_basis`` forms each row of ``X`` once, as one row of that
+  same adjugate times the pool; the engine carries the row across the
+  exchanges on it.
 
 Every solver hands the engine ``(num, d)``, integer numerators over the
 tracked determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity
@@ -175,10 +176,11 @@ def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
 def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
     """Basis computation with row-by-row pivoting and bounded entries.
 
-    Walks solution rows top-down: row ``i`` is row ``i`` of the cached adjugate
-    (as :func:`inverse_variant_basis` keeps it) times the pool; while it has a
-    fractional entry, exchange on it and form the row again. Once a row is
-    integral it stays integral, so the walk never backtracks. Both the per-step
+    Walks solution rows top-down: row ``i`` is formed once, as row ``i`` of the
+    cached adjugate (as :func:`inverse_variant_basis` keeps it) times the pool;
+    while it has a fractional entry, exchange on it, and carry the row across
+    the exchange rather than form it again. Once a row is integral it stays
+    integral, so the walk never backtracks. Both the per-step
     growth cap ``new <= old + (n-1)*||A||`` and the global :func:`coefficient_bound`
     are enforced on every exchange; a violation raises
     InvariantViolationError since it would falsify the pivoting argument.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lattice_euclid import (
     DimensionMismatchError,
     EuclidState,
+    InstanceParams,
     IntegralPivotError,
     Matrix,
     SingularMatrixError,
@@ -25,6 +26,7 @@ from lattice_euclid import (
     lattice_equal,
     member,
     mod_prime,
+    random_instance,
     rowwise_variant_basis,
     solution_variant_basis,
     solve_in_span,
@@ -597,6 +599,50 @@ def test_row_major_scans_integer_rows_over_a_negative_denominator():
         traces.append(tuple(run.trace))
     assert traces[0] == traces[1] == rowwise_variant_basis(a).trace
 
+    # over the basis (5), the pool vector 7 exchanges and leaves 5 / 2 in its
+    # slot, so the row carried over either sign of denominator is read again
+    b = Matrix.from_rows([[5, 7]])
+    traces = []
+    for sign in (1, -1):
+        run = _split(b)
+
+        def row(i):
+            return [num[i] * sign for num, _ in map(run.solve, run.pool)], sign * run.det
+
+        run.row_major(7, row, lambda j: run.solve(run.pool[j]))
+        assert [(rec.pivot_row, rec.column) for rec in run.trace] == [(0, 0), (0, 0)]
+        traces.append(tuple(run.trace))
+    assert traces[0] == traces[1] == rowwise_variant_basis(b).trace
+
     run = _split(a)
     with pytest.raises(InvariantViolationError):  # row disagrees with the column
         run.row_major(3, lambda i: ([-6, 3 - 6], -6), lambda j: run.solve(run.pool[j]))
+
+
+def test_row_major_forms_each_row_once():
+    # an exchange on row i leaves that row's numerators but slot j and moves its
+    # denominator, so the walk carries the row rather than forming it again
+    rng = random.Random(4242)  # the rank-8 product of test_drivers_agree_at_benchmark_scale
+    lowrank = random_int_matrix(rng, 16, 8, 9) @ random_int_matrix(rng, 8, 32, 9)
+    cases = [
+        (random_instance(InstanceParams(n=6, m=96, bound=1000, seed=32)), 25),
+        (random_instance(InstanceParams(n=10, m=16, bound=1000, seed=31)), 44),
+        (lowrank, 10),
+        (Matrix.from_rows([[6, 10, 15]]), 2),
+        (Matrix((), rows=3), 0),
+    ]
+    for a, exchanges in cases:
+        run = _split(a)
+        solve, row, exchanged = run.adjugate()
+        calls = []
+
+        def counted(i):
+            z, den = row(i)
+            calls.append((i, z, list(z)))
+            return z, den
+
+        run.row_major(int(a.max_abs()), counted, lambda j: solve(run.pool[j]), exchanged)
+        assert [i for i, _, _ in calls] == list(range(len(run.pivot_rows)))
+        assert all(z == handed for _, z, handed in calls)  # the walk writes into no list it was handed
+        assert len(run.trace) == exchanges
+        assert tuple(run.trace) == solution_variant_basis(a).trace

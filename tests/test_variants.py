@@ -3,6 +3,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_euclid import (
     InstanceParams,
@@ -513,6 +515,37 @@ def test_variants_agree_on_gcd_and_edge_shapes():
         forms = [hnf(fn(a).basis) for fn in ALL_VARIANTS]
         assert all(f == forms[0] for f in forms[1:])
 
+
+@st.composite
+def _generators(draw):
+    """``A`` with at most 6 rows and ``n + 8`` columns, about a third of them rank-deficient products.
+
+    Entries take both signs, so negative determinants occur.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, n + 8))
+    entries = st.lists(st.integers(-60, 60), min_size=m, max_size=m)
+    if draw(st.integers(0, 2)) == 0:
+        r = draw(st.integers(0, n - 1))
+        left = [[draw(st.integers(-9, 9)) for _ in range(r)] for _ in range(n)]
+        right = [draw(entries) for _ in range(r)]
+        rows = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(m)] for row in left]
+    else:
+        rows = [draw(entries) for _ in range(n)]
+    return Matrix(tuple(zip(*rows)), rows=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators())
+def test_row_major_drivers_agree(a):
+    # the solution driver advances all of X, so it is an oracle for the row
+    # that the row-wise driver carries across its exchanges
+    for check in (False, True):
+        rowwise = rowwise_variant_basis(a, check_invariants=check)
+        solution = solution_variant_basis(a, check_invariants=check)
+        assert rowwise.basis == solution.basis
+        assert rowwise.trace == solution.trace
+        assert (rowwise.discards, rowwise.det_trajectory) == (solution.discards, solution.det_trajectory)
 
 def test_matrix_without_columns_builds_no_per_row_list():
     # a header-only matrix file such as "1000000 0" costs no memory per row:
