@@ -106,14 +106,15 @@ def diophantine_run(
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
     run = _split(a_mat, coordinates=True)
     coords = run.rows[run.dim :] or [()] * a_mat.cols  # U, m rows: A @ U == basis
-    solve, _, advance = run.adjugate()
+    solve, _ = run.adjugate()
 
-    def exchanged(i, j, x):
-        advance(i, j, x)
+    def check(i, j, w, d):
         if a_mat.mat_vec([r[i] for r in coords]) != run.basis.column(i):
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 
-    run.fifo(solve, exchanged if check_invariants else advance)
+    if check_invariants:
+        run.on_exchange.append(check)  # after the adjugate's update, as each exchange runs them
+    run.fifo(solve)
     transform = Matrix._trusted(tuple(zip(*coords)), a_mat.cols)
     if check_invariants and (a_mat @ transform) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")

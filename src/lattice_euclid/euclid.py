@@ -32,16 +32,19 @@ plainest configuration: FIFO order, every system solved from scratch.
 The engine works in integers: a solver returns ``(num, d)``, the numerators
 of ``x`` over a signed common denominator, and the pivot, floors, rounding and
 determinant update are integer operations on them. An exchange builds one
-Fraction, its trace factor. A run keeps its basis once, as int rows that each
-exchange rewrites in place; every solver starts from one elimination of their
-pivot rows, ``_Run.eliminate``, and a ``Matrix`` of the basis is built only at
-the edges. ``_Run.adjugate`` is the one cached solver: the adjugate of the
-pivot-row system over the tracked determinant, advanced by each exchange, for
-every run that knows its determinant. Rows below the basis rows ride along:
-the same exchange moves them with the vectors, so the Diophantine coordinates
-need no second copy. The public Fraction functions (:func:`mod_prime`,
-:func:`choose_pivot_argmin`, :func:`exchange_step`, :func:`solve_in_span`,
-:func:`check_off_pivot_rows`) clear denominators and call the same core.
+Fraction, its trace factor, and hands ``d * w`` to the trackers in
+``_Run.on_exchange``, which keep numerators over the run's determinant. A run
+keeps its basis once, as int rows that each exchange rewrites in place; every
+solver starts from one elimination of their pivot rows, ``_Run.eliminate``,
+checked against the determinant where the run knows it, and a ``Matrix`` of
+the basis is built only at the edges. ``_Run.adjugate`` is the one cached
+solver: the adjugate of the pivot-row system over the determinant, advanced by
+each exchange, for every run that knows its determinant. Rows below the
+basis rows ride along: the same exchange moves them with the vectors, so the
+Diophantine coordinates need no second copy. The public Fraction functions
+(:func:`mod_prime`, :func:`choose_pivot_argmin`, :func:`exchange_step`,
+:func:`solve_in_span`, :func:`check_off_pivot_rows`) clear denominators and
+call the same core.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -259,16 +263,6 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
     return tuple(Fraction(e, d) for e in num)
 
 
-def _advance(num: list[list[int]], d: int, i: int, w_num: Sequence[int], det: int, j: Optional[int] = None):
-    """``(numerators, det)`` of ``F(w, i)**-1 @ (num / d)`` for ``w_num == d * w``, as ``_weights`` builds it.
-
-    ``det`` must be the new denominator ``d * w[i]``.
-    """
-    if w_num[i] != det:
-        raise InvariantViolationError("exchange update disagrees with the tracked determinant")
-    return _exchange_update(num, d, i, w_num, j), det
-
-
 def coefficient_bound(n_rows: int, max_entry: int) -> int:
     """Worst-case infinity norm of a basis built under row-wise pivoting.
 
@@ -288,10 +282,10 @@ class _Run:
 
     Solvers hand the engine ``x`` as ``(num, d)``: integer numerators over a
     signed common denominator. An exchange is ``basis' = basis @ F``, ``F``
-    the identity with column ``i`` set to ``w = _weights(num, d, i) / d``;
-    ``det`` is multiplied by ``w[i]``. Drivers get ``(num, d)`` from an
-    ``exchanged(i, j, (num, d))`` callback (``j`` is the source's pool slot)
-    and build ``d * w`` only if they track something by ``F``.
+    the identity with column ``i`` set to ``w = W / d``, ``W = _weights(num,
+    d, i)``; ``det`` is multiplied by ``w[i]``. Each exchange then calls every
+    hook in ``on_exchange`` as ``hook(i, j, W, d)``, ``j`` the source's pool
+    slot; a tracker keeps numerators over ``det``, which is ``d`` before it.
 
     ``det`` is the signed determinant of the pivot-row subsystem, or None
     where the run must not know it (determinant mode); ``det0`` is its value
@@ -324,6 +318,7 @@ class _Run:
         self.det0 = self.det = det
         self.trace: list[ExchangeRecord] = []
         self.discards = discards
+        self.on_exchange: list[Callable] = []
         self._off = _off_rows(rows[: self.dim], self.pivot_rows)
 
     @property
@@ -338,12 +333,16 @@ class _Run:
     def eliminate(self, vecs: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
         """``(d, [num for each vec])``, ``num / d`` solving the pivot rows of ``basis @ x == vec``.
 
-        One elimination, ``d`` the pivot rows' determinant. The ``vecs`` are ambient
-        and integral; their entries off the pivot rows are neither read nor checked.
+        One elimination, ``d`` the pivot rows' determinant, which must equal a
+        known ``det``. The ``vecs`` are ambient and integral; their entries off
+        the pivot rows are neither read nor checked.
         """
         rows = self.rows
         a = [rows[t] + [v[t] for v in vecs] for t in self.pivot_rows]
-        return _eliminate_rows(a, len(self.pivot_rows), len(vecs))
+        d, nums = _eliminate_rows(a, len(self.pivot_rows), len(vecs))
+        if self.det is not None and d != self.det:
+            raise InvariantViolationError("elimination disagrees with the tracked determinant")
+        return d, nums
 
     def solve(self, vec: Sequence[int]) -> tuple[list[int], int]:
         """``(num, d)`` with ``basis @ num == d * vec``, ``d`` the determinant, as :func:`solve_in_span`."""
@@ -351,41 +350,41 @@ class _Run:
         _check_span(self.off_rows, vec, num, d)
         return num, d
 
-    def adjugate(self) -> tuple[Callable, Callable, Callable]:
-        """``(solve, row, exchanged)`` on the adjugate ``d * B**-1``, ``B`` the pivot-row system.
+    def adjugate(self) -> tuple[Callable, Callable]:
+        """``(solve, row)`` on the adjugate ``det * B**-1``, ``B`` the pivot-row system.
 
-        One elimination of the unit vectors builds it; ``exchanged(i, j, x)``
-        multiplies it by ``F**-1`` and checks the new ``d`` against ``det``, so
-        the run must know its determinant. ``solve(vec)`` is ``(num, d)`` as
+        One elimination of the unit vectors builds it, and a hook in
+        ``on_exchange`` multiplies it by each exchange's ``F**-1``, so the run
+        must know its determinant. ``solve(vec)`` is ``(num, det)`` as
         :meth:`solve` returns it, the rows off the pivot rows checked likewise;
-        ``row(i)`` is ``(z, d)``, ``z / d`` row ``i`` of the pool's solutions,
+        ``row(i)`` is row ``i`` of the pool's solutions as ints over ``det``,
         one dot product per pool vector; :meth:`row_major` calls it once per
         pivot row and carries the row across that row's exchanges. Both read
         only the pivot rows, so carried rows need nothing.
         """
         rows, covered = self.pivot_rows, not self.off_rows
-        d, columns = self.eliminate([_unit(t, self.dim) for t in rows])
+        _, columns = self.eliminate([_unit(t, self.dim) for t in rows])
         adj = [list(r) for r in zip(*columns)]
 
         def solve(vec):
             v = [vec[t] for t in rows]
             num = [sum(map(mul, r, v)) for r in adj]
             if not covered:
-                _check_span(self.off_rows, vec, num, d)
-            return num, d
+                _check_span(self.off_rows, vec, num, self.det)
+            return num, self.det
 
         def row(i):
             r = adj[i]
-            return [sum(map(mul, r, v if covered else map(v.__getitem__, rows))) for v in self.pool], d
+            return [sum(map(mul, r, v if covered else map(v.__getitem__, rows))) for v in self.pool]
 
-        def exchanged(i, j, x):
-            nonlocal adj, d
-            adj, d = _advance(adj, d, i, _weights(x[0], d, i), self.det)
+        def advance(i, j, w, d):
+            adj[:] = _exchange_update(adj, d, i, w)
 
-        return solve, row, exchanged
+        self.on_exchange.append(advance)
+        return solve, row
 
-    def exchange(self, j: int, x: tuple[Sequence[int], int], i: int) -> tuple[int, ...]:
-        """Swap basis column ``i`` for the residue of ``pool[j]``; return it.
+    def exchange(self, j: int, x: tuple[Sequence[int], int], i: int) -> None:
+        """Swap basis column ``i`` for the residue of ``pool[j]``, then run the ``on_exchange`` hooks.
 
         ``x = (num, d)`` must solve ``basis @ num == d * pool[j]``, ``num[i] / d``
         fractional. The old basis column takes pool slot ``j``.
@@ -394,24 +393,24 @@ class _Run:
         if not num[i] % d:
             raise IntegralPivotError(f"coordinate {i} of the solution is integral")
         rounded = _rounded(num, d, i)
-        w_i = num[i] - d * rounded[i]
+        w = [e - d * r for e, r in zip(num, rounded)]  # _weights(num, d, i)
         if self.det is not None:
-            self.det = _scaled_det(self.det, w_i, d)
-        self.trace.append(ExchangeRecord(len(self.trace), i, j, Fraction(w_i, d), self.det))
-        remainder = tuple(v - sum(map(mul, r, rounded)) for v, r in zip(self.pool[j], self.rows))
+            self.det = _scaled_det(self.det, w[i], d)
+        self.trace.append(ExchangeRecord(len(self.trace), i, j, Fraction(w[i], d), self.det))
+        vec = self.pool[j]
         self.pool[j] = tuple(r[i] for r in self.rows)
-        for r, e in zip(self.rows, remainder):
-            r[i] = e
-        return remainder
+        for r, v in zip(self.rows, vec):
+            r[i] = v - sum(map(mul, r, rounded))
+        for hook in self.on_exchange:
+            hook(i, j, w, d)
 
-    def fifo(self, solve: Callable, exchanged: Optional[Callable] = None) -> None:
+    def fifo(self, solve: Callable) -> None:
         """Pool first in, first out; pivot as :func:`choose_pivot_argmin` does.
 
         ``solve(vec)`` returns ``(num, d)``. A pool vector whose solution is
         integral is discarded; an exchanged one's old basis column joins the
         back of the pool. Stops once ``|det| == 1``: every remaining pool vector
-        then divides evenly and is discarded unexamined. ``exchanged(i, 0, x)``
-        follows each exchange.
+        then divides evenly and is discarded unexamined.
         """
         pool = self.pool
         while pool and self.det not in (1, -1):
@@ -423,51 +422,48 @@ class _Run:
                 continue
             self.exchange(0, x, i)
             pool.append(pool.pop(0))
-            if exchanged is not None:
-                exchanged(i, 0, x)
         self.discards += len(pool)
         pool.clear()
 
-    def row_major(self, norm_a: int, row: Callable, column: Callable, exchanged: Optional[Callable] = None) -> None:
+    def row_major(self, row: Callable, column: Callable) -> None:
         """Clear fractional solution entries row by row, top down.
 
-        ``row(i)`` is row ``i`` of the pool's solution matrix as ``(ints, den)``
-        (``den`` of either sign), called once per pivot row, when the walk
-        reaches it; ``column(j)`` is the solution of ``pool[j]`` as ``(num, d)``.
-        Each exchange pivots on the first fractional entry of the topmost row
-        that has one, and the walk carries that row across it on a copy:
-        ``F**-1`` keeps row ``i`` and slot ``j`` now holds the old ``B_i``, so
-        slot ``j`` becomes ``den`` and ``den`` is scaled by the trace factor.
-        Each exchange still checks the carried entry against ``column(j)``.
-        Rows above stay integral, so the walk never backtracks, and each
-        exchange grows the touched column by at most ``(n-1) * norm_a``. That
-        per-step cap and :func:`coefficient_bound` are enforced on every
-        exchange; a violation raises InvariantViolationError since it would
-        falsify the pivoting argument. ``exchanged(i, j, (num, d))`` runs
-        after each exchange.
+        ``row(i)`` is row ``i`` of the pool's solution matrix as ints over
+        ``det``, called once per pivot row, when the walk reaches it;
+        ``column(j)`` is the solution of ``pool[j]`` as ``(num, d)``. Each
+        exchange pivots on the first fractional entry of the topmost row that
+        has one, and the walk carries that row across it on a copy: ``F**-1``
+        keeps row ``i`` and slot ``j`` now holds the old ``B_i``, so slot ``j``
+        becomes the old ``det`` and the row is over the new one. Each exchange
+        still checks the carried entry against ``column(j)``. Rows above stay
+        integral, so the walk never backtracks, and each exchange grows the
+        touched column by at most ``(n-1) * ||A||``, the largest entry of the
+        run's columns at the start (that of the input: zero columns add
+        nothing). That per-step cap and :func:`coefficient_bound` are enforced
+        on every exchange; a violation raises InvariantViolationError since it
+        would falsify the pivoting argument.
         """
         n = self.dim
+        basis_rows = self.rows[:n]
+        norm_a = max(map(abs, chain(*basis_rows, *(v[:n] for v in self.pool))), default=0)
         bound = coefficient_bound(n, norm_a)
         for i in range(len(self.pivot_rows)):
-            z, den = row(i)
-            z = list(z)  # carried across this row's exchanges; the driver may own its list
-            while (j := next((k for k, e in enumerate(z) if e % den), None)) is not None:
+            z = list(row(i))  # carried across this row's exchanges; the driver may own its list
+            while (j := next((k for k, e in enumerate(z) if e % self.det), None)) is not None:
                 x = column(j)
                 num, d = x
-                if num[i] * den != z[j] * d:
+                if num[i] * self.det != z[j] * d:
                     raise InvariantViolationError("row solve disagrees with the full solve")
-                old_peak = max(abs(r[i]) for r in self.rows[:n])
-                peak = max(abs(e) for e in self.exchange(j, x, i)[:n])
+                old_peak = max(abs(r[i]) for r in basis_rows)
+                # F**-1 keeps row i, and slot j now holds the old B_i, whose solution is e_i
+                z[j] = self.det
+                self.exchange(j, x, i)
+                peak = max(abs(r[i]) for r in basis_rows)
                 if peak > old_peak + (n - 1) * norm_a:
                     raise InvariantViolationError("per-step coefficient growth bound violated")
                 # the other columns were checked when they entered, or are input
                 if peak > bound:
                     raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
-                # F**-1 keeps row i, and slot j now holds the old B_i, whose solution is e_i
-                z[j] = den
-                den = _scaled_det(den, num[i] - d * _nearest(num[i], d), d)
-                if exchanged is not None:
-                    exchanged(i, j, x)
 
     def result(self, transform: Optional[Matrix] = None) -> BasisResult:
         return BasisResult(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, count
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -209,8 +209,9 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]
     Works in place on the integer rows of ``a``, any number of them; later
     columns are right-hand sides, carried along. Column ``j`` pivots on the
     first row in input order that is not yet a pivot row and is nonzero in
-    ``j``, else it is skipped; that row moves up behind the pivot rows, the
-    others keep their order. Every division by the previous pivot is exact
+    ``j``; that row moves up behind the pivot rows, the others keep their
+    order. Columns where every row left is zero are skipped, each run of
+    them by one scan. Every division by the previous pivot is exact
     (Sylvester's identity), so each entry is a minor of the input. Returns
     the pivot rows (input indices, in pivot order), the pivot columns, and
     the determinant of their minor, its rows in increasing order (1 for none).
@@ -220,15 +221,14 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]
     cols: list[int] = []
     passed = 0  # rows the pivot rows moved up past
     prev = 1
-    k = 0
-    for j in range(width):
-        if k == n:
-            break
+    k = j = 0
+    while k < n and j < width:
         if not a[k][j]:
             r = next((r for r in range(k + 1, n) if a[r][j]), None)
             if r is None:
-                if not any(any(row[j + 1 : width]) for row in a[k:]):
-                    break  # the rows left are zero from here on: no more pivots
+                # jump to the next column where a row left is nonzero, if any: one scan per gap
+                tails = [row[j + 1 : width] for row in a[k:]]
+                j = min((next(compress(count(j + 1), t)) for t in tails if any(t)), default=width)
                 continue
             a.insert(k, a.pop(r))
             order.insert(k, order.pop(r))
@@ -243,6 +243,7 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]
         prev = pivot
         cols.append(j)
         k += 1
+        j += 1
     if k < n:
         # pivot rows moving past a row that never pivots leave the minor as
         # it is; such a row, input index q, ends at position t >= k, passed t - q times

@@ -16,10 +16,11 @@ vectors against the basis:
   exchanges on it.
 
 Every solver hands the engine ``(num, d)``, integer numerators over the
-tracked determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity
+run's determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity
 with column ``i`` set to ``w``: the cached inverse and ``X`` advance in
 integer numerators over ``det B`` by ``F**-1`` (``exact._exchange_update``),
-in ints on ``d * w``; a transform would advance by ``F`` (:func:`y_update`).
+in ints on ``d * w``, which the engine hands to the drivers' hooks in
+``_Run.on_exchange``; a transform would advance by ``F`` (:func:`y_update`).
 
 The last two run the engine's row-major order, so they produce the same
 trace. That order is what tames coefficient growth: when rows above ``i``
@@ -40,13 +41,13 @@ from .exact import (
     Matrix,
     Scalar,
     _eliminate,
+    _exchange_update,
     _integer_multiple,
     _rational_exchange_update,
     solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
 )
 from .euclid import (
     BasisResult,
-    _advance,
     _Run,
     _check_pivot,
     _check_span,
@@ -73,8 +74,8 @@ def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
     adjugate ``d * B**-1``, handed to the engine as numerators over ``d``.
     """
     run = _split(a_mat)
-    solve, _, exchanged = run.adjugate()
-    run.fifo(solve, exchanged)
+    solve, _ = run.adjugate()
+    run.fifo(solve)
     return run.result()
 
 
@@ -138,14 +139,14 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     InvariantViolationError.
     """
     run = _split(a_mat)
-    initial = _Run([r[:] for r in run.rows], (), run.pivot_rows, None, dim=run.dim)
-    d, x_num = _pool_numerators(run)
+    initial = _Run([r[:] for r in run.rows], (), run.pivot_rows, run.det, dim=run.dim)
+    _, x_num = _pool_numerators(run)
 
-    def exchanged(i, j, x):
-        nonlocal d, x_num
-        x_num, d = _advance(x_num, d, i, _weights(x[0], d, i), run.det, j)
+    def advance(i, j, w, d):
+        x_num[:] = _exchange_update(x_num, d, i, w, j)
 
-    run.row_major(int(a_mat.max_abs()), lambda i: (x_num[i], d), lambda j: ([r[j] for r in x_num], d), exchanged)
+    run.on_exchange.append(advance)
+    run.row_major(x_num.__getitem__, lambda j: ([r[j] for r in x_num], run.det))
     initial.pool = run.basis.columns
     d0, y_num = _pool_numerators(initial)
     if check_invariants and _pool_numerators(run) != (run.det, x_num):
@@ -189,8 +190,8 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     and verifies every solution is integral.
     """
     run = _split(a_mat)
-    solve, row, exchanged = run.adjugate()
-    run.row_major(int(a_mat.max_abs()), row, lambda j: solve(run.pool[j]), exchanged)
+    solve, row = run.adjugate()
+    run.row_major(row, lambda j: solve(run.pool[j]))
     if check_invariants:
         d, x_num = _pool_numerators(run)
         if any(e % d for r in x_num for e in r):

@@ -223,6 +223,13 @@ def test_emit_transform_requires_solution_variant(gcd_file, capsys):
     assert main(["basis", "--alg", "basic", "--emit-transform", gcd_file]) == 2
 
 
+def test_emit_transform_conflicts_with_stats_json(gcd_file, capsys):
+    assert main(["basis", "--alg", "solution", "--emit-transform", "--stats-json", gcd_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "basis: --emit-transform conflicts with --stats-json\n"
+
+
 def test_bench_csv_shape(capsys):
     argv = ["bench", "--seed", "7", "--trials", "2", "--n", "3", "--m", "5", "--bound", "9"]
     assert main(argv) == 0

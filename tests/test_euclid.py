@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,8 +35,9 @@ from lattice_euclid import (
 )
 from lattice_euclid import euclid, exact
 from lattice_euclid.errors import InvariantViolationError
-from lattice_euclid.euclid import _nearest, _pivot, _split, _weights
+from lattice_euclid.euclid import _nearest, _pivot, _Run, _split, _weights
 from lattice_euclid.exact import _bareiss, _integer_multiple
+from lattice_euclid.variants import _pool_numerators
 
 from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix, round_half_up
 
@@ -213,6 +215,7 @@ def _echelon(a):
 
 def test_independent_columns_match_fraction_echelon():
     rng = random.Random(23)
+    cases = []
     for trial in range(120):
         n, m = rng.randint(1, 6), rng.randint(1, 8)
         if trial % 3 == 0:
@@ -227,9 +230,28 @@ def test_independent_columns_match_fraction_echelon():
                 ),
                 rows=n,
             )
+        cases.append(a)
+    # zero gaps: rows zero up to a late column, so runs of columns have no pivot
+    cases.append(Matrix.from_rows([[1] * 9, [0] * 8 + [1]]))
+    cases.append(Matrix.from_rows([[0] * 5 + [2, 1], [0] * 6 + [3], [0] * 7]))
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 12)
+        starts = [rng.randint(0, m) for _ in range(n)]
+        cases.append(Matrix.from_rows([[0] * s + [rng.randint(-2, 2) for _ in range(m - s)] for s in starts]))
+    for a in cases:
         expected = fraction_echelon(a)
         assert _echelon(a) == expected
         assert find_independent_columns(a) == expected[0]
+
+
+def test_independent_columns_scan_a_zero_gap_once():
+    # a column without a pivot skips to the next column where a row left is
+    # nonzero, so a gap of m columns costs one scan, not m scans of the rest
+    m = 2**16
+    a = Matrix.from_rows([[1] * m, [0] * (m - 1) + [1]])
+    start = time.perf_counter()
+    assert find_independent_columns(a) == [0, m - 1]
+    assert time.perf_counter() - start < 2
 
 
 def test_independent_columns_stay_within_hadamards_bound():
@@ -584,39 +606,40 @@ def test_row_major_scans_integer_rows_over_a_negative_denominator():
     # evenly, the second is the pivot. The solver hands out numerators over
     # the signed determinant, -6.
     a = Matrix.from_rows([[-2, 0, -2, 1], [0, 3, 3, 1]])
-    traces = []
-    for sign in (1, -1):  # the same row over -6 and over +6
-        run = _split(a)
-        assert run.det == -6
-        assert run.solve(run.pool[1]) == ([3, -2], -6)
-
-        def row(i):
-            den = sign * run.det
-            return [num[i] * den // d for num, d in map(run.solve, run.pool)], den
-
-        run.row_major(3, row, lambda j: run.solve(run.pool[j]))
-        assert (run.trace[0].pivot_row, run.trace[0].column) == (0, 1)
-        traces.append(tuple(run.trace))
-    assert traces[0] == traces[1] == rowwise_variant_basis(a).trace
+    run = _split(a)
+    assert run.det == -6
+    assert run.solve(run.pool[1]) == ([3, -2], -6)
+    run.row_major(lambda i: [num[i] for num, _ in map(run.solve, run.pool)], lambda j: run.solve(run.pool[j]))
+    assert (run.trace[0].pivot_row, run.trace[0].column) == (0, 1)
+    assert tuple(run.trace) == rowwise_variant_basis(a).trace
 
     # over the basis (5), the pool vector 7 exchanges and leaves 5 / 2 in its
-    # slot, so the row carried over either sign of denominator is read again
+    # slot, so the row carried over the new determinant is read again
     b = Matrix.from_rows([[5, 7]])
-    traces = []
-    for sign in (1, -1):
-        run = _split(b)
-
-        def row(i):
-            return [num[i] * sign for num, _ in map(run.solve, run.pool)], sign * run.det
-
-        run.row_major(7, row, lambda j: run.solve(run.pool[j]))
-        assert [(rec.pivot_row, rec.column) for rec in run.trace] == [(0, 0), (0, 0)]
-        traces.append(tuple(run.trace))
-    assert traces[0] == traces[1] == rowwise_variant_basis(b).trace
+    run = _split(b)
+    run.row_major(lambda i: [num[i] for num, _ in map(run.solve, run.pool)], lambda j: run.solve(run.pool[j]))
+    assert [(rec.pivot_row, rec.column) for rec in run.trace] == [(0, 0), (0, 0)]
+    assert tuple(run.trace) == rowwise_variant_basis(b).trace
 
     run = _split(a)
     with pytest.raises(InvariantViolationError):  # row disagrees with the column
-        run.row_major(3, lambda i: ([-6, 3 - 6], -6), lambda j: run.solve(run.pool[j]))
+        run.row_major(lambda i: [-6, 3 - 6], lambda j: run.solve(run.pool[j]))
+
+
+def test_elimination_checks_the_tracked_determinant():
+    # an elimination is where a tracker's denominator is born: a run that
+    # knows its determinant checks each one against it, a determinant-mode
+    # run (det None) does not
+    a = Matrix.from_rows([[-2, 0, -2, 1], [0, 3, 3, 1]])
+    for start in (lambda run: run.solve(run.pool[0]), _Run.adjugate, _pool_numerators):
+        run = _split(a)
+        start(run)
+        run.det = -run.det
+        with pytest.raises(InvariantViolationError):
+            start(run)
+    run = _Run([[-2, 0], [0, 3]], [(-2, 3)], range(2), None)
+    assert run.solve((-2, 3)) == ([-6, -6], -6)
+    assert _pool_numerators(run) == (-6, [[-6], [-6]])
 
 
 def test_row_major_forms_each_row_once():
@@ -633,15 +656,15 @@ def test_row_major_forms_each_row_once():
     ]
     for a, exchanges in cases:
         run = _split(a)
-        solve, row, exchanged = run.adjugate()
+        solve, row = run.adjugate()
         calls = []
 
         def counted(i):
-            z, den = row(i)
+            z = row(i)
             calls.append((i, z, list(z)))
-            return z, den
+            return z
 
-        run.row_major(int(a.max_abs()), counted, lambda j: solve(run.pool[j]), exchanged)
+        run.row_major(counted, lambda j: solve(run.pool[j]))
         assert [i for i, _, _ in calls] == list(range(len(run.pivot_rows)))
         assert all(z == handed for _, z, handed in calls)  # the walk writes into no list it was handed
         assert len(run.trace) == exchanges

@@ -57,6 +57,15 @@ def test_matrix_validation():
     with pytest.raises(TypeError):
         column_update_inverse(Matrix.identity(2), 0, (1.5, 0))
     assert Matrix((), rows=3).cols == 0
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_rows([])
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_rows([[1, 2], [3]])
+
+
+def test_matrix_repr_round_trips_through_eval():
+    for m in (Matrix.from_rows([[1, Fraction(-2, 3)], [0, 5]]), Matrix((), rows=3)):
+        assert eval(repr(m), {"Matrix": Matrix, "Fraction": Fraction}) == m
 
 
 def test_matrix_with_column_shares_rest():
@@ -65,6 +74,12 @@ def test_matrix_with_column_shares_rest():
     assert m2.to_rows() == [[7, 2], [8, 4]]
     assert m.to_rows() == [[1, 2], [3, 4]]  # original untouched
     assert m2.column(1) is m.column(1)
+
+
+def test_with_column_rejects_an_index_out_of_range():
+    for j in (-1, 2):
+        with pytest.raises(IndexError):
+            Matrix.identity(2).with_column(j, (1, 0))
 
 
 def test_with_column_checks_only_the_new_column():
@@ -291,6 +306,11 @@ def test_invert_singular_raises():
         invert(Matrix.from_rows([[1, 2], [2, 4]]))
 
 
+def test_invert_rejects_a_non_square_matrix():
+    with pytest.raises(DimensionMismatchError):
+        invert(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
 # --- column_update_inverse -------------------------------------------------
 
 
@@ -406,6 +426,16 @@ def test_integer_exchange_update_matches_fraction_oracle():
 def test_column_update_singular_raises():
     with pytest.raises(SingularUpdateError):
         column_update_inverse(Matrix.identity(2), 0, (0, 1))
+
+
+def test_column_update_rejects_bad_shapes_and_indices():
+    with pytest.raises(DimensionMismatchError):  # not square
+        column_update_inverse(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), 0, (1, 0))
+    with pytest.raises(DimensionMismatchError):  # wrong length
+        column_update_inverse(Matrix.identity(2), 0, (1, 0, 0))
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            column_update_inverse(Matrix.identity(2), i, (1, 0))
 
 
 # --- lcm_denominators ------------------------------------------------------

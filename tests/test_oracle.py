@@ -84,6 +84,11 @@ def test_member_examples():
     assert member(unit, (1, 0))
 
 
+def test_member_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError):
+        member(Matrix.from_rows([[2, 0], [0, 2]]), (1, 2, 3))
+
+
 def test_member_columns_always_belong():
     rng = random.Random(9)
     for _ in range(25):

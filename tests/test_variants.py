@@ -30,9 +30,10 @@ from lattice_euclid import (
 )
 
 from lattice_euclid import euclid, variants
-from lattice_euclid.errors import InvariantViolationError, SpanMismatchError
+from lattice_euclid.errors import DimensionMismatchError, SpanMismatchError
 from lattice_euclid.euclid import _split, _weights
-from lattice_euclid.variants import _advance, _pool_numerators
+from lattice_euclid.exact import _exchange_update
+from lattice_euclid.variants import _pool_numerators
 
 from _oracles import is_integral, random_int_matrix, random_nonsingular, round_half_up
 
@@ -231,6 +232,13 @@ def test_y_update_shortcut_matches_full_product():
         assert y_update(y, v, i).column(i) == y.mat_vec(v)
 
 
+def test_y_update_rejects_wrong_shapes():
+    with pytest.raises(DimensionMismatchError):  # not square
+        y_update(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), (1, 0), 0)
+    with pytest.raises(DimensionMismatchError):  # wrong length
+        y_update(Matrix.identity(2), (1, 0, 0), 0)
+
+
 def test_y_update_fallback_is_plain_product():
     y = Matrix.from_rows([[1, 2], [3, 4]])
     v = (Fraction(1, 2), Fraction(1, 3))  # violates the zero-head precondition
@@ -297,6 +305,17 @@ def test_solve_row_hand_checked():
     b = Matrix.from_rows([[2, 1], [1, 3]])
     assert solve_row(b, Matrix.identity(2), 0) == (Fraction(3, 5), Fraction(-1, 5))
     assert solve_row(b, Matrix.from_rows([[1], [1]]), 1) == (Fraction(1, 5),)
+
+
+def test_solve_row_rejects_bad_shapes_and_indices():
+    c = Matrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(DimensionMismatchError):  # not square
+        solve_row(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), c, 0)
+    with pytest.raises(DimensionMismatchError):  # right-hand side rows
+        solve_row(Matrix.identity(2), Matrix.from_rows([[1, 2]]), 0)
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            solve_row(Matrix.identity(2), c, i)
 
 
 def test_solve_row_matches_inverse_row():
@@ -582,11 +601,8 @@ def test_integer_weights_match_the_fraction_weights():
         x = [Fraction(e, d) for e in x_num]
         w = [d * (q - round_half_up(q) if k == i else frac_part(q)) for k, q in enumerate(x)]
         assert _weights(x_num, d, i) == w
-        num, det = _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, w, w[i])
-        assert det == w[i]
+        num = _exchange_update([[d * (k == t) for t in range(n)] for k in range(n)], d, i, w)
         assert [r[i] for r in num] == [d if k == i else -w[k] for k in range(n)]
-        with pytest.raises(InvariantViolationError):
-            _advance([[d * (k == t) for t in range(n)] for k in range(n)], d, i, w, w[i] + 1)
 
 
 def test_the_exchange_path_builds_one_fraction_per_exchange(monkeypatch):
@@ -624,17 +640,17 @@ def test_integer_transform_divides_exactly_and_matches_the_rational_one():
     signs = set()
     for a in cases:
         run = _split(a)
-        d, x_num = _pool_numerators(run)
+        _, x_num = _pool_numerators(run)
         y_rat = Matrix.identity(run.basis.cols)
-        signs.add(d > 0)
+        signs.add(run.det > 0)
 
-        def exchanged(i, j, x):
-            nonlocal d, x_num, y_rat
-            w = _weights(x[0], d, i)
+        def replay(i, j, w, d):
+            nonlocal y_rat
             y_rat = y_update(y_rat, [Fraction(e, d) for e in w], i)
-            x_num, d = _advance(x_num, d, i, w, run.det, j)
+            x_num[:] = _exchange_update(x_num, d, i, w, j)
 
-        run.row_major(int(a.max_abs()), lambda i: (x_num[i], d), lambda j: ([r[j] for r in x_num], d), exchanged)
+        run.on_exchange.append(replay)
+        run.row_major(lambda i: x_num[i], lambda j: ([r[j] for r in x_num], run.det))
         transform = solution_variant_basis(a).transform
         assert transform == y_rat
         assert [[type(e) for e in c] for c in transform.columns] == [[type(e) for e in c] for c in y_rat.columns]
