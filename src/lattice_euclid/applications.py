@@ -9,10 +9,11 @@ Both are configurations of the engine's FIFO order, the order of
   scales the determinant by its pivot residue, the accumulated product of
   residues is ``det(final) / det(B)``, and ``det(B)`` is the sign
   ``det(final)``, read by one closing ``bareiss_det``, over that product.
-  The run does not track the determinant: it solves from scratch, reads
-  each solve's ``d`` (the current system's determinant) only as a
-  denominator, and never stops early; the determinants in its trace are
-  reconstructed afterwards.
+  The run is that of ``inverse_variant_basis`` on ``(B | I)``: the column
+  split eliminates ``B`` once (a rank below ``n`` means ``det(B) == 0``),
+  the unit vectors are pooled, and the FIFO steps solve on the cached
+  adjugate, so the run knows each determinant as it happens. The value from
+  the factors must equal the split's determinant.
 * ``A x = b`` over the integers is solved on the columns of ``A`` stacked
   over ``I_m`` (Cohen 1993, section 2.4): the run carries the ``m`` identity
   rows below the basis rows, so every vector holds its integer coordinates
@@ -32,18 +33,18 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, InvariantViolationError, SingularMatrixError
+from .errors import DimensionMismatchError, InvariantViolationError
 from .exact import Matrix, _integer_multiple, bareiss_det
-from .euclid import ExchangeRecord, _Run, _scaled_det, _split, _unit
+from .euclid import ExchangeRecord, _split, _unit
 
 
 def lattice_determinant(b_mat: Matrix) -> int:
     """Exact signed determinant via exchange-factor accumulation.
 
-    Singular input returns 0 (detected when the first exact solve against
-    the would-be basis fails). The run does not know the determinant, so
-    every FIFO step solves from scratch; a final elimination of the
-    unimodular end basis fixes the sign.
+    Singular input returns 0 (the column split finds a rank below ``n``).
+    The column split eliminates ``B`` once; the FIFO steps solve on the
+    cached adjugate, and a final elimination of the unimodular end basis
+    fixes the sign. The value is checked against the split's determinant.
     """
     value, _ = determinant_with_trace(b_mat)
     return value
@@ -52,30 +53,25 @@ def lattice_determinant(b_mat: Matrix) -> int:
 def determinant_with_trace(b_mat: Matrix) -> tuple[int, tuple[ExchangeRecord, ...]]:
     """Like :func:`lattice_determinant` but also returns the exchange trace.
 
-    Determinants in the trace are reconstructed after the fact: during the
-    run only the residue product is known, never an actual determinant.
+    The trace is that of :func:`lattice_euclid.variants.inverse_variant_basis`
+    on ``(B | I)``: each record holds the determinant after its exchange, as
+    the run knew it then. Singular input returns ``(0, ())``.
     """
     n = b_mat.rows
     if b_mat.cols != n:
         raise DimensionMismatchError("determinant needs a square matrix")
-    run = _Run([list(r) for r in zip(*b_mat.to_int().columns)], (_unit(k, n) for k in range(n)), range(n), None)
-    try:
-        run.fifo(run.solve)
-    except SingularMatrixError:
+    run = _split(b_mat)
+    if len(run.pivot_rows) < n:
         return 0, ()
+    run.pool = [_unit(k, n) for k in range(n)]
+    solve, _ = run.adjugate()
+    run.fifo(solve)
     sign = bareiss_det(run.basis)
     if abs(sign) != 1:
         raise InvariantViolationError("exchange run did not end on a unimodular basis")
-    value_frac = Fraction(sign) / math.prod(rec.factor for rec in run.trace)
-    if value_frac.denominator != 1:
-        raise InvariantViolationError("accumulated residues do not divide the sign")
-    value = det = int(value_frac)
-    # det after step k = det(B) * product of the first k+1 factors
-    records = []
-    for rec in run.trace:
-        det = _scaled_det(det, rec.factor.numerator, rec.factor.denominator)
-        records.append(ExchangeRecord(rec.step, rec.pivot_row, rec.column, rec.factor, det))
-    return value, tuple(records)
+    if Fraction(sign) / math.prod(rec.factor for rec in run.trace) != run.det0:
+        raise InvariantViolationError("accumulated residues disagree with the determinant")
+    return run.det0, tuple(run.trace)
 
 
 def diophantine_solve(
@@ -119,10 +115,10 @@ def diophantine_run(
     if check_invariants and (a_mat @ transform) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
     mu, vec = _integer_multiple(rhs)  # TypeError on entries that are not int or Fraction
-    num, d = solve(vec)  # SpanMismatchError if infeasible
-    if check_invariants and run.solve(vec) != (num, d):
+    num = solve(vec)  # SpanMismatchError if infeasible
+    if check_invariants and run.solve(vec) != num:
         raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")
-    d *= mu  # x == num / d
+    d = run.det * mu  # x == num / d
     if any(e % d for e in num):
         return None, transform, tuple(run.trace)
     y = [e // d for e in num]

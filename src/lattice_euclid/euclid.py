@@ -29,19 +29,20 @@ enforced coefficient-growth caps. A driver only supplies how pool vectors
 are solved and what it tracks besides the basis. :func:`basic_basis` is the
 plainest configuration: FIFO order, every system solved from scratch.
 
-The engine works in integers: a solver returns ``(num, d)``, the numerators
-of ``x`` over a signed common denominator, and the pivot, floors, rounding and
-determinant update are integer operations on them. An exchange builds one
-Fraction, its trace factor, and hands ``d * w`` to the trackers in
-``_Run.on_exchange``, which keep numerators over the run's determinant. A run
-keeps its basis once, as int rows that each exchange rewrites in place; every
-solver starts from one elimination of their pivot rows, ``_Run.eliminate``,
-checked against the determinant where the run knows it, and a ``Matrix`` of
-the basis is built only at the edges. ``_Run.adjugate`` is the one cached
-solver: the adjugate of the pivot-row system over the determinant, advanced by
-each exchange, for every run that knows its determinant. Rows below the
-basis rows ride along: the same exchange moves them with the vectors, so the
-Diophantine coordinates need no second copy. The public Fraction functions
+The engine works in integers. Every run knows its determinant from the
+split on: a solver returns ``num``, the numerators of ``x`` over the run's
+signed determinant ``det``, and the pivot, floors, rounding and determinant
+update are integer operations on them. An exchange builds one Fraction, its
+trace factor, and hands ``det * w`` to the trackers in ``_Run.on_exchange``,
+which keep numerators over the run's determinant; its pivot entry is the new
+determinant. A run keeps its basis once, as int rows that each exchange
+rewrites in place; every solver starts from one elimination of their pivot
+rows, ``_Run.eliminate``, checked against the determinant, and a ``Matrix``
+of the basis is built only at the edges. ``_Run.adjugate`` is the one cached
+solver: the adjugate of the pivot-row system over the determinant, advanced
+by each exchange. Rows below the basis rows ride along: the same exchange
+moves them with the vectors, so the Diophantine coordinates need no second
+copy. The public Fraction functions
 (:func:`mod_prime`, :func:`choose_pivot_argmin`, :func:`exchange_step`,
 :func:`solve_in_span`, :func:`check_off_pivot_rows`) clear denominators and
 call the same core.
@@ -160,14 +161,6 @@ def _pivot(num: Sequence[int], d: int) -> Optional[int]:
     return best
 
 
-def _scaled_det(det: int, w: int, d: int) -> int:
-    """``det * w / d``, the determinant after an exchange with factor ``w / d``; must be exact."""
-    det, r = divmod(det * w, d)
-    if r:
-        raise InvariantViolationError("exchange factor does not divide the determinant")
-    return det
-
-
 def _check_pivot(i: int, n: int) -> None:
     """Raise IndexError unless ``i`` indexes one of ``n`` coordinates."""
     if not 0 <= i < n:
@@ -249,9 +242,9 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
     exactly, so a vector outside the column span raises SpanMismatchError
     instead of silently returning a non-solution.
 
-    The engine's integer solve: ``(num, d)`` from one elimination of the
-    pivot rows of ``(basis | vec)``, the other rows checked on ``num``;
-    Fractions are built only for the result.
+    The engine's integer solve: numerators ``num`` over the determinant
+    ``d`` from one elimination of the pivot rows of ``(basis | vec)``, the
+    other rows checked on ``num``; Fractions are built only for the result.
     """
     if len(pivot_rows) != basis.cols or len(vec) != basis.rows:
         raise DimensionMismatchError(
@@ -280,16 +273,15 @@ def coefficient_bound(n_rows: int, max_entry: int) -> int:
 class _Run:
     """Mutable state of one exchange run, the engine behind every driver.
 
-    Solvers hand the engine ``x`` as ``(num, d)``: integer numerators over a
-    signed common denominator. An exchange is ``basis' = basis @ F``, ``F``
-    the identity with column ``i`` set to ``w = W / d``, ``W = _weights(num,
-    d, i)``; ``det`` is multiplied by ``w[i]``. Each exchange then calls every
-    hook in ``on_exchange`` as ``hook(i, j, W, d)``, ``j`` the source's pool
-    slot; a tracker keeps numerators over ``det``, which is ``d`` before it.
-
-    ``det`` is the signed determinant of the pivot-row subsystem, or None
-    where the run must not know it (determinant mode); ``det0`` is its value
-    before any exchange, and the trace holds it after each one.
+    ``det`` is the signed determinant of the pivot-row subsystem, known
+    from the start; ``det0`` is its value before any exchange, and the trace
+    holds it after each one. Solvers hand the engine ``x`` as ``num``, integer
+    numerators over ``det``. An exchange is ``basis' = basis @ F``, ``F`` the
+    identity with column ``i`` set to ``w = W / d``, ``d`` the determinant
+    before it and ``W = _weights(num, d, i)``; the new determinant is
+    ``d * w[i] == W[i]``. Each exchange then calls every hook in
+    ``on_exchange`` as ``hook(i, j, W, d)``, ``j`` the source's pool slot; a
+    tracker keeps numerators over ``det``, which is ``d`` before it.
 
     The run keeps its basis once: ``rows``, int lists that each exchange
     rewrites in place. The first ``dim`` are the basis rows; ``off_rows`` are
@@ -307,7 +299,7 @@ class _Run:
         rows: list[list[int]],
         pool: Iterable[Sequence[int]],
         pivot_rows: Sequence[int],
-        det: Optional[int],
+        det: int,
         discards: int = 0,
         dim: Optional[int] = None,
     ):
@@ -330,40 +322,40 @@ class _Run:
     def basis(self) -> Matrix:
         return Matrix._trusted(tuple(zip(*self.rows[: self.dim])), self.dim)
 
-    def eliminate(self, vecs: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-        """``(d, [num for each vec])``, ``num / d`` solving the pivot rows of ``basis @ x == vec``.
+    def eliminate(self, vecs: Sequence[Sequence[int]]) -> list[list[int]]:
+        """``[num for each vec]``, ``num / det`` solving the pivot rows of ``basis @ x == vec``.
 
-        One elimination, ``d`` the pivot rows' determinant, which must equal a
-        known ``det``. The ``vecs`` are ambient and integral; their entries off
+        One elimination, whose determinant of the pivot rows must equal
+        ``det``. The ``vecs`` are ambient and integral; their entries off
         the pivot rows are neither read nor checked.
         """
         rows = self.rows
         a = [rows[t] + [v[t] for v in vecs] for t in self.pivot_rows]
         d, nums = _eliminate_rows(a, len(self.pivot_rows), len(vecs))
-        if self.det is not None and d != self.det:
+        if d != self.det:
             raise InvariantViolationError("elimination disagrees with the tracked determinant")
-        return d, nums
+        return nums
 
-    def solve(self, vec: Sequence[int]) -> tuple[list[int], int]:
-        """``(num, d)`` with ``basis @ num == d * vec``, ``d`` the determinant, as :func:`solve_in_span`."""
-        d, (num,) = self.eliminate((vec,))
-        _check_span(self.off_rows, vec, num, d)
-        return num, d
+    def solve(self, vec: Sequence[int]) -> list[int]:
+        """``num`` with ``basis @ num == det * vec``, checked off the pivot rows as :func:`solve_in_span` does."""
+        (num,) = self.eliminate((vec,))
+        _check_span(self.off_rows, vec, num, self.det)
+        return num
 
     def adjugate(self) -> tuple[Callable, Callable]:
         """``(solve, row)`` on the adjugate ``det * B**-1``, ``B`` the pivot-row system.
 
         One elimination of the unit vectors builds it, and a hook in
-        ``on_exchange`` multiplies it by each exchange's ``F**-1``, so the run
-        must know its determinant. ``solve(vec)`` is ``(num, det)`` as
-        :meth:`solve` returns it, the rows off the pivot rows checked likewise;
+        ``on_exchange`` multiplies it by each exchange's ``F**-1``.
+        ``solve(vec)`` is ``num`` as :meth:`solve` returns it, the rows off the
+        pivot rows checked likewise;
         ``row(i)`` is row ``i`` of the pool's solutions as ints over ``det``,
         one dot product per pool vector; :meth:`row_major` calls it once per
         pivot row and carries the row across that row's exchanges. Both read
         only the pivot rows, so carried rows need nothing.
         """
         rows, covered = self.pivot_rows, not self.off_rows
-        _, columns = self.eliminate([_unit(t, self.dim) for t in rows])
+        columns = self.eliminate([_unit(t, self.dim) for t in rows])
         adj = [list(r) for r in zip(*columns)]
 
         def solve(vec):
@@ -371,7 +363,7 @@ class _Run:
             num = [sum(map(mul, r, v)) for r in adj]
             if not covered:
                 _check_span(self.off_rows, vec, num, self.det)
-            return num, self.det
+            return num
 
         def row(i):
             r = adj[i]
@@ -383,19 +375,19 @@ class _Run:
         self.on_exchange.append(advance)
         return solve, row
 
-    def exchange(self, j: int, x: tuple[Sequence[int], int], i: int) -> None:
+    def exchange(self, j: int, num: Sequence[int], i: int) -> None:
         """Swap basis column ``i`` for the residue of ``pool[j]``, then run the ``on_exchange`` hooks.
 
-        ``x = (num, d)`` must solve ``basis @ num == d * pool[j]``, ``num[i] / d``
-        fractional. The old basis column takes pool slot ``j``.
+        ``num`` must solve ``basis @ num == det * pool[j]``, ``num[i] / det``
+        fractional. The old basis column takes pool slot ``j``; the new
+        determinant is ``W[i]``.
         """
-        num, d = x
+        d = self.det
         if not num[i] % d:
             raise IntegralPivotError(f"coordinate {i} of the solution is integral")
         rounded = _rounded(num, d, i)
         w = [e - d * r for e, r in zip(num, rounded)]  # _weights(num, d, i)
-        if self.det is not None:
-            self.det = _scaled_det(self.det, w[i], d)
+        self.det = w[i]
         self.trace.append(ExchangeRecord(len(self.trace), i, j, Fraction(w[i], d), self.det))
         vec = self.pool[j]
         self.pool[j] = tuple(r[i] for r in self.rows)
@@ -407,20 +399,20 @@ class _Run:
     def fifo(self, solve: Callable) -> None:
         """Pool first in, first out; pivot as :func:`choose_pivot_argmin` does.
 
-        ``solve(vec)`` returns ``(num, d)``. A pool vector whose solution is
+        ``solve(vec)`` returns ``num`` over ``det``. A pool vector whose solution is
         integral is discarded; an exchanged one's old basis column joins the
         back of the pool. Stops once ``|det| == 1``: every remaining pool vector
         then divides evenly and is discarded unexamined.
         """
         pool = self.pool
         while pool and self.det not in (1, -1):
-            x = solve(pool[0])
-            i = _pivot(*x)
+            num = solve(pool[0])
+            i = _pivot(num, self.det)
             if i is None:
                 self.discards += 1
                 pool.pop(0)
                 continue
-            self.exchange(0, x, i)
+            self.exchange(0, num, i)
             pool.append(pool.pop(0))
         self.discards += len(pool)
         pool.clear()
@@ -430,7 +422,7 @@ class _Run:
 
         ``row(i)`` is row ``i`` of the pool's solution matrix as ints over
         ``det``, called once per pivot row, when the walk reaches it;
-        ``column(j)`` is the solution of ``pool[j]`` as ``(num, d)``. Each
+        ``column(j)`` is the solution of ``pool[j]`` as ints over ``det``. Each
         exchange pivots on the first fractional entry of the topmost row that
         has one, and the walk carries that row across it on a copy: ``F**-1``
         keeps row ``i`` and slot ``j`` now holds the old ``B_i``, so slot ``j``
@@ -450,14 +442,13 @@ class _Run:
         for i in range(len(self.pivot_rows)):
             z = list(row(i))  # carried across this row's exchanges; the driver may own its list
             while (j := next((k for k, e in enumerate(z) if e % self.det), None)) is not None:
-                x = column(j)
-                num, d = x
-                if num[i] * self.det != z[j] * d:
+                num = column(j)
+                if num[i] != z[j]:
                     raise InvariantViolationError("row solve disagrees with the full solve")
                 old_peak = max(abs(r[i]) for r in basis_rows)
                 # F**-1 keeps row i, and slot j now holds the old B_i, whose solution is e_i
                 z[j] = self.det
-                self.exchange(j, x, i)
+                self.exchange(j, num, i)
                 peak = max(abs(r[i]) for r in basis_rows)
                 if peak > old_peak + (n - 1) * norm_a:
                     raise InvariantViolationError("per-step coefficient growth bound violated")
@@ -511,7 +502,10 @@ def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i
 
     ``x`` must solve ``state.basis @ x == vec`` with ``x[i]`` fractional and
     ``vec`` must be in the pool. The old basis column joins the end of the
-    pool; the generated lattice of basis plus pool is unchanged.
+    pool; the generated lattice of basis plus pool is unchanged. The engine
+    takes ``x`` as numerators over ``state.det``: a zero determinant, or a
+    denominator of ``x`` that does not divide it, raises
+    InvariantViolationError.
     """
     try:
         j = state.pool.index(tuple(vec))
@@ -522,8 +516,10 @@ def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i
     _check_pivot(i, len(x))
     run = _Run([list(r) for r in zip(*state.basis.columns)], state.pool, state.pivot_rows, state.det)
     run.trace = list(state.trace)
-    d, num = _integer_multiple(x)
-    run.exchange(j, (num, d), i)
+    mu, num = _integer_multiple(x)
+    if not state.det or state.det % mu:
+        raise InvariantViolationError("solution denominators do not divide the determinant")
+    run.exchange(j, [e * (state.det // mu) for e in num], i)
     run.pool.append(run.pool.pop(j))
     return EuclidState(run.basis, tuple(run.pool), run.pivot_rows, run.det, tuple(run.trace))
 

@@ -6,7 +6,8 @@ vectors against the basis:
 
 * ``inverse_variant_basis`` runs the FIFO order of ``basic_basis`` (same
   pivots, same trace) against the engine's cached adjugate of the
-  independent system, ``_Run.adjugate``.
+  independent system, ``_Run.adjugate``. Determinant mode
+  (:mod:`lattice_euclid.applications`) is this run on ``(B | I)``.
 * ``solution_variant_basis`` solves all pool vectors up front into a
   solution matrix ``X`` and advances only ``X``; its transform ``Y`` comes
   from one closing elimination of the initial pivot rows against the final
@@ -15,11 +16,11 @@ vectors against the basis:
   same adjugate times the pool; the engine carries the row across the
   exchanges on it.
 
-Every solver hands the engine ``(num, d)``, integer numerators over the
-run's determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity
-with column ``i`` set to ``w``: the cached inverse and ``X`` advance in
-integer numerators over ``det B`` by ``F**-1`` (``exact._exchange_update``),
-in ints on ``d * w``, which the engine hands to the drivers' hooks in
+Every solver hands the engine ``num``, integer numerators over the run's
+determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity with
+column ``i`` set to ``w``: the cached inverse and ``X`` advance in integer
+numerators over ``det B`` by ``F**-1`` (``exact._exchange_update``), in ints
+on ``d * w``, which the engine hands to the drivers' hooks in
 ``_Run.on_exchange``; a transform would advance by ``F`` (:func:`y_update`).
 
 The last two run the engine's row-major order, so they produce the same
@@ -57,12 +58,12 @@ from .euclid import (
 )
 
 
-def _pool_numerators(run: _Run) -> tuple[int, list[list[int]]]:
-    """``(det, rows of det * X)`` for the pool against the basis, by one elimination."""
-    d, columns = run.eliminate(run.pool)
+def _pool_numerators(run: _Run) -> list[list[int]]:
+    """Rows of ``det * X`` for the pool against the basis, by one elimination."""
+    columns = run.eliminate(run.pool)
     for vec, col in zip(run.pool, columns):  # the other rows, checked as solve_in_span does
-        _check_span(run.off_rows, vec, col, d)
-    return d, [list(r) for r in zip(*columns)] if columns else [[] for _ in run.pivot_rows]
+        _check_span(run.off_rows, vec, col, run.det)
+    return [list(r) for r in zip(*columns)] if columns else [[] for _ in run.pivot_rows]
 
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
@@ -140,19 +141,19 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     """
     run = _split(a_mat)
     initial = _Run([r[:] for r in run.rows], (), run.pivot_rows, run.det, dim=run.dim)
-    _, x_num = _pool_numerators(run)
+    x_num = _pool_numerators(run)
 
     def advance(i, j, w, d):
         x_num[:] = _exchange_update(x_num, d, i, w, j)
 
     run.on_exchange.append(advance)
-    run.row_major(x_num.__getitem__, lambda j: ([r[j] for r in x_num], run.det))
+    run.row_major(x_num.__getitem__, lambda j: [r[j] for r in x_num])
     initial.pool = run.basis.columns
-    d0, y_num = _pool_numerators(initial)
-    if check_invariants and _pool_numerators(run) != (run.det, x_num):
-        raise InvariantViolationError("determinant or solution matrix disagrees with a fresh elimination")
+    y_num = _pool_numerators(initial)
+    if check_invariants and _pool_numerators(run) != x_num:
+        raise InvariantViolationError("solution matrix disagrees with a fresh elimination")
     n, touched = len(run.pivot_rows), {rec.pivot_row for rec in run.trace}
-    transform = tuple(tuple(Fraction(r[k], d0) for r in y_num) if k in touched else _unit(k, n) for k in range(n))
+    transform = tuple(tuple(Fraction(r[k], initial.det) for r in y_num) if k in touched else _unit(k, n) for k in range(n))
     return run.result(transform=Matrix._trusted(transform, n))
 
 
@@ -193,7 +194,7 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     solve, row = run.adjugate()
     run.row_major(row, lambda j: solve(run.pool[j]))
     if check_invariants:
-        d, x_num = _pool_numerators(run)
-        if any(e % d for r in x_num for e in r):
+        x_num = _pool_numerators(run)
+        if any(e % run.det for r in x_num for e in r):
             raise InvariantViolationError("pool vector left fractional at exit")
     return run.result()

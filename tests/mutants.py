@@ -1,0 +1,129 @@
+"""Mutation check: each listed edit to ``src/`` must make the tier-1 suite fail.
+
+Usage: ``python tests/mutants.py`` runs every mutant.
+
+For each mutant, a copy of ``src/`` goes to a temporary directory, one exact
+``(file, old, new)`` edit is applied to the copy, and the suite in ``tests/``
+runs against it with ``-x``; the mutant is killed when the suite fails. An
+unedited copy must pass first. The check fails when a mutant survives, or
+when its ``old`` text does not occur exactly once in its file: a refactor that
+moves a check must restate its mutant here. Standard library only; the file
+name keeps it out of the suite's own collection.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file in the package, old text, new text)
+MUTANTS = [
+    # checks that only fault injection (tests/test_faults.py) makes fire
+    ("growth cap gone", "euclid.py",
+     'raise InvariantViolationError("per-step coefficient growth bound violated")', "pass"),
+    ("coefficient bound gone", "euclid.py",
+     'raise InvariantViolationError("intermediate basis exceeds the coefficient bound")', "pass"),
+    ("solution-matrix check gone", "variants.py",
+     'raise InvariantViolationError("solution matrix disagrees with a fresh elimination")', "pass"),
+    ("fractional-exit check gone", "variants.py",
+     'raise InvariantViolationError("pool vector left fractional at exit")', "pass"),
+    ("unimodular-end check gone", "applications.py",
+     'raise InvariantViolationError("exchange run did not end on a unimodular basis")', "pass"),
+    ("coordinate drift check gone", "applications.py",
+     'raise InvariantViolationError("coordinate tracking drifted from the basis")', "pass"),
+    ("transform check gone", "applications.py",
+     'raise InvariantViolationError("transform does not reproduce the basis")', "pass"),
+    ("final-solve cross-check gone", "applications.py",
+     'raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")', "pass"),
+    # determinant mode's value against the split, and exchange_step's denominators
+    ("determinant equality check gone", "applications.py",
+     'raise InvariantViolationError("accumulated residues disagree with the determinant")', "pass"),
+    ("exchange_step denominator check gone", "euclid.py",
+     'raise InvariantViolationError("solution denominators do not divide the determinant")', "pass"),
+    # checks the ordinary tests already reach
+    ("elimination determinant check gone", "euclid.py",
+     'raise InvariantViolationError("elimination disagrees with the tracked determinant")', "pass"),
+    ("row-against-column cross-check gone", "euclid.py",
+     'raise InvariantViolationError("row solve disagrees with the full solve")', "pass"),
+    ("adjugate off-pivot check gone", "euclid.py",
+     "                _check_span(self.off_rows, vec, num, self.det)\n", "                pass\n"),
+    ("carried row written in place", "euclid.py",
+     "z = list(row(i))", "z = row(i)"),
+    ("exchange hooks not run", "euclid.py",
+     "            hook(i, j, w, d)\n", "            pass\n"),
+    ("FIFO stop at |det| == 1 gone", "euclid.py",
+     "while pool and self.det not in (1, -1):", "while pool:"),
+    # inverted conditions
+    ("elimination check inverted", "euclid.py",
+     "if d != self.det:", "if d == self.det:"),
+    ("row-against-column check inverted", "euclid.py",
+     "if num[i] != z[j]:", "if num[i] == z[j]:"),
+    ("integral pivot check inverted", "euclid.py",
+     "        if not num[i] % d:\n            raise IntegralPivotError", "        if num[i] % d:\n            raise IntegralPivotError"),
+    ("exchange_step denominator check inverted", "euclid.py",
+     "if not state.det or state.det % mu:", "if not state.det or not state.det % mu:"),
+    ("span check inverted", "euclid.py",
+     "if sum(map(mul, row, num)) != d * vec[t]:", "if sum(map(mul, row, num)) == d * vec[t]:"),
+    ("pivot ties to the last index", "euclid.py",
+     "if dist < best_dist:", "if dist <= best_dist:"),
+    ("singular test inverted", "applications.py",
+     "if len(run.pivot_rows) < n:", "if len(run.pivot_rows) >= n:"),
+    ("unimodular-end check inverted", "applications.py",
+     "if abs(sign) != 1:", "if abs(sign) == 1:"),
+    ("transform check inverted", "applications.py",
+     "if check_invariants and (a_mat @ transform) != run.basis:", "if check_invariants and (a_mat @ transform) == run.basis:"),
+    ("fractional-exit check inverted", "variants.py",
+     "if any(e % run.det for r in x_num for e in r):", "if not any(e % run.det for r in x_num for e in r):"),
+]
+
+
+def _suite_passes(src: Path, workdir: Path) -> bool:
+    """Run the tier-1 suite with ``-x`` against the package under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", str(ROOT / "tests")]
+    # run from workdir, so Hypothesis keeps the mutants' failing examples there
+    done = subprocess.run(cmd, cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def _copy(workdir: Path) -> Path:
+    src = workdir / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        workdir = Path(tmp)
+        if not _suite_passes(_copy(workdir), workdir):
+            print("the unedited copy fails the suite; no mutant can be judged")
+            return 1
+        for name, file, old, new in MUTANTS:
+            src = _copy(workdir)
+            path = src / "lattice_euclid" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"STALE     {name}: the old text occurs {text.count(old)} times in {file}")
+                failed += 1
+                continue
+            path.write_text(text.replace(old, new))
+            start = time.monotonic()
+            survived = _suite_passes(src, workdir)
+            outcome = "SURVIVED" if survived else "killed"
+            print(f"{outcome:<9} {name} ({file}, {time.monotonic() - start:.1f} s)", flush=True)
+            failed += survived
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

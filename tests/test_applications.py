@@ -22,6 +22,7 @@ from lattice_euclid import (
     lattice_determinant,
     member,
 )
+from lattice_euclid import euclid
 
 from _oracles import random_int_matrix
 
@@ -71,6 +72,69 @@ def test_determinant_forced_singular():
         b = random_int_matrix(rng, n, n, 10)
         b = b.with_column(n - 1, b.column(0))  # duplicate column
         assert lattice_determinant(b) == 0
+
+
+def test_determinant_mode_eliminates_once(monkeypatch):
+    # the column split eliminates B once (by _bareiss), and the FIFO steps
+    # solve on the cached adjugate: one elimination of the pivot rows per
+    # nonsingular run, whatever the number of exchanges, none for singular
+    # input; a unimodular B needs no solve, so it may skip even that one
+    cases = [
+        (Matrix.from_rows([[0, -9], [-6, -6]]), 3),
+        (Matrix.from_rows([[2, 1], [1, 3]]), None),
+        (Matrix.from_rows([[-7]]), None),
+        (Matrix.from_rows([[1, 0], [0, 1]]), 0),
+        (random_int_matrix(random.Random(1003), 6, 6, 1000), None),
+    ]
+    singular = [Matrix.from_rows([[1, 2], [2, 4]]), Matrix.from_rows([[0, 0], [0, 0]])]
+    calls = []
+    original = euclid._eliminate_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(euclid, "_eliminate_rows", counted)
+    exchanges = []
+    for b, want in cases:
+        calls.clear()
+        value, trace = determinant_with_trace(b)
+        assert value == bareiss_det(b) != 0
+        assert want is None or len(trace) == want
+        assert len(calls) <= 1 if abs(value) == 1 else len(calls) == 1
+        exchanges.append(len(trace))
+    assert max(exchanges) > 1
+    for b in singular:
+        calls.clear()
+        assert determinant_with_trace(b) == (0, ())
+        assert calls == []
+
+
+@st.composite
+def _squares(draw):
+    """A square integer matrix, ``n <= 6``, about a third of them singular."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.integers(0, 2)) == 0:
+        r = draw(st.integers(0, n - 1))
+        left = [draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r)) for _ in range(n)]
+        rows = [[sum(map(mul, row, col)) for col in zip(*rows[:r])] if r else [0] * n for row in left]
+    return Matrix.from_rows(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_squares())
+def test_determinant_mode_is_the_inverse_run_on_b_beside_the_identity(b):
+    n = b.rows
+    value, trace = determinant_with_trace(b)
+    det = bareiss_det(b)
+    if det == 0:
+        assert (value, trace) == (0, ())
+        return
+    stacked = Matrix(b.columns + Matrix.identity(n).columns, rows=n)
+    inverse = inverse_variant_basis(stacked)
+    assert (value, trace) == (det, inverse.trace)
+    assert inverse.trace == basic_basis(stacked).trace
 
 
 # --- Diophantine mode ----------------------------------------------------------

@@ -597,6 +597,17 @@ def test_basic_basis_random_runs_preserve_lattice_and_halve():
                     assert all(frac_part(e) == 0 for e in x)
 
 
+def test_fifo_stops_once_the_basis_is_unimodular():
+    # once |det| == 1 every pool vector divides evenly, so FIFO discards the
+    # rest of the pool without solving it: (2) exchanges with 3 once, to -1
+    for entries, solves, exchanges in (([1, 5, 7], 0, 0), ([2, 3, 5], 1, 1)):
+        run = _split(Matrix.from_rows([entries]))
+        solved = []
+        run.fifo(lambda vec: solved.append(vec) or run.solve(vec))
+        assert (len(solved), len(run.trace), run.discards) == (solves, exchanges, 2)
+        assert run.det in (1, -1) and run.pool == []
+
+
 # --- row-major order ---------------------------------------------------------
 
 
@@ -608,8 +619,8 @@ def test_row_major_scans_integer_rows_over_a_negative_denominator():
     a = Matrix.from_rows([[-2, 0, -2, 1], [0, 3, 3, 1]])
     run = _split(a)
     assert run.det == -6
-    assert run.solve(run.pool[1]) == ([3, -2], -6)
-    run.row_major(lambda i: [num[i] for num, _ in map(run.solve, run.pool)], lambda j: run.solve(run.pool[j]))
+    assert run.solve(run.pool[1]) == [3, -2]
+    run.row_major(lambda i: [num[i] for num in map(run.solve, run.pool)], lambda j: run.solve(run.pool[j]))
     assert (run.trace[0].pivot_row, run.trace[0].column) == (0, 1)
     assert tuple(run.trace) == rowwise_variant_basis(a).trace
 
@@ -617,7 +628,7 @@ def test_row_major_scans_integer_rows_over_a_negative_denominator():
     # slot, so the row carried over the new determinant is read again
     b = Matrix.from_rows([[5, 7]])
     run = _split(b)
-    run.row_major(lambda i: [num[i] for num, _ in map(run.solve, run.pool)], lambda j: run.solve(run.pool[j]))
+    run.row_major(lambda i: [num[i] for num in map(run.solve, run.pool)], lambda j: run.solve(run.pool[j]))
     assert [(rec.pivot_row, rec.column) for rec in run.trace] == [(0, 0), (0, 0)]
     assert tuple(run.trace) == rowwise_variant_basis(b).trace
 
@@ -627,9 +638,8 @@ def test_row_major_scans_integer_rows_over_a_negative_denominator():
 
 
 def test_elimination_checks_the_tracked_determinant():
-    # an elimination is where a tracker's denominator is born: a run that
-    # knows its determinant checks each one against it, a determinant-mode
-    # run (det None) does not
+    # an elimination is where a tracker's denominator is born: every run
+    # knows its determinant and checks each one against it
     a = Matrix.from_rows([[-2, 0, -2, 1], [0, 3, 3, 1]])
     for start in (lambda run: run.solve(run.pool[0]), _Run.adjugate, _pool_numerators):
         run = _split(a)
@@ -637,9 +647,6 @@ def test_elimination_checks_the_tracked_determinant():
         run.det = -run.det
         with pytest.raises(InvariantViolationError):
             start(run)
-    run = _Run([[-2, 0], [0, 3]], [(-2, 3)], range(2), None)
-    assert run.solve((-2, 3)) == ([-6, -6], -6)
-    assert _pool_numerators(run) == (-6, [[-6], [-6]])
 
 
 def test_row_major_forms_each_row_once():
