@@ -27,7 +27,7 @@ from .variants import inverse_variant_basis, rowwise_variant_basis, solution_var
 
 
 class _InputError(Exception):
-    """Bad input file or usage; message is ready to print."""
+    """Bad input file or usage; message is ready to print. ``_run`` prints it and exits 2."""
 
 
 def _load(path: str) -> Matrix:
@@ -106,6 +106,10 @@ def _print_transform(transform: Matrix) -> None:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
+    if args.emit_transform and args.alg != "solution":
+        raise _InputError("basis: --emit-transform requires --alg solution")
+    if args.emit_transform and args.stats_json:
+        raise _InputError("basis: --emit-transform conflicts with --stats-json")
     a_mat = _load(args.file)
     result = VARIANTS[args.alg](a_mat)
     _emit_trace(result.trace)
@@ -121,8 +125,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 def cmd_det(args: argparse.Namespace) -> int:
     b_mat = _load(args.file)
     if b_mat.rows != b_mat.cols:
-        print(f"{args.file}: determinant needs a square matrix", file=sys.stderr)
-        return 2
+        raise _InputError(f"{args.file}: determinant needs a square matrix")
     value, trace = determinant_with_trace(b_mat)
     _emit_trace(trace)
     print(value)
@@ -133,17 +136,12 @@ def cmd_dioph(args: argparse.Namespace) -> int:
     a_mat = _load(args.file)
     rhs_mat = _load(args.rhsfile)
     if rhs_mat.cols != 1 or rhs_mat.rows != a_mat.rows:
-        print(
-            f"{args.rhsfile}: right-hand side must be a {a_mat.rows}x1 matrix",
-            file=sys.stderr,
-        )
-        return 2
+        raise _InputError(f"{args.rhsfile}: right-hand side must be a {a_mat.rows}x1 matrix")
     rhs = tuple(rhs_mat.entry(i, 0) for i in range(rhs_mat.rows))
     try:
         solution, _, trace = diophantine_run(a_mat, rhs)
-    except SpanMismatchError:
-        print("INFEASIBLE")
-        return 1
+    except SpanMismatchError:  # outside even the rational span: infeasible, no trace printed
+        solution, trace = None, ()
     _emit_trace(trace)
     if solution is None:
         print("INFEASIBLE")
@@ -163,8 +161,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             n=args.n, m=args.m, bound=args.bound, seed=args.seed, rank_full=args.rank_full
         )
     except ValueError as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(f"gen: {exc}") from exc
     print(format_matrix(random_instance(params)), end="")
     return 0
 
@@ -188,8 +185,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for trial in range(args.trials)
         ]
     except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(f"bench: {exc}") from exc
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
     for trial, params in enumerate(instances):
@@ -295,13 +291,6 @@ def _run(argv: Sequence[str] | None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if getattr(args, "emit_transform", False):
-        if args.alg != "solution":
-            print("basis: --emit-transform requires --alg solution", file=sys.stderr)
-            return 2
-        if args.stats_json:
-            print("basis: --emit-transform conflicts with --stats-json", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except _InputError as exc:

@@ -22,8 +22,8 @@ the remaining rows are verified exactly on every solve.
 
 Every public driver in the package is a configuration of one engine kept
 here, ``_Run``: a mutable run state, one exchange routine, and two pivot
-orders. ``_Run.fifo`` consumes the pool first in, first out, pivots on the
-coordinate nearest an integer and stops once ``|det| == 1``;
+orders, both of which stop once ``|det| == 1``. ``_Run.fifo`` consumes the
+pool first in, first out and pivots on the coordinate nearest an integer;
 ``_Run.row_major`` clears fractional solution entries row by row under
 enforced coefficient-growth caps. A driver only supplies how pool vectors
 are solved and what it tracks besides the basis. :func:`basic_basis` is the
@@ -351,8 +351,8 @@ class _Run:
         pivot rows checked likewise;
         ``row(i)`` is row ``i`` of the pool's solutions as ints over ``det``,
         one dot product per pool vector; :meth:`row_major` calls it once per
-        pivot row and carries the row across that row's exchanges. Both read
-        only the pivot rows, so carried rows need nothing.
+        pivot row it reaches and carries the row across that row's
+        exchanges. Both read only the pivot rows, so carried rows need nothing.
         """
         rows, covered = self.pivot_rows, not self.off_rows
         columns = self.eliminate([_unit(t, self.dim) for t in rows])
@@ -433,13 +433,18 @@ class _Run:
         run's columns at the start (that of the input: zero columns add
         nothing). That per-step cap and :func:`coefficient_bound` are enforced
         on every exchange; a violation raises InvariantViolationError since it
-        would falsify the pivoting argument.
+        would falsify the pivoting argument. The walk stops once ``|det| == 1``,
+        forming no further row: every solution is then integral. Unlike FIFO's
+        stop it leaves the pool as it is, so a row-major run's ``discards``
+        counts zero columns only.
         """
         n = self.dim
         basis_rows = self.rows[:n]
         norm_a = max(map(abs, chain(*basis_rows, *(v[:n] for v in self.pool))), default=0)
         bound = coefficient_bound(n, norm_a)
         for i in range(len(self.pivot_rows)):
+            if self.det in (1, -1):  # every solution is integral: no exchange can follow
+                break
             z = list(row(i))  # carried across this row's exchanges; the driver may own its list
             while (j := next((k for k, e in enumerate(z) if e % self.det), None)) is not None:
                 num = column(j)

@@ -3,8 +3,10 @@ membership, and a seeded instance generator.
 
 This module is deliberately naive. The Hermite reduction is plain extended
 gcd column arithmetic at desk scale; the exchange algorithms elsewhere in
-the package are *tested against* it, so it stays simple enough to trust and
-shares none of their code paths.
+the package are *tested against* it, so it stays simple enough to trust:
+``hnf``, ``lattice_equal`` and ``member`` share none of their code paths.
+The generator does: with ``rank_full`` it ranks its draws with
+``find_independent_columns``, the engine's own elimination.
 """
 
 from __future__ import annotations

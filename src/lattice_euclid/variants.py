@@ -182,7 +182,8 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     cached adjugate (as :func:`inverse_variant_basis` keeps it) times the pool;
     while it has a fractional entry, exchange on it, and carry the row across
     the exchange rather than form it again. Once a row is integral it stays
-    integral, so the walk never backtracks. Both the per-step
+    integral, so the walk never backtracks; once ``|det| == 1`` it forms no
+    further row. Both the per-step
     growth cap ``new <= old + (n-1)*||A||`` and the global :func:`coefficient_bound`
     are enforced on every exchange; a violation raises
     InvariantViolationError since it would falsify the pivoting argument.

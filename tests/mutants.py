@@ -60,6 +60,8 @@ MUTANTS = [
      "            hook(i, j, w, d)\n", "            pass\n"),
     ("FIFO stop at |det| == 1 gone", "euclid.py",
      "while pool and self.det not in (1, -1):", "while pool:"),
+    ("row-major stop at |det| == 1 gone", "euclid.py",
+     "            if self.det in (1, -1):  # every solution is integral: no exchange can follow\n                break\n", ""),
     # inverted conditions
     ("elimination check inverted", "euclid.py",
      "if d != self.det:", "if d == self.det:"),

@@ -78,7 +78,8 @@ def test_determinant_mode_eliminates_once(monkeypatch):
     # the column split eliminates B once (by _bareiss), and the FIFO steps
     # solve on the cached adjugate: one elimination of the pivot rows per
     # nonsingular run, whatever the number of exchanges, none for singular
-    # input; a unimodular B needs no solve, so it may skip even that one
+    # input; a unimodular B needs no solve, but the adjugate is built with
+    # the run, so it too eliminates once
     cases = [
         (Matrix.from_rows([[0, -9], [-6, -6]]), 3),
         (Matrix.from_rows([[2, 1], [1, 3]]), None),
@@ -101,7 +102,7 @@ def test_determinant_mode_eliminates_once(monkeypatch):
         value, trace = determinant_with_trace(b)
         assert value == bareiss_det(b) != 0
         assert want is None or len(trace) == want
-        assert len(calls) <= 1 if abs(value) == 1 else len(calls) == 1
+        assert len(calls) == 1
         exchanges.append(len(trace))
     assert max(exchanges) > 1
     for b in singular:

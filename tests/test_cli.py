@@ -250,6 +250,33 @@ def test_bench_rejects_bad_params(capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["det", "{gcd}"], "{gcd}: determinant needs a square matrix"),
+        (["dioph", "{gcd}", "{rhs}"], "{rhs}: right-hand side must be a 1x1 matrix"),
+        (
+            ["gen", "--n", "3", "--m", "2", "--bound", "9", "--seed", "1", "--rank-full"],
+            "gen: full rank needs at least as many columns as rows",
+        ),
+        (
+            ["bench", "--seed", "1", "--trials", "0", "--n", "2", "--m", "2", "--bound", "5"],
+            "bench: trials must be at least 1",
+        ),
+        (["basis", "--alg", "basic", "--emit-transform", "{gcd}"], "basis: --emit-transform requires --alg solution"),
+        (
+            ["basis", "--alg", "solution", "--emit-transform", "--stats-json", "{gcd}"],
+            "basis: --emit-transform conflicts with --stats-json",
+        ),
+    ],
+)
+def test_usage_and_input_diagnostics(argv, err, gcd_file, tmp_path, capsys):
+    # each usage or input error exits 2 with one exact line on stderr and no output
+    paths = {"gcd": gcd_file, "rhs": _write_vec(tmp_path, "b.vec", [1, 2])}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr() == ("", err.format(**paths) + "\n")
+
+
 def test_basis_of_all_zero_input_checks_equal(tmp_path, capsys):
     path = tmp_path / "zero.mat"
     path.write_text("2 3\n0 0 0\n0 0 0\n")

@@ -651,7 +651,8 @@ def test_elimination_checks_the_tracked_determinant():
 
 def test_row_major_forms_each_row_once():
     # an exchange on row i leaves that row's numerators but slot j and moves its
-    # denominator, so the walk carries the row rather than forming it again
+    # denominator, so the walk carries the row rather than forming it again;
+    # once |det| == 1 every row is integral, so it forms no further row
     rng = random.Random(4242)  # the rank-8 product of test_drivers_agree_at_benchmark_scale
     lowrank = random_int_matrix(rng, 16, 8, 9) @ random_int_matrix(rng, 8, 32, 9)
     cases = [
@@ -659,6 +660,7 @@ def test_row_major_forms_each_row_once():
         (random_instance(InstanceParams(n=10, m=16, bound=1000, seed=31)), 44),
         (lowrank, 10),
         (Matrix.from_rows([[6, 10, 15]]), 2),
+        (Matrix.from_rows([[1, 0, 3], [0, 1, 5]]), 0),
         (Matrix((), rows=3), 0),
     ]
     for a, exchanges in cases:
@@ -672,7 +674,9 @@ def test_row_major_forms_each_row_once():
             return z
 
         run.row_major(counted, lambda j: solve(run.pool[j]))
-        assert [i for i, _, _ in calls] == list(range(len(run.pivot_rows)))
+        # rows up to the one on which |det| reaches 1, none if the run starts there
+        formed = next((rec.pivot_row + 1 for rec in run.trace if rec.det_after in (1, -1)), len(run.pivot_rows))
+        assert [i for i, _, _ in calls] == list(range(0 if run.det0 in (1, -1) else formed))
         assert all(z == handed for _, z, handed in calls)  # the walk writes into no list it was handed
         assert len(run.trace) == exchanges
         assert tuple(run.trace) == solution_variant_basis(a).trace
