@@ -105,7 +105,7 @@ def diophantine_run(
     solve, _ = run.adjugate()
 
     def check(i, j, w, d):
-        if a_mat.mat_vec([r[i] for r in coords]) != run.basis.column(i):
+        if a_mat.mat_vec([r[i] for r in coords]) != tuple(r[i] for r in run.rows[: run.dim]):
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 
     if check_invariants:
@@ -116,7 +116,7 @@ def diophantine_run(
         raise InvariantViolationError("transform does not reproduce the basis")
     mu, vec = _integer_multiple(rhs)  # TypeError on entries that are not int or Fraction
     num = solve(vec)  # SpanMismatchError if infeasible
-    if check_invariants and run.solve(vec) != num:
+    if check_invariants and run.solve((vec,)) != [num]:
         raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")
     d = run.det * mu  # x == num / d
     if any(e % d for e in num):

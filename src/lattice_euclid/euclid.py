@@ -38,7 +38,9 @@ which keep numerators over the run's determinant; its pivot entry is the new
 determinant. A run keeps its basis once, as int rows that each exchange
 rewrites in place; every solver starts from one elimination of their pivot
 rows, ``_Run.eliminate``, checked against the determinant, and a ``Matrix``
-of the basis is built only at the edges. ``_Run.adjugate`` is the one cached
+of the basis is built only at the edges. ``_Run.solve`` is the one checked
+solve from scratch: one elimination of all the vectors it is given, each
+result checked off the pivot rows. ``_Run.adjugate`` is the one cached
 solver: the adjugate of the pivot-row system over the determinant, advanced
 by each exchange. Rows below the basis rows ride along: the same exchange
 moves them with the vectors, so the Diophantine coordinates need no second
@@ -130,6 +132,8 @@ class BasisResult:
 
 def _rounded(num: Sequence[int], d: int, i: int) -> list[int]:
     """What an exchange at pivot ``i`` subtracts: ``num / d`` floored, rounded to nearest at ``i``."""
+    if not num[i] % d:  # the one integral-pivot test: every exchange, residue and update reaches it first
+        raise IntegralPivotError(f"coordinate {i} of the solution is integral")
     out = [e // d for e in num]
     out[i] = _nearest(num[i], d)
     return out
@@ -179,8 +183,6 @@ def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) ->
         raise DimensionMismatchError(f"vector of length {len(vec)} against {b_mat.rows} rows")
     _check_pivot(i, len(x))
     d, num = _integer_multiple(x)
-    if not num[i] % d:
-        raise IntegralPivotError(f"coordinate {i} of the solution is integral")
     return tuple(v - w for v, w in zip(vec, b_mat.mat_vec(_rounded(num, d, i))))
 
 
@@ -336,19 +338,20 @@ class _Run:
             raise InvariantViolationError("elimination disagrees with the tracked determinant")
         return nums
 
-    def solve(self, vec: Sequence[int]) -> list[int]:
-        """``num`` with ``basis @ num == det * vec``, checked off the pivot rows as :func:`solve_in_span` does."""
-        (num,) = self.eliminate((vec,))
-        _check_span(self.off_rows, vec, num, self.det)
-        return num
+    def solve(self, vecs: Sequence[Sequence[int]]) -> list[list[int]]:
+        """``[num for each vec]``, ``basis @ num == det * vec``: one elimination, each checked off the pivot rows."""
+        nums = self.eliminate(vecs)
+        for vec, num in zip(vecs, nums):
+            _check_span(self.off_rows, vec, num, self.det)
+        return nums
 
     def adjugate(self) -> tuple[Callable, Callable]:
         """``(solve, row)`` on the adjugate ``det * B**-1``, ``B`` the pivot-row system.
 
         One elimination of the unit vectors builds it, and a hook in
         ``on_exchange`` multiplies it by each exchange's ``F**-1``.
-        ``solve(vec)`` is ``num`` as :meth:`solve` returns it, the rows off the
-        pivot rows checked likewise;
+        ``solve(vec)`` is ``num`` as :meth:`solve` returns it for ``vec``, the
+        rows off the pivot rows checked likewise;
         ``row(i)`` is row ``i`` of the pool's solutions as ints over ``det``,
         one dot product per pool vector; :meth:`row_major` calls it once per
         pivot row it reaches and carries the row across that row's
@@ -379,12 +382,11 @@ class _Run:
         """Swap basis column ``i`` for the residue of ``pool[j]``, then run the ``on_exchange`` hooks.
 
         ``num`` must solve ``basis @ num == det * pool[j]``, ``num[i] / det``
-        fractional. The old basis column takes pool slot ``j``; the new
+        fractional (:func:`_rounded` raises IntegralPivotError before any state
+        changes otherwise). The old basis column takes pool slot ``j``; the new
         determinant is ``W[i]``.
         """
         d = self.det
-        if not num[i] % d:
-            raise IntegralPivotError(f"coordinate {i} of the solution is integral")
         rounded = _rounded(num, d, i)
         w = [e - d * r for e, r in zip(num, rounded)]  # _weights(num, d, i)
         self.det = w[i]
@@ -462,12 +464,13 @@ class _Run:
                     raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
 
     def result(self, transform: Optional[Matrix] = None) -> BasisResult:
+        basis = self.basis
         return BasisResult(
-            basis=self.basis,
+            basis=basis,
             exchanges=len(self.trace),
             discards=self.discards,
             det_trajectory=(self.det0, *(rec.det_after for rec in self.trace)),
-            max_abs_entry=int(self.basis.max_abs()),
+            max_abs_entry=int(basis.max_abs()),
             trace=tuple(self.trace),
             transform=transform,
         )
@@ -538,5 +541,5 @@ def basic_basis(a_mat: Matrix) -> BasisResult:
     an input without nonzero columns yields an empty basis.
     """
     run = _split(a_mat)
-    run.fifo(run.solve)
+    run.fifo(lambda vec: run.solve((vec,))[0])
     return run.result()

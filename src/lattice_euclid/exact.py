@@ -197,8 +197,7 @@ def _integer_multiple(vec: Sequence[Scalar]) -> tuple[int, list[int]]:
     """``(mu, mu * vec)`` with ``mu = lcm_denominators(vec)``, entries as ints."""
     if all(e.__class__ is int for e in vec):
         return 1, list(vec)
-    if not all(isinstance(e, (int, Fraction)) for e in vec):
-        raise TypeError("entries must be int or Fraction")
+    _check_entries(vec)
     mu = lcm_denominators(vec)
     return mu, _numerators(vec, mu)
 
@@ -349,9 +348,7 @@ def _exchange_update(num: list[list[int]], d: int, i: int, w: Sequence[int], j: 
             row[j] = d if k == i else 0
     wi, head = w[i], num[i]
     return [
-        row if k == i
-        else [(wi * e - wk * h) // d for e, h in zip(row, head)] if wk
-        else [wi * e // d for e in row]
+        row if k == i else [(wi * e - wk * h) // d for e, h in zip(row, head)]
         for k, (row, wk) in enumerate(zip(num, w))
     ]
 

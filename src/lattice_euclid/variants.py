@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolationError
+from .errors import DimensionMismatchError, InvariantViolationError
 from .exact import (
     Matrix,
     Scalar,
@@ -51,19 +51,10 @@ from .euclid import (
     BasisResult,
     _Run,
     _check_pivot,
-    _check_span,
     _split,
     _unit,
     _weights,
 )
-
-
-def _pool_numerators(run: _Run) -> list[list[int]]:
-    """Rows of ``det * X`` for the pool against the basis, by one elimination."""
-    columns = run.eliminate(run.pool)
-    for vec, col in zip(run.pool, columns):  # the other rows, checked as solve_in_span does
-        _check_span(run.off_rows, vec, col, run.det)
-    return [list(r) for r in zip(*columns)] if columns else [[] for _ in run.pivot_rows]
 
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
@@ -101,9 +92,7 @@ def solution_update(x_mat: Matrix, i: int, j: int) -> Matrix:
         raise IndexError(f"column {j} out of range for {x_mat.cols} columns")
     _check_pivot(i, x_mat.rows)
     d, num = _integer_multiple(x_mat.column(j))
-    w = _weights(num, d, i)
-    if w[i] == 0:
-        raise IntegralPivotError(f"entry ({i}, {j}) of the solution matrix is integral")
+    w = _weights(num, d, i)  # IntegralPivotError if entry (i, j) is integral
     return _rational_exchange_update(x_mat, i, [Fraction(e, d) for e in w], j)
 
 
@@ -141,19 +130,18 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     """
     run = _split(a_mat)
     initial = _Run([r[:] for r in run.rows], (), run.pivot_rows, run.det, dim=run.dim)
-    x_num = _pool_numerators(run)
+    x_num = [list(r) for r in zip(*run.solve(run.pool))] or [[] for _ in run.pivot_rows]  # det * X
 
     def advance(i, j, w, d):
         x_num[:] = _exchange_update(x_num, d, i, w, j)
 
     run.on_exchange.append(advance)
     run.row_major(x_num.__getitem__, lambda j: [r[j] for r in x_num])
-    initial.pool = run.basis.columns
-    y_num = _pool_numerators(initial)
-    if check_invariants and _pool_numerators(run) != x_num:
+    y_num = initial.solve(run.basis.columns)  # the columns of d0 * Y
+    if check_invariants and run.solve(run.pool) != [list(c) for c in zip(*x_num)]:
         raise InvariantViolationError("solution matrix disagrees with a fresh elimination")
     n, touched = len(run.pivot_rows), {rec.pivot_row for rec in run.trace}
-    transform = tuple(tuple(Fraction(r[k], initial.det) for r in y_num) if k in touched else _unit(k, n) for k in range(n))
+    transform = tuple(tuple(Fraction(e, initial.det) for e in y_num[k]) if k in touched else _unit(k, n) for k in range(n))
     return run.result(transform=Matrix._trusted(transform, n))
 
 
@@ -194,8 +182,6 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     run = _split(a_mat)
     solve, row = run.adjugate()
     run.row_major(row, lambda j: solve(run.pool[j]))
-    if check_invariants:
-        x_num = _pool_numerators(run)
-        if any(e % run.det for r in x_num for e in r):
-            raise InvariantViolationError("pool vector left fractional at exit")
+    if check_invariants and any(e % run.det for num in run.solve(run.pool) for e in num):
+        raise InvariantViolationError("pool vector left fractional at exit")
     return run.result()

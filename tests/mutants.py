@@ -54,6 +54,12 @@ MUTANTS = [
      'raise InvariantViolationError("row solve disagrees with the full solve")', "pass"),
     ("adjugate off-pivot check gone", "euclid.py",
      "                _check_span(self.off_rows, vec, num, self.det)\n", "                pass\n"),
+    # the 12-space line also occurs inside the adjugate's 16-space one, hence the context
+    ("checked solve's off-pivot check gone", "euclid.py",
+     "            _check_span(self.off_rows, vec, num, self.det)\n        return nums\n",
+     "            pass\n        return nums\n"),
+    ("vector entry check gone", "exact.py",
+     "    _check_entries(vec)\n    mu = lcm_denominators(vec)", "    mu = lcm_denominators(vec)"),
     ("carried row written in place", "euclid.py",
      "z = list(row(i))", "z = row(i)"),
     ("exchange hooks not run", "euclid.py",
@@ -68,7 +74,7 @@ MUTANTS = [
     ("row-against-column check inverted", "euclid.py",
      "if num[i] != z[j]:", "if num[i] == z[j]:"),
     ("integral pivot check inverted", "euclid.py",
-     "        if not num[i] % d:\n            raise IntegralPivotError", "        if num[i] % d:\n            raise IntegralPivotError"),
+     "    if not num[i] % d:  # the one integral-pivot test", "    if num[i] % d:  # the one integral-pivot test"),
     ("exchange_step denominator check inverted", "euclid.py",
      "if not state.det or state.det % mu:", "if not state.det or not state.det % mu:"),
     ("span check inverted", "euclid.py",
@@ -82,7 +88,7 @@ MUTANTS = [
     ("transform check inverted", "applications.py",
      "if check_invariants and (a_mat @ transform) != run.basis:", "if check_invariants and (a_mat @ transform) == run.basis:"),
     ("fractional-exit check inverted", "variants.py",
-     "if any(e % run.det for r in x_num for e in r):", "if not any(e % run.det for r in x_num for e in r):"),
+     "if check_invariants and any(e % run.det", "if check_invariants and not any(e % run.det"),
 ]
 
 

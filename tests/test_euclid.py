@@ -19,6 +19,7 @@ from lattice_euclid import (
     basic_basis,
     choose_pivot_argmin,
     diophantine_run,
+    diophantine_solve,
     exchange_step,
     find_independent_columns,
     frac_part,
@@ -37,7 +38,6 @@ from lattice_euclid import euclid, exact
 from lattice_euclid.errors import InvariantViolationError
 from lattice_euclid.euclid import _nearest, _pivot, _Run, _split, _weights
 from lattice_euclid.exact import _bareiss, _integer_multiple
-from lattice_euclid.variants import _pool_numerators
 
 from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix, round_half_up
 
@@ -408,6 +408,19 @@ def test_solve_in_span_checks_dimensions():
         solve_in_span(Matrix.from_rows([[1, 1], [1, 1]]), (0, 1), (1, 1))
 
 
+def test_a_bool_in_a_vector_is_no_entry():
+    # bool is an int subclass, but no entry of a vector, as of a Matrix
+    half = Fraction(1, 2)
+    for call in (
+        lambda: solve_system(Matrix.identity(2), (True, False)),
+        lambda: solve_in_span(Matrix.identity(2), (0, 1), (True, False)),
+        lambda: choose_pivot_argmin((True, half)),
+        lambda: diophantine_solve(Matrix.from_rows([[2]]), (True,)),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_check_off_pivot_rows():
     basis = Matrix.from_rows([[2, 0], [0, 2], [1, 1]])
     half = (Fraction(1, 2), Fraction(1, 2))
@@ -603,7 +616,7 @@ def test_fifo_stops_once_the_basis_is_unimodular():
     for entries, solves, exchanges in (([1, 5, 7], 0, 0), ([2, 3, 5], 1, 1)):
         run = _split(Matrix.from_rows([entries]))
         solved = []
-        run.fifo(lambda vec: solved.append(vec) or run.solve(vec))
+        run.fifo(lambda vec: solved.append(vec) or run.solve((vec,))[0])
         assert (len(solved), len(run.trace), run.discards) == (solves, exchanges, 2)
         assert run.det in (1, -1) and run.pool == []
 
@@ -619,8 +632,8 @@ def test_row_major_scans_integer_rows_over_a_negative_denominator():
     a = Matrix.from_rows([[-2, 0, -2, 1], [0, 3, 3, 1]])
     run = _split(a)
     assert run.det == -6
-    assert run.solve(run.pool[1]) == [3, -2]
-    run.row_major(lambda i: [num[i] for num in map(run.solve, run.pool)], lambda j: run.solve(run.pool[j]))
+    assert run.solve(run.pool[1:]) == [[3, -2]]
+    run.row_major(lambda i: [num[i] for num in run.solve(run.pool)], lambda j: run.solve((run.pool[j],))[0])
     assert (run.trace[0].pivot_row, run.trace[0].column) == (0, 1)
     assert tuple(run.trace) == rowwise_variant_basis(a).trace
 
@@ -628,25 +641,35 @@ def test_row_major_scans_integer_rows_over_a_negative_denominator():
     # slot, so the row carried over the new determinant is read again
     b = Matrix.from_rows([[5, 7]])
     run = _split(b)
-    run.row_major(lambda i: [num[i] for num in map(run.solve, run.pool)], lambda j: run.solve(run.pool[j]))
+    run.row_major(lambda i: [num[i] for num in run.solve(run.pool)], lambda j: run.solve((run.pool[j],))[0])
     assert [(rec.pivot_row, rec.column) for rec in run.trace] == [(0, 0), (0, 0)]
     assert tuple(run.trace) == rowwise_variant_basis(b).trace
 
     run = _split(a)
     with pytest.raises(InvariantViolationError):  # row disagrees with the column
-        run.row_major(lambda i: [-6, 3 - 6], lambda j: run.solve(run.pool[j]))
+        run.row_major(lambda i: [-6, 3 - 6], lambda j: run.solve((run.pool[j],))[0])
 
 
 def test_elimination_checks_the_tracked_determinant():
     # an elimination is where a tracker's denominator is born: every run
     # knows its determinant and checks each one against it
     a = Matrix.from_rows([[-2, 0, -2, 1], [0, 3, 3, 1]])
-    for start in (lambda run: run.solve(run.pool[0]), _Run.adjugate, _pool_numerators):
+    for start in (lambda run: run.solve(run.pool), _Run.adjugate):
         run = _split(a)
         start(run)
         run.det = -run.det
         with pytest.raises(InvariantViolationError):
             start(run)
+
+
+def test_checked_solve_checks_every_vector_off_the_pivot_rows():
+    # basis (1, 0) on pivot row 0: the pool vector (1, 1) agrees with it on
+    # the pivot row, so only the check of row 1 can refuse it
+    pool = [(1, 0), (1, 1)]
+    run = _Run([[1], [0]], pool, (0,), 1)
+    assert run.solve(pool[:1]) == [[1]]
+    with pytest.raises(SpanMismatchError, match="at row 1"):
+        run.solve(pool)
 
 
 def test_row_major_forms_each_row_once():

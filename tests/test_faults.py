@@ -20,7 +20,7 @@ from lattice_euclid import (
     rowwise_variant_basis,
     solution_variant_basis,
 )
-from lattice_euclid import applications, euclid, variants
+from lattice_euclid import applications, euclid
 from lattice_euclid.errors import InvariantViolationError
 
 WORKED = Matrix.from_rows([[2, 0, 1], [0, 3, 1]])  # det 6; row 0 of X is (1/2), its first pivot
@@ -56,22 +56,22 @@ def test_row_major_enforces_the_coefficient_bound(monkeypatch):
 
 
 def _corrupt_last_pool_solve(monkeypatch, calls_before, corrupt):
-    """Make ``variants._pool_numerators`` return ``corrupt(run, rows)`` after its first ``calls_before`` calls."""
-    original = variants._pool_numerators
+    """Make ``_Run.solve`` return ``corrupt(run, columns)`` after its first ``calls_before`` calls."""
+    original = euclid._Run.solve
     calls = []
 
-    def wrapped(run):
+    def wrapped(run, vecs):
         calls.append(run)
-        return corrupt(run, original(run)) if len(calls) > calls_before else original(run)
+        return corrupt(run, original(run, vecs)) if len(calls) > calls_before else original(run, vecs)
 
-    monkeypatch.setattr(variants, "_pool_numerators", wrapped)
+    monkeypatch.setattr(euclid._Run, "solve", wrapped)
 
 
 def test_solution_driver_checks_its_solution_matrix(monkeypatch):
     # the solution driver solves the pool and the closing transform first,
     # then re-solves the pool to check X: a different X there must raise
     solution_variant_basis(WORKED, check_invariants=True)
-    _corrupt_last_pool_solve(monkeypatch, 2, lambda run, rows: [[e + run.det for e in r] for r in rows])
+    _corrupt_last_pool_solve(monkeypatch, 2, lambda run, columns: [[e + run.det for e in c] for c in columns])
     with pytest.raises(InvariantViolationError, match="disagrees with a fresh elimination"):
         solution_variant_basis(WORKED, check_invariants=True)
 
@@ -81,9 +81,9 @@ def test_rowwise_driver_checks_the_pool_is_integral_at_exit(monkeypatch):
     # and adds 1/2 to every entry
     rowwise_variant_basis(WORKED, check_invariants=True)
 
-    def halves(run, rows):
+    def halves(run, columns):
         run.det *= 2
-        return [[2 * e + 1 for e in r] for r in rows]
+        return [[2 * e + 1 for e in c] for c in columns]
 
     _corrupt_last_pool_solve(monkeypatch, 0, halves)
     with pytest.raises(InvariantViolationError, match="left fractional at exit"):
@@ -155,7 +155,7 @@ def test_diophantine_run_checks_the_transform_at_the_end(monkeypatch):
 
 def test_diophantine_run_checks_the_final_solve_against_an_elimination(monkeypatch):
     original = euclid._Run.solve
-    monkeypatch.setattr(euclid._Run, "solve", lambda run, vec: [e + 1 for e in original(run, vec)])
+    monkeypatch.setattr(euclid._Run, "solve", lambda run, vecs: [[e + 1 for e in num] for num in original(run, vecs)])
     diophantine_run(UNTOUCHED, (1, 1))
     with pytest.raises(InvariantViolationError, match="cached adjugate disagrees"):
         diophantine_run(UNTOUCHED, (1, 1), check_invariants=True)

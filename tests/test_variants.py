@@ -33,7 +33,6 @@ from lattice_euclid import euclid, variants
 from lattice_euclid.errors import DimensionMismatchError, SpanMismatchError
 from lattice_euclid.euclid import _split, _weights
 from lattice_euclid.exact import _exchange_update
-from lattice_euclid.variants import _pool_numerators
 
 from _oracles import is_integral, random_int_matrix, random_nonsingular, round_half_up
 
@@ -589,13 +588,15 @@ def test_matrix_without_columns_builds_no_per_row_list():
 def test_integer_weights_match_the_fraction_weights():
     # the engine builds d * w in ints, as _weights(x_num, d, i); it must be d
     # times the Fraction definition, and with num = d * I the kernel's
-    # column i is -W off the pivot row and d on it
+    # column i is -W off the pivot row and d on it. An exchange pivots only
+    # on a fractional coordinate, and _weights refuses an integral one.
     rng = random.Random(707)
     cases = [([3, -3, 9, -9], 6, 0), ([3, -3, 9, -9], -6, 1), ([0, 5, -5], 10, 2)]  # halves
     for _ in range(300):
         n = rng.randint(1, 5)
         d = rng.choice([-1, 1]) * rng.randint(1, 40)
         cases.append(([rng.randint(-200, 200) for _ in range(n)], d, rng.randrange(n)))
+    cases = [(x_num, d, i) for x_num, d, i in cases if x_num[i] % d]
     for x_num, d, i in cases:
         n = len(x_num)
         x = [Fraction(e, d) for e in x_num]
@@ -640,7 +641,7 @@ def test_integer_transform_divides_exactly_and_matches_the_rational_one():
     signs = set()
     for a in cases:
         run = _split(a)
-        x_num = _pool_numerators(run)
+        x_num = [list(r) for r in zip(*run.solve(run.pool))]
         y_rat = Matrix.identity(run.basis.cols)
         signs.add(run.det > 0)
 
