@@ -100,6 +100,7 @@ def diophantine_run(
     """
     if len(rhs) != a_mat.rows:
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
+    mu, vec = _integer_multiple(rhs)  # TypeError before the run on entries not int or Fraction
     run = _split(a_mat, coordinates=True)
     coords = run.rows[run.dim :] or [()] * a_mat.cols  # U, m rows: A @ U == basis
     solve, _ = run.adjugate()
@@ -114,7 +115,6 @@ def diophantine_run(
     transform = Matrix._trusted(tuple(zip(*coords)), a_mat.cols)
     if check_invariants and (a_mat @ transform) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
-    mu, vec = _integer_multiple(rhs)  # TypeError on entries that are not int or Fraction
     num = solve(vec)  # SpanMismatchError if infeasible
     if check_invariants and run.solve((vec,)) != [num]:
         raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")

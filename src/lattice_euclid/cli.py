@@ -3,8 +3,9 @@
 Subcommands: ``basis`` (four algorithm variants), ``det``, ``dioph``,
 ``hnf``, ``gen``, ``check``, ``bench``. Exit codes: 0 success / feasible /
 equal, 1 infeasible Diophantine system or unequal lattices, 2 usage or
-input errors. Setting ``LATTICE_EUCLID_LOG=trace`` prints one line per
-exchange step to stderr (all indices 0-based).
+input errors, 141 stdout closed early by its reader (128 + SIGPIPE).
+Setting ``LATTICE_EUCLID_LOG=trace`` prints one line per exchange step to
+stderr (all indices 0-based).
 """
 
 from __future__ import annotations
@@ -44,23 +45,6 @@ VARIANTS = {
     "solution": solution_variant_basis,
     "rowwise": rowwise_variant_basis,
 }
-
-
-BENCH_COLUMNS = [
-    "variant",
-    "trial",
-    "seed",
-    "n",
-    "m",
-    "rank",
-    "exchanges",
-    "discards",
-    "det_initial",
-    "det_final",
-    "max_abs_entry_output",
-    "coefficient_bound",
-    "wall_time_s",
-]
 
 
 def _stats(variant: str, a_mat: Matrix, result: BasisResult) -> dict:
@@ -187,16 +171,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _InputError(f"bench: {exc}") from exc
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(BENCH_COLUMNS)
+    header = True
     for trial, params in enumerate(instances):
         a_mat = random_instance(params)
         for variant, runner in VARIANTS.items():
             started = time.perf_counter()
             result = runner(a_mat)
             wall = time.perf_counter() - started
-            row = _stats(variant, a_mat, result)
-            row.update(trial=trial, seed=params.seed, wall_time_s=f"{wall:.6f}")
-            writer.writerow([row[c] for c in BENCH_COLUMNS])
+            # the --stats-json record ("variant" stays first), then the wall time
+            row = {"variant": variant, "trial": trial, "seed": params.seed, **_stats(variant, a_mat, result)}
+            row["wall_time_s"] = f"{wall:.6f}"
+            if header:  # the first record's keys
+                writer.writerow(row)
+                header = False
+            writer.writerow(row.values())
     return 0
 
 
@@ -273,16 +261,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10.0-3.10.6 have no limit to lift
-        return _run(argv)
     # entries and results are decimal integers of any length; the interpreter
-    # limits int/str conversion to 4300 digits by default
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # limits int/str conversion to 4300 digits by default (3.10.0-3.10.6 have no limit to lift)
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return _run(argv)
+        status = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit: argparse's output too
+        return status
+    except BrokenPipeError:
+        # leave quietly, as SIGPIPE would: the exit-time flush goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     finally:
-        sys.set_int_max_str_digits(previous)
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 def _run(argv: Sequence[str] | None) -> int:

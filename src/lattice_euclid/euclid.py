@@ -64,6 +64,7 @@ from .exact import (
     Matrix,
     Scalar,
     _bareiss,
+    _check_entries,
     _eliminate,
     _eliminate_rows,
     _exchange_update,
@@ -181,6 +182,7 @@ def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) ->
     """
     if len(vec) != b_mat.rows:
         raise DimensionMismatchError(f"vector of length {len(vec)} against {b_mat.rows} rows")
+    _check_entries(vec)
     _check_pivot(i, len(x))
     d, num = _integer_multiple(x)
     return tuple(v - w for v, w in zip(vec, b_mat.mat_vec(_rounded(num, d, i))))
@@ -232,6 +234,7 @@ def check_off_pivot_rows(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence
     """
     if len(x) != basis.cols or len(vec) != basis.rows:
         raise DimensionMismatchError(f"lengths {len(x)} and {len(vec)} against a {basis.rows}x{basis.cols} basis")
+    _check_entries(vec)
     mu, scaled = _integer_multiple(x)
     _check_span(_off_rows(basis.to_rows(), pivot_rows), vec, scaled, mu)
 
@@ -253,6 +256,7 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
             f"{len(pivot_rows)} pivot rows and a vector of length {len(vec)} "
             f"against a {basis.rows}x{basis.cols} basis"
         )
+    _check_entries(vec)
     d, (num,) = _eliminate(basis.submatrix_rows(pivot_rows), ([vec[t] for t in pivot_rows],))
     _check_span(_off_rows(basis.to_rows(), pivot_rows), vec, num, d)
     return tuple(Fraction(e, d) for e in num)

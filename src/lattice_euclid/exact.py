@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -151,17 +151,10 @@ class Matrix:
         """This matrix with plain int entries; raises ValueError on fractional input."""
         if {int}.issuperset(map(type, chain.from_iterable(self._columns))):
             return self  # already plain ints, and immutable
-        out = []
-        for col in self._columns:
-            new_col = []
-            for e in col:
-                if isinstance(e, Fraction):
-                    if e.denominator != 1:
-                        raise ValueError(f"non-integral entry {e}")
-                    e = int(e)
-                new_col.append(e)
-            out.append(tuple(new_col))
-        return Matrix(tuple(out), rows=self.rows)
+        for e in chain.from_iterable(self._columns):
+            if e.denominator != 1:
+                raise ValueError(f"non-integral entry {e}")
+        return Matrix._trusted(tuple(tuple(map(int, col)) for col in self._columns), self.rows)
 
     def max_abs(self) -> Scalar:
         """Largest absolute entry (0 for an empty matrix)."""
@@ -209,11 +202,12 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]
     columns are right-hand sides, carried along. Column ``j`` pivots on the
     first row in input order that is not yet a pivot row and is nonzero in
     ``j``; that row moves up behind the pivot rows, the others keep their
-    order. Columns where every row left is zero are skipped, each run of
-    them by one scan. Every division by the previous pivot is exact
-    (Sylvester's identity), so each entry is a minor of the input. Returns
-    the pivot rows (input indices, in pivot order), the pivot columns, and
-    the determinant of their minor, its rows in increasing order (1 for none).
+    order. A column where every row left is zero is stepped over after one
+    scan of those rows, so a gap costs time linear in its width. Every
+    division by the previous pivot is exact (Sylvester's identity), so each
+    entry is a minor of the input. Returns the pivot rows (input indices, in
+    pivot order), the pivot columns, and the determinant of their minor, its
+    rows in increasing order (1 for none).
     """
     n = len(a)
     order = list(range(n))
@@ -224,10 +218,8 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]
     while k < n and j < width:
         if not a[k][j]:
             r = next((r for r in range(k + 1, n) if a[r][j]), None)
-            if r is None:
-                # jump to the next column where a row left is nonzero, if any: one scan per gap
-                tails = [row[j + 1 : width] for row in a[k:]]
-                j = min((next(compress(count(j + 1), t)) for t in tails if any(t)), default=width)
+            if r is None:  # no pivot in column j
+                j += 1
                 continue
             a.insert(k, a.pop(r))
             order.insert(k, order.pop(r))

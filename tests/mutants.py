@@ -60,6 +60,13 @@ MUTANTS = [
      "            pass\n        return nums\n"),
     ("vector entry check gone", "exact.py",
      "    _check_entries(vec)\n    mu = lcm_denominators(vec)", "    mu = lcm_denominators(vec)"),
+    # the same line in three step functions, each told apart by the line after it
+    ("mod_prime's vec check gone", "euclid.py",
+     "    _check_entries(vec)\n    _check_pivot(i, len(x))", "    _check_pivot(i, len(x))"),
+    ("check_off_pivot_rows' vec check gone", "euclid.py",
+     "    _check_entries(vec)\n    mu, scaled = ", "    mu, scaled = "),
+    ("solve_in_span's vec check gone", "euclid.py",
+     "    _check_entries(vec)\n    d, (num,) = ", "    d, (num,) = "),
     ("carried row written in place", "euclid.py",
      "z = list(row(i))", "z = row(i)"),
     ("exchange hooks not run", "euclid.py",

@@ -22,7 +22,7 @@ from lattice_euclid import (
     lattice_determinant,
     member,
 )
-from lattice_euclid import euclid
+from lattice_euclid import applications, euclid
 
 from _oracles import random_int_matrix
 
@@ -146,6 +146,25 @@ def test_diophantine_gcd_feasible():
     x = diophantine_solve(a, (6,))
     assert x is not None
     assert a.mat_vec(x) == (6,)
+
+
+def test_diophantine_run_types_its_right_hand_side_before_the_run(monkeypatch):
+    splits = []
+
+    def split(*args, **kwargs):
+        splits.append(args)
+        return euclid._split(*args, **kwargs)
+
+    monkeypatch.setattr(applications, "_split", split)
+    a_mat = Matrix.from_rows([[12, 18]])
+    for rhs in ((6.0,), (True,)):
+        with pytest.raises(TypeError):
+            diophantine_run(a_mat, rhs)
+    with pytest.raises(TypeError):  # the right-hand side first, then the matrix's ValueError
+        diophantine_run(Matrix.from_rows([[Fraction(1, 2)]]), (1.0,))
+    assert splits == []
+    assert diophantine_solve(a_mat, (6,)) == (2, -1)
+    assert len(splits) == 1
 
 
 def test_diophantine_gcd_infeasible():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -6,7 +7,7 @@ from decimal import Decimal
 import pytest
 
 from lattice_euclid import Matrix, bareiss_det, lattice_equal, parse_matrix
-from lattice_euclid.cli import BENCH_COLUMNS, main
+from lattice_euclid.cli import main
 
 
 @pytest.fixture
@@ -234,10 +235,14 @@ def test_bench_csv_shape(capsys):
     argv = ["bench", "--seed", "7", "--trials", "2", "--n", "3", "--m", "5", "--bound", "9"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == ",".join(BENCH_COLUMNS)
+    header = (
+        "variant,trial,seed,n,m,rank,exchanges,discards,det_initial,det_final,"
+        "max_abs_entry_output,coefficient_bound,wall_time_s"
+    )
+    assert lines[0] == header
     assert len(lines) == 1 + 2 * 4  # header + trials x variants
     for line in lines[1:]:
-        assert len(line.split(",")) == len(BENCH_COLUMNS)
+        assert len(line.split(",")) == 13
 
 
 def test_bench_rejects_bad_params(capsys):
@@ -307,3 +312,27 @@ def test_module_entry_point(gcd_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n-6\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["gen", "--n", "2", "--m", "3", "--bound", "5", "--seed", "1"],
+        # more than one buffer of output: the first write fails mid-run
+        ["bench", "--seed", "1", "--trials", "50", "--n", "3", "--m", "5", "--bound", "9"],
+    ],
+)
+def test_a_closed_stdout_ends_quietly(argv):
+    # the reader is gone before the first write: 128 + SIGPIPE, nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # block-buffered stdout
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattice_euclid", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

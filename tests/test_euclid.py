@@ -244,9 +244,9 @@ def test_independent_columns_match_fraction_echelon():
         assert find_independent_columns(a) == expected[0]
 
 
-def test_independent_columns_scan_a_zero_gap_once():
-    # a column without a pivot skips to the next column where a row left is
-    # nonzero, so a gap of m columns costs one scan, not m scans of the rest
+def test_independent_columns_step_over_a_zero_gap_in_linear_time():
+    # a column without a pivot costs one scan of the rows left, so a gap of
+    # m columns costs time linear in m
     m = 2**16
     a = Matrix.from_rows([[1] * m, [0] * (m - 1) + [1]])
     start = time.perf_counter()
@@ -419,6 +419,20 @@ def test_a_bool_in_a_vector_is_no_entry():
     ):
         with pytest.raises(TypeError):
             call()
+
+
+def test_step_functions_type_their_whole_vector():
+    # a float or a bool is no entry of vec either, off the pivot rows too
+    b_mat, x = Matrix.from_rows([[2, 0], [0, 3]]), (Fraction(1, 2), Fraction(1, 3))
+    column, pair = Matrix.from_rows([[1], [1], [1]]), Matrix.from_rows([[1], [1]])
+    for bad in (1.0, True):
+        for call in (
+            lambda: mod_prime(b_mat, (bad, 1), x, 0),
+            lambda: euclid.check_off_pivot_rows(column, (0,), (1, 1, bad), (1,)),
+            lambda: solve_in_span(pair, (0,), (1, bad)),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
 
 def test_check_off_pivot_rows():
