@@ -40,6 +40,7 @@ from .euclid import (
     EuclidState,
     ExchangeRecord,
     basic_basis,
+    basis_transform,
     choose_pivot_argmin,
     coefficient_bound,
     exchange_step,
@@ -78,6 +79,7 @@ __all__ = [
     "SpanMismatchError",
     "bareiss_det",
     "basic_basis",
+    "basis_transform",
     "choose_pivot_argmin",
     "coefficient_bound",
     "column_update_inverse",

@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, InvariantViolationError
+from .errors import DimensionMismatchError, InvariantViolationError, SpanMismatchError
 from .exact import Matrix, _integer_multiple, bareiss_det
 from .euclid import ExchangeRecord, _split, _unit
 
@@ -96,7 +96,7 @@ def diophantine_run(
     final basis of the run; with ``check_invariants`` that identity is
     re-verified after every exchange, and the final solve on the cached
     adjugate against a fresh elimination. The trace is that of
-    :func:`lattice_euclid.euclid.basic_basis` on ``a_mat``.
+    :func:`lattice_euclid.euclid.basic_basis` on ``a_mat``; a SpanMismatchError carries it as ``trace``.
     """
     if len(rhs) != a_mat.rows:
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
@@ -115,7 +115,11 @@ def diophantine_run(
     transform = Matrix._trusted(tuple(zip(*coords)), a_mat.cols)
     if check_invariants and (a_mat @ transform) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
-    num = solve(vec)  # SpanMismatchError if infeasible
+    try:
+        num = solve(vec)
+    except SpanMismatchError as exc:  # outside the rational span: the run's exchanges still happened
+        exc.trace = tuple(run.trace)
+        raise
     if check_invariants and run.solve((vec,)) != [num]:
         raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")
     d = run.det * mu  # x == num / d

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .applications import determinant_with_trace, diophantine_run
 from .errors import DimensionMismatchError, SpanMismatchError
-from .euclid import BasisResult, ExchangeRecord, basic_basis, coefficient_bound
+from .euclid import BasisResult, ExchangeRecord, basic_basis, basis_transform, coefficient_bound
 from .exact import Matrix, lcm_denominators
 from .matio import MatrixParseError, format_matrix, load_matrix
 from .oracle import InstanceParams, hnf, lattice_equal, random_instance
@@ -90,8 +90,6 @@ def _print_transform(transform: Matrix) -> None:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    if args.emit_transform and args.alg != "solution":
-        raise _InputError("basis: --emit-transform requires --alg solution")
     if args.emit_transform and args.stats_json:
         raise _InputError("basis: --emit-transform conflicts with --stats-json")
     a_mat = _load(args.file)
@@ -102,7 +100,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     else:
         print(format_matrix(result.basis), end="")
         if args.emit_transform:
-            _print_transform(result.transform)
+            _print_transform(basis_transform(a_mat, result.basis))
     return 0
 
 
@@ -124,8 +122,8 @@ def cmd_dioph(args: argparse.Namespace) -> int:
     rhs = tuple(rhs_mat.entry(i, 0) for i in range(rhs_mat.rows))
     try:
         solution, _, trace = diophantine_run(a_mat, rhs)
-    except SpanMismatchError:  # outside even the rational span: infeasible, no trace printed
-        solution, trace = None, ()
+    except SpanMismatchError as exc:  # outside even the rational span: infeasible
+        solution, trace = None, exc.trace
     _emit_trace(trace)
     if solution is None:
         print("INFEASIBLE")
@@ -202,12 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print a run-statistics JSON object instead of the basis",
     )
-    p_basis.add_argument(
-        "--emit-transform",
-        action="store_true",
-        help="also print the rational transform from the initial to the final "
-        "basis (solution variant only)",
-    )
+    p_basis.add_argument("--emit-transform", action="store_true", help="also print the initial-to-final transform")
     p_basis.add_argument("file")
     p_basis.set_defaults(func=cmd_basis)
 

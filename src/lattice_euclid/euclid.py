@@ -118,8 +118,7 @@ class BasisResult:
     ``det_trajectory`` holds the signed determinant of the pivot-row square
     subsystem before any exchange and after each one, so consecutive values
     shrink by at least half in magnitude and ``len == exchanges + 1``.
-    ``transform`` is only populated by the solution-matrix variant: the
-    rational matrix ``Y`` with ``initial_basis @ Y == basis``.
+    The transform ``Y`` with ``initial_basis @ Y == basis`` is :func:`basis_transform`.
     """
 
     basis: Matrix
@@ -128,7 +127,6 @@ class BasisResult:
     det_trajectory: tuple[int, ...]
     max_abs_entry: int
     trace: tuple[ExchangeRecord, ...]
-    transform: Optional[Matrix] = None
 
 
 def _rounded(num: Sequence[int], d: int, i: int) -> list[int]:
@@ -361,7 +359,7 @@ class _Run:
         pivot row it reaches and carries the row across that row's
         exchanges. Both read only the pivot rows, so carried rows need nothing.
         """
-        rows, covered = self.pivot_rows, not self.off_rows
+        rows, covered = self.pivot_rows, len(self.pivot_rows) == self.dim
         columns = self.eliminate([_unit(t, self.dim) for t in rows])
         adj = [list(r) for r in zip(*columns)]
 
@@ -467,7 +465,7 @@ class _Run:
                 if peak > bound:
                     raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
 
-    def result(self, transform: Optional[Matrix] = None) -> BasisResult:
+    def result(self) -> BasisResult:
         basis = self.basis
         return BasisResult(
             basis=basis,
@@ -476,7 +474,6 @@ class _Run:
             det_trajectory=(self.det0, *(rec.det_after for rec in self.trace)),
             max_abs_entry=int(basis.max_abs()),
             trace=tuple(self.trace),
-            transform=transform,
         )
 
 
@@ -547,3 +544,20 @@ def basic_basis(a_mat: Matrix) -> BasisResult:
     run = _split(a_mat)
     run.fifo(lambda vec: run.solve((vec,))[0])
     return run.result()
+
+
+def basis_transform(a_mat: Matrix, basis: Matrix) -> Matrix:
+    """``Y`` with ``initial_basis @ Y == basis``, for the columns the split of ``a_mat`` keeps and any driver's basis.
+
+    One ``_Run.solve`` of the split against ``basis`` gives ``d0 * Y`` (SpanMismatchError off the span); a column
+    ``d0 * e_k`` comes back as the int ``e_k``, the others as Fractions over ``d0``. Raises DimensionMismatchError
+    unless ``basis`` is ``a_mat.rows`` by the rank, and ValueError on a non-integral entry.
+    """
+    run = _split(a_mat)
+    d0, rank = run.det, len(run.pivot_rows)
+    if basis.rows != a_mat.rows or basis.cols != rank:
+        raise DimensionMismatchError(f"a {basis.rows}x{basis.cols} basis against {a_mat.rows} rows of rank {rank}")
+    units = [_unit(k, rank) for k in range(rank)]
+    nums = run.solve(basis.to_int().columns)  # the columns of d0 * Y
+    y = tuple(u if num == [d0 * e for e in u] else tuple(Fraction(e, d0) for e in num) for u, num in zip(units, nums))
+    return Matrix._trusted(y, rank)

@@ -9,9 +9,7 @@ vectors against the basis:
   independent system, ``_Run.adjugate``. Determinant mode
   (:mod:`lattice_euclid.applications`) is this run on ``(B | I)``.
 * ``solution_variant_basis`` solves all pool vectors up front into a
-  solution matrix ``X`` and advances only ``X``; its transform ``Y`` comes
-  from one closing elimination of the initial pivot rows against the final
-  basis.
+  solution matrix ``X`` and advances only ``X``.
 * ``rowwise_variant_basis`` forms each row of ``X`` once, as one row of that
   same adjugate times the pool; the engine carries the row across the
   exchanges on it.
@@ -49,7 +47,6 @@ from .exact import (
 )
 from .euclid import (
     BasisResult,
-    _Run,
     _check_pivot,
     _split,
     _unit,
@@ -117,19 +114,11 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     per-step growth bound ``new <= old + (n-1)*||A||`` and
     :func:`coefficient_bound` are enforced on every exchange.
 
-    Nothing in the run reads the transform ``Y`` with ``initial_basis @ Y
-    == basis``, so it is not tracked: one closing elimination of the initial
-    pivot rows against the final basis gives ``d0 * Y`` in ints (``d0`` the
-    initial determinant) and checks the rows off the pivot rows exactly.
-    ``result.transform`` is ``Y``: Fractions over ``d0`` in the columns an
-    exchange touched, int unit vectors in the others.
-
     ``check_invariants`` additionally checks the multiplicative determinant
     and ``X`` at the end against a fresh elimination. Violations raise
     InvariantViolationError.
     """
     run = _split(a_mat)
-    initial = _Run([r[:] for r in run.rows], (), run.pivot_rows, run.det, dim=run.dim)
     x_num = [list(r) for r in zip(*run.solve(run.pool))] or [[] for _ in run.pivot_rows]  # det * X
 
     def advance(i, j, w, d):
@@ -137,12 +126,9 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
 
     run.on_exchange.append(advance)
     run.row_major(x_num.__getitem__, lambda j: [r[j] for r in x_num])
-    y_num = initial.solve(run.basis.columns)  # the columns of d0 * Y
     if check_invariants and run.solve(run.pool) != [list(c) for c in zip(*x_num)]:
         raise InvariantViolationError("solution matrix disagrees with a fresh elimination")
-    n, touched = len(run.pivot_rows), {rec.pivot_row for rec in run.trace}
-    transform = tuple(tuple(Fraction(e, initial.det) for e in y_num[k]) if k in touched else _unit(k, n) for k in range(n))
-    return run.result(transform=Matrix._trusted(transform, n))
+    return run.result()
 
 
 def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:

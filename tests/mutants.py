@@ -67,6 +67,17 @@ MUTANTS = [
      "    _check_entries(vec)\n    mu, scaled = ", "    mu, scaled = "),
     ("solve_in_span's vec check gone", "euclid.py",
      "    _check_entries(vec)\n    d, (num,) = ", "    d, (num,) = "),
+    # the adjugate checks off the pivot rows unless they cover every row; a run
+    # without columns covers none, though it keeps no rows to check
+    ("adjugate covers every row", "euclid.py",
+     "rows, covered = self.pivot_rows, len(self.pivot_rows) == self.dim", "rows, covered = self.pivot_rows, True"),
+    # basis_transform's input checks: rows, columns, integral entries
+    ("basis_transform row check gone", "euclid.py",
+     "if basis.rows != a_mat.rows or basis.cols != rank:", "if basis.cols != rank:"),
+    ("basis_transform column check gone", "euclid.py",
+     "if basis.rows != a_mat.rows or basis.cols != rank:", "if basis.rows != a_mat.rows:"),
+    ("basis_transform entry check gone", "euclid.py",
+     "run.solve(basis.to_int().columns)", "run.solve(basis.columns)"),
     ("carried row written in place", "euclid.py",
      "z = list(row(i))", "z = row(i)"),
     ("exchange hooks not run", "euclid.py",

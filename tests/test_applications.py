@@ -184,6 +184,19 @@ def test_diophantine_span_mismatch_is_an_error():
         diophantine_solve(a, (5,))
 
 
+def test_diophantine_span_mismatch_carries_the_run_trace():
+    # the run's exchanges happen before the right-hand side is solved, so a
+    # right-hand side outside the span still has a trace: that of (5, 0)
+    a = Matrix.from_rows([[12, 18], [0, 0]])
+    solution, _, trace = diophantine_run(a, (5, 0))
+    assert solution is None and len(trace) == 1
+    with pytest.raises(SpanMismatchError) as info:
+        diophantine_run(a, (6, 1))
+    assert info.value.trace == trace
+    with pytest.raises(SpanMismatchError):
+        diophantine_solve(a, (6, 1))
+
+
 def test_diophantine_rational_right_hand_side():
     # a fractional right-hand side has a rational solution but no integral one
     assert diophantine_solve(Matrix.from_rows([[2]]), (Fraction(1, 2),)) is None

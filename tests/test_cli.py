@@ -76,6 +76,17 @@ def test_dioph_span_mismatch_reports_infeasible(tmp_path, capsys):
     assert capsys.readouterr().out == "INFEASIBLE\n"
 
 
+def test_traced_dioph_prints_the_run_whatever_the_right_hand_side(tmp_path, capsys, monkeypatch):
+    # (6, 1) leaves the rational span of (12, 18) over a zero row, (5, 0) lies
+    # in it but not in the lattice: both runs make the same exchange
+    a = tmp_path / "a.mat"
+    a.write_text("2 2\n12 18\n0 0\n")
+    monkeypatch.setenv("LATTICE_EUCLID_LOG", "trace")
+    for entries in ([6, 1], [5, 0]):
+        assert main(["dioph", str(a), _write_vec(tmp_path, "b.vec", entries)]) == 1
+        assert capsys.readouterr() == ("INFEASIBLE\n", "step 0: i=0 j=0 factor=-1/2 det=-6\n")
+
+
 def test_dioph_shape_mismatch_is_input_error(gcd_file, tmp_path, capsys):
     rhs = _write_vec(tmp_path, "b.vec", [1, 2])
     assert main(["dioph", gcd_file, rhs]) == 2
@@ -220,8 +231,14 @@ def test_emit_transform_round_trips(gcd_file, capsys):
     assert 12 * numerators.entry(0, 0) == -6 * denominator
 
 
-def test_emit_transform_requires_solution_variant(gcd_file, capsys):
-    assert main(["basis", "--alg", "basic", "--emit-transform", gcd_file]) == 2
+def test_emit_transform_prints_the_same_bytes_for_every_alg(gcd_file, capsys):
+    # the transform is a function of the input and the basis, and all four
+    # drivers end on the basis (-6) here
+    outputs = set()
+    for alg in ("basic", "inverse", "solution", "rowwise"):
+        assert main(["basis", "--alg", alg, "--emit-transform", gcd_file]) == 0
+        outputs.add(capsys.readouterr())
+    assert outputs == {("1 1\n-6\n# transform: numerator matrix, then one common-denominator line\n1 1\n-1\n2\n", "")}
 
 
 def test_emit_transform_conflicts_with_stats_json(gcd_file, capsys):
@@ -268,7 +285,7 @@ def test_bench_rejects_bad_params(capsys):
             ["bench", "--seed", "1", "--trials", "0", "--n", "2", "--m", "2", "--bound", "5"],
             "bench: trials must be at least 1",
         ),
-        (["basis", "--alg", "basic", "--emit-transform", "{gcd}"], "basis: --emit-transform requires --alg solution"),
+        (["hnf", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
         (
             ["basis", "--alg", "solution", "--emit-transform", "--stats-json", "{gcd}"],
             "basis: --emit-transform conflicts with --stats-json",
@@ -277,7 +294,7 @@ def test_bench_rejects_bad_params(capsys):
 )
 def test_usage_and_input_diagnostics(argv, err, gcd_file, tmp_path, capsys):
     # each usage or input error exits 2 with one exact line on stderr and no output
-    paths = {"gcd": gcd_file, "rhs": _write_vec(tmp_path, "b.vec", [1, 2])}
+    paths = {"gcd": gcd_file, "rhs": _write_vec(tmp_path, "b.vec", [1, 2]), "missing": str(tmp_path / "missing.mat")}
     assert main([a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr() == ("", err.format(**paths) + "\n")
 

@@ -17,6 +17,7 @@ from lattice_euclid import (
     SpanMismatchError,
     bareiss_det,
     basic_basis,
+    basis_transform,
     choose_pivot_argmin,
     diophantine_run,
     diophantine_solve,
@@ -717,3 +718,59 @@ def test_row_major_forms_each_row_once():
         assert all(z == handed for _, z, handed in calls)  # the walk writes into no list it was handed
         assert len(run.trace) == exchanges
         assert tuple(run.trace) == solution_variant_basis(a).trace
+
+
+# --- basis_transform -------------------------------------------------------------
+
+
+def test_basis_transform_rejects_bad_input():
+    a = Matrix.from_rows([[12, 18]])  # rank 1
+    assert basis_transform(a, Matrix.from_rows([[-6]])) == Matrix.from_rows([[Fraction(-1, 2)]])
+    for basis in (
+        Matrix.from_rows([[-6], [0]]),  # a row too many, the right column count
+        Matrix((), rows=1),  # a column too few
+        Matrix.from_rows([[-6, 12]]),  # a column too many
+    ):
+        with pytest.raises(DimensionMismatchError):
+            basis_transform(a, basis)
+    with pytest.raises(DimensionMismatchError):  # a row too few
+        basis_transform(Matrix.from_rows([[1, 0], [0, 1]]), Matrix.from_rows([[1, 0]]))
+    with pytest.raises(ValueError):  # a non-integral entry of the basis
+        basis_transform(a, Matrix.from_rows([[Fraction(-13, 2)]]))
+    with pytest.raises(ValueError):  # ... and of the input
+        basis_transform(Matrix.from_rows([[Fraction(1, 2), 18]]), Matrix.from_rows([[-6]]))
+
+
+def test_basis_transform_serves_every_driver_on_rank_deficient_input():
+    rng = random.Random(4246)
+    lowrank = random_int_matrix(rng, 6, 3, 9) @ random_int_matrix(rng, 3, 8, 9)
+    cols = find_independent_columns(lowrank)
+    assert len(cols) == 3
+    initial = Matrix(tuple(lowrank.column(j) for j in cols), rows=6)
+    for driver in (basic_basis, inverse_variant_basis, solution_variant_basis, rowwise_variant_basis):
+        res = driver(lowrank)
+        assert res.exchanges > 0
+        y = basis_transform(lowrank, res.basis)
+        assert (y.rows, y.cols) == (3, 3)
+        assert initial @ y == res.basis
+    # a column no exchange touched comes back as the int unit vector
+    assert [[type(e) for e in c] for c in basis_transform(lowrank, initial).columns] == [[int] * 3] * 3
+    assert basis_transform(lowrank, initial) == Matrix.identity(3)
+
+
+def test_basis_transform_of_an_input_without_columns():
+    for n in (0, 1, 4):
+        a = Matrix((), rows=n)
+        assert basis_transform(a, basic_basis(a).basis) == Matrix((), rows=0)
+        if n:
+            with pytest.raises(DimensionMismatchError):
+                basis_transform(a, Matrix(((0,) * n,), rows=n))
+
+
+def test_basis_transform_refuses_a_basis_outside_the_span():
+    # rank 1 on pivot row 0: (1, 1) agrees with the initial basis on row 0,
+    # so only the check of row 1 can refuse it
+    a = Matrix.from_rows([[2, 4], [0, 0]])
+    assert basis_transform(a, Matrix.from_rows([[2], [0]])) == Matrix.identity(1)
+    with pytest.raises(SpanMismatchError, match="at row 1"):
+        basis_transform(a, Matrix.from_rows([[1], [1]]))

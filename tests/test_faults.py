@@ -68,10 +68,10 @@ def _corrupt_last_pool_solve(monkeypatch, calls_before, corrupt):
 
 
 def test_solution_driver_checks_its_solution_matrix(monkeypatch):
-    # the solution driver solves the pool and the closing transform first,
-    # then re-solves the pool to check X: a different X there must raise
+    # the solution driver solves the pool first, then re-solves it to check
+    # X: a different X there must raise
     solution_variant_basis(WORKED, check_invariants=True)
-    _corrupt_last_pool_solve(monkeypatch, 2, lambda run, columns: [[e + run.det for e in c] for c in columns])
+    _corrupt_last_pool_solve(monkeypatch, 1, lambda run, columns: [[e + run.det for e in c] for c in columns])
     with pytest.raises(InvariantViolationError, match="disagrees with a fresh elimination"):
         solution_variant_basis(WORKED, check_invariants=True)
 

@@ -11,6 +11,7 @@ from lattice_euclid import (
     IntegralPivotError,
     Matrix,
     basic_basis,
+    basis_transform,
     coefficient_bound,
     find_independent_columns,
     frac_part,
@@ -251,11 +252,10 @@ def test_solution_variant_worked_instance():
     res = solution_variant_basis(WORKED, check_invariants=True)
     assert res.basis == Matrix.from_rows([[-1, 0], [1, -1]])
     assert res.det_trajectory == (6, -3, 1)
-    assert res.transform == Matrix.from_rows(
-        [[Fraction(-1, 2), 0], [Fraction(1, 3), Fraction(-1, 3)]]
-    )
+    transform = basis_transform(WORKED, res.basis)
+    assert transform == Matrix.from_rows([[Fraction(-1, 2), 0], [Fraction(1, 3), Fraction(-1, 3)]])
     initial = Matrix(tuple(WORKED.column(j) for j in find_independent_columns(WORKED)), rows=2)
-    assert (initial @ res.transform).to_int() == res.basis
+    assert (initial @ transform).to_int() == res.basis
     assert lattice_equal(res.basis, Matrix.identity(2))
 
 
@@ -264,14 +264,15 @@ def test_solution_variant_square_input_is_returned_unchanged():
     res = solution_variant_basis(a)
     assert res.basis == a
     assert res.exchanges == 0
-    assert res.transform == Matrix.identity(2)
+    assert basis_transform(a, res.basis) == Matrix.identity(2)
 
 
 def test_solution_variant_gcd():
-    res = solution_variant_basis(Matrix.from_rows([[12, 18]]))
+    a = Matrix.from_rows([[12, 18]])
+    res = solution_variant_basis(a)
     assert res.basis.to_rows() == [[-6]]
     assert res.exchanges == 1
-    assert res.transform == Matrix.from_rows([[Fraction(-1, 2)]])
+    assert basis_transform(a, res.basis) == Matrix.from_rows([[Fraction(-1, 2)]])
 
 
 def test_solution_variant_transform_reproduces_basis_random():
@@ -285,7 +286,7 @@ def test_solution_variant_transform_reproduces_basis_random():
         initial = Matrix(
             tuple(a.column(j) for j in find_independent_columns(a)), rows=n
         )
-        product = initial @ res.transform
+        product = initial @ basis_transform(a, res.basis)
         assert is_integral(product)
         assert product.to_int() == res.basis
         assert lattice_equal(a, res.basis)
@@ -373,10 +374,9 @@ def test_rowwise_variant_eliminates_once(monkeypatch):
         assert (res.basis, res.trace) == (want.basis, want.trace)
 
 
-def test_solution_variant_eliminates_twice(monkeypatch):
-    # one elimination solves the pool into X, which the exchanges advance;
-    # one closing elimination of the initial pivot rows against the final
-    # basis gives the transform: two per run, whatever the number of
+def test_solution_variant_eliminates_once(monkeypatch):
+    # one elimination solves the pool into X, which the exchanges advance,
+    # and the run tracks no transform: one per run, whatever the number of
     # exchanges, on full and deficient rank, square input and no columns
     rng = random.Random(4245)
     lowrank = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
@@ -403,7 +403,7 @@ def test_solution_variant_eliminates_twice(monkeypatch):
         calls.clear()
         res = solution_variant_basis(a)
         exchanges.append(res.exchanges)
-        assert calls == ["_eliminate_rows", "_eliminate_rows"]
+        assert calls == ["_eliminate_rows"]
         assert (res.basis, res.trace) == (want.basis, want.trace)
     assert exchanges[0] > 0 and exchanges[1] > 0 and exchanges[2:] == [0, 0]
 
@@ -608,8 +608,7 @@ def test_integer_weights_match_the_fraction_weights():
 
 def test_the_exchange_path_builds_one_fraction_per_exchange(monkeypatch):
     # solvers hand the engine integer numerators; the only Fraction an
-    # exchange builds is its trace factor (the solution driver builds its
-    # touched transform columns once, at the end)
+    # exchange builds is its trace factor, and no driver builds a transform
     a = random_instance(InstanceParams(n=10, m=16, bound=1000, seed=7))
     made = []
 
@@ -622,19 +621,18 @@ def test_the_exchange_path_builds_one_fraction_per_exchange(monkeypatch):
     for driver in (basic_basis, inverse_variant_basis, solution_variant_basis, rowwise_variant_basis):
         made.clear()
         res = driver(a)
-        touched = 0 if res.transform is None else len({rec.pivot_row for rec in res.trace})
         assert res.exchanges > 0
-        assert len(made) == res.exchanges + touched * res.basis.cols, driver.__name__
+        assert len(made) == res.exchanges, driver.__name__
     made.clear()
     _, _, trace = diophantine_run(a, a.mat_vec(range(a.cols)))
     assert len(made) == len(trace) > 0
 
 
 def test_integer_transform_divides_exactly_and_matches_the_rational_one():
-    # the solution driver solves d0 * Y once, against the final basis (d0 the
-    # initial determinant); it must equal the product form of the same
-    # exchanges, replayed here with the rational y_update, in values and in
-    # entry types
+    # basis_transform solves d0 * Y once, against the solution driver's final
+    # basis (d0 the initial determinant); it must equal the product form of
+    # the same exchanges, replayed here with the rational y_update, in values
+    # and in entry types
     rng = random.Random(909)
     cases = [Matrix.from_rows([[0, 2, 1], [3, 0, 1]])]  # d0 == -6
     cases += [random_int_matrix(rng, n, n + 3, 15) for n in (1, 2, 3, 4, 5, 6) for _ in range(5)]
@@ -652,7 +650,7 @@ def test_integer_transform_divides_exactly_and_matches_the_rational_one():
 
         run.on_exchange.append(replay)
         run.row_major(lambda i: x_num[i], lambda j: [r[j] for r in x_num])
-        transform = solution_variant_basis(a).transform
+        transform = basis_transform(a, solution_variant_basis(a).basis)
         assert transform == y_rat
         assert [[type(e) for e in c] for c in transform.columns] == [[type(e) for e in c] for c in y_rat.columns]
     assert signs == {False, True}
