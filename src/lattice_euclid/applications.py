@@ -64,8 +64,7 @@ def determinant_with_trace(b_mat: Matrix) -> tuple[int, tuple[ExchangeRecord, ..
     if len(run.pivot_rows) < n:
         return 0, ()
     run.pool = [_unit(k, n) for k in range(n)]
-    solve, _ = run.adjugate()
-    run.fifo(solve)
+    run.fifo(run.adjugate())
     sign = bareiss_det(run.basis)
     if abs(sign) != 1:
         raise InvariantViolationError("exchange run did not end on a unimodular basis")
@@ -103,7 +102,7 @@ def diophantine_run(
     mu, vec = _integer_multiple(rhs)  # TypeError before the run on entries not int or Fraction
     run = _split(a_mat, coordinates=True)
     coords = run.rows[run.dim :] or [()] * a_mat.cols  # U, m rows: A @ U == basis
-    solve, _ = run.adjugate()
+    solve = run.adjugate()
 
     def check(i, j, w, d):
         if a_mat.mat_vec([r[i] for r in coords]) != tuple(r[i] for r in run.rows[: run.dim]):

@@ -40,9 +40,11 @@ rewrites in place; every solver starts from one elimination of their pivot
 rows, ``_Run.eliminate``, checked against the determinant, and a ``Matrix``
 of the basis is built only at the edges. ``_Run.solve`` is the one checked
 solve from scratch: one elimination of all the vectors it is given, each
-result checked off the pivot rows. ``_Run.adjugate`` is the one cached
-solver: the adjugate of the pivot-row system over the determinant, advanced
-by each exchange. Rows below the basis rows ride along: the same exchange
+result checked off the pivot rows. The cached solvers keep the adjugate of
+the pivot-row system over the determinant: ``_Run.adjugate`` advances it on
+each exchange, for FIFO; ``_Run.row_major_adjugate`` keeps it in product
+form, ``_ProductForm``, whose exchanges on one pivot row cost O(n) each.
+Rows below the basis rows ride along: the same exchange
 moves them with the vectors, so the Diophantine coordinates need no second
 copy. The public Fraction functions
 (:func:`mod_prime`, :func:`choose_pivot_argmin`, :func:`exchange_step`,
@@ -274,6 +276,53 @@ def coefficient_bound(n_rows: int, max_entry: int) -> int:
     return max(max_entry, n_rows * n_rows * max_entry * ceil_log2)
 
 
+class _ProductForm:
+    """``det * B**-1 @ C`` for fixed ``C``, in the product form of the inverse (Dantzig and Orchard-Hays 1954).
+
+    ``g`` holds ``d0 * B0**-1 @ C`` as int rows, ``B0`` the basis at the last
+    fold and ``d0`` its determinant. The exchanges since then pivoted on row
+    ``i``, so the basis is ``B0 @ E``, ``E`` the identity with column ``i``
+    set to ``p / d0``: ``p = d0 * B0**-1 @ B_i`` and ``p[i] == det`` (``p`` is
+    None while ``E`` is the identity). :meth:`row` folds ``E`` into ``g``, in
+    one ``_exchange_update``, and starts row ``i``: every exchange until the
+    next call must pivot on it, as the row-major walk's do. An exchange
+    ``(i, j, W, d)`` costs O(n): with ``moves`` (``C`` is the pool, and slot
+    ``j`` now holds the old ``B_i``) column ``j`` of ``g`` becomes ``p``, then
+    ``p`` becomes the new ``B_i``, ``B @ W / d``. Every division is exact by
+    Cramer's rule.
+    """
+
+    def __init__(self, run: "_Run", g: list[list[int]], moves: bool):
+        self.g, self.moves = g, moves
+        self.d0, self.i, self.p = run.det, None, None
+        run.on_exchange.append(self.exchange)
+
+    def exchange(self, i: int, j: int, w: Sequence[int], d: int) -> None:
+        d0, wi = self.d0, w[i]
+        p = self.p or [d0 * (k == i) for k in range(len(w))]
+        if self.moves:
+            for r, e in zip(self.g, p):
+                r[j] = e
+        self.p = [wi if k == i else (d0 * wk + pk * wi) // d for k, (wk, pk) in enumerate(zip(w, p))]
+
+    def row(self, i: int) -> list[int]:
+        """Fold ``E`` into ``g`` and start row ``i``; returns row ``i`` of ``det * B**-1 @ C``, the list ``g`` holds."""
+        if self.p is not None:
+            self.g[:] = _exchange_update(self.g, self.d0, self.i, self.p)
+            self.d0, self.p = self.p[self.i], None
+        self.i = i
+        return self.g[i]
+
+    def column(self, c: Sequence[int]) -> list[int]:
+        """``det * B**-1 @ v`` from ``c == d0 * B0**-1 @ v``, in O(n): row ``i`` is kept."""
+        p = self.p
+        if p is None:
+            return list(c)
+        i, d0 = self.i, self.d0
+        det, ci = p[i], c[i]
+        return [ci if k == i else (det * e - pk * ci) // d0 for k, (e, pk) in enumerate(zip(c, p))]
+
+
 class _Run:
     """Mutable state of one exchange run, the engine behind every driver.
 
@@ -347,38 +396,57 @@ class _Run:
             _check_span(self.off_rows, vec, num, self.det)
         return nums
 
-    def adjugate(self) -> tuple[Callable, Callable]:
-        """``(solve, row)`` on the adjugate ``det * B**-1``, ``B`` the pivot-row system.
+    def _adjugate(self) -> tuple[list[list[int]], Callable, Callable]:
+        """``(adj, solve, times_pool)``: ``adj`` the adjugate ``det * B**-1`` of the pivot-row system, as int rows.
 
-        One elimination of the unit vectors builds it, and a hook in
-        ``on_exchange`` multiplies it by each exchange's ``F**-1``.
-        ``solve(vec)`` is ``num`` as :meth:`solve` returns it for ``vec``, the
-        rows off the pivot rows checked likewise;
-        ``row(i)`` is row ``i`` of the pool's solutions as ints over ``det``,
-        one dot product per pool vector; :meth:`row_major` calls it once per
-        pivot row it reaches and carries the row across that row's
-        exchanges. Both read only the pivot rows, so carried rows need nothing.
+        One elimination of the unit vectors builds it; the caller keeps it
+        current. ``solve(vec, form=None)`` is ``adj @ vec``, through ``form``
+        if given, checked off the pivot rows as :meth:`solve` checks; and
+        ``times_pool(r)`` is ``r @ vec`` for each pool vector. Both read only
+        the pivot rows, so carried rows need nothing.
         """
         rows, covered = self.pivot_rows, len(self.pivot_rows) == self.dim
         columns = self.eliminate([_unit(t, self.dim) for t in rows])
         adj = [list(r) for r in zip(*columns)]
 
-        def solve(vec):
+        def solve(vec, form=None):
             v = [vec[t] for t in rows]
             num = [sum(map(mul, r, v)) for r in adj]
+            if form is not None:
+                num = form(num)
             if not covered:
                 _check_span(self.off_rows, vec, num, self.det)
             return num
 
-        def row(i):
-            r = adj[i]
+        def times_pool(r):
             return [sum(map(mul, r, v if covered else map(v.__getitem__, rows))) for v in self.pool]
+
+        return adj, solve, times_pool
+
+    def adjugate(self) -> Callable:
+        """``solve(vec)`` on the adjugate, ``num`` as :meth:`solve` returns it, for the FIFO order.
+
+        A hook in ``on_exchange`` multiplies the adjugate by each exchange's
+        ``F**-1`` at once: FIFO's exchanges pivot on any row, so they do not
+        compose into one column as the row-major walk's do (:meth:`row_major_adjugate`).
+        """
+        adj, solve, _ = self._adjugate()
 
         def advance(i, j, w, d):
             adj[:] = _exchange_update(adj, d, i, w)
 
         self.on_exchange.append(advance)
-        return solve, row
+        return solve
+
+    def row_major_adjugate(self) -> tuple[Callable, Callable]:
+        """``(row, column)`` for :meth:`row_major` on the adjugate, kept as a :class:`_ProductForm`.
+
+        ``row(i)`` folds the last row's exchanges in, then is ``adj[i]`` times
+        the pool; ``column(j)`` is ``adj @ pool[j]`` combined with this row's in O(n).
+        """
+        adj, solve, times_pool = self._adjugate()
+        form = _ProductForm(self, adj, moves=False)
+        return (lambda i: times_pool(form.row(i))), (lambda j: solve(self.pool[j], form.column))
 
     def exchange(self, j: int, num: Sequence[int], i: int) -> None:
         """Swap basis column ``i`` for the residue of ``pool[j]``, then run the ``on_exchange`` hooks.

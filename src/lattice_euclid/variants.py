@@ -10,23 +10,27 @@ vectors against the basis:
   (:mod:`lattice_euclid.applications`) is this run on ``(B | I)``.
 * ``solution_variant_basis`` solves all pool vectors up front into a
   solution matrix ``X`` and advances only ``X``.
-* ``rowwise_variant_basis`` forms each row of ``X`` once, as one row of that
-  same adjugate times the pool; the engine carries the row across the
-  exchanges on it.
+* ``rowwise_variant_basis`` forms each row of ``X`` once, as one row of the
+  adjugate times the pool; the engine carries the row across the exchanges
+  on it.
 
 Every solver hands the engine ``num``, integer numerators over the run's
 determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity with
 column ``i`` set to ``w``: the cached inverse and ``X`` advance in integer
-numerators over ``det B`` by ``F**-1`` (``exact._exchange_update``), in ints
-on ``d * w``, which the engine hands to the drivers' hooks in
-``_Run.on_exchange``; a transform would advance by ``F`` (:func:`y_update`).
+numerators over ``det B`` by ``F**-1``, in ints on ``d * w``, which the
+engine hands to the drivers' hooks in ``_Run.on_exchange``; a transform
+would advance by ``F`` (:func:`y_update`). The inverse driver applies each
+``F**-1`` at once (``exact._exchange_update``).
 
 The last two run the engine's row-major order, so they produce the same
-trace. That order is what tames coefficient growth: when rows above ``i``
-are integral, the exchanged column is a combination of the current column
-``i`` and *untouched* input columns only, so each exchange adds at most
-``(n - 1) * ||A||`` to the column's magnitude, and every basis entry ever
-produced stays within ``n^2 * ||A|| * ceil(log2(n * ||A||))``.
+trace, and every exchange pivots on the walk's current row: a row's
+``F**-1`` compose into one (``euclid._ProductForm``), which ``X`` and the
+adjugate absorb once per row. That order is what tames coefficient
+growth: when rows above ``i`` are integral, the exchanged column is a
+combination of the current column ``i`` and *untouched* input columns
+only, so each exchange adds at most ``(n - 1) * ||A||`` to the column's
+magnitude, and every basis entry ever produced stays within
+``n^2 * ||A|| * ceil(log2(n * ||A||))``.
 """
 
 from __future__ import annotations
@@ -40,13 +44,13 @@ from .exact import (
     Matrix,
     Scalar,
     _eliminate,
-    _exchange_update,
     _integer_multiple,
     _rational_exchange_update,
     solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
 )
 from .euclid import (
     BasisResult,
+    _ProductForm,
     _check_pivot,
     _split,
     _unit,
@@ -63,8 +67,7 @@ def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
     adjugate ``d * B**-1``, handed to the engine as numerators over ``d``.
     """
     run = _split(a_mat)
-    solve, _ = run.adjugate()
-    run.fifo(solve)
+    run.fifo(run.adjugate())
     return run.result()
 
 
@@ -110,7 +113,9 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
 
     Solves every pool vector in one elimination, then repeatedly exchanges
     on the minimal fractional row (smallest column on ties), updating ``X``
-    as :func:`solution_update` does but over the determinant in ints. The
+    as :func:`solution_update` does but over the determinant in ints, in
+    product form: each exchange costs O(n), and ``X`` absorbs a row's
+    exchanges when the walk reaches the next row. The
     per-step growth bound ``new <= old + (n-1)*||A||`` and
     :func:`coefficient_bound` are enforced on every exchange.
 
@@ -120,13 +125,9 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     """
     run = _split(a_mat)
     x_num = [list(r) for r in zip(*run.solve(run.pool))] or [[] for _ in run.pivot_rows]  # det * X
-
-    def advance(i, j, w, d):
-        x_num[:] = _exchange_update(x_num, d, i, w, j)
-
-    run.on_exchange.append(advance)
-    run.row_major(x_num.__getitem__, lambda j: [r[j] for r in x_num])
-    if check_invariants and run.solve(run.pool) != [list(c) for c in zip(*x_num)]:
+    form = _ProductForm(run, x_num, moves=True)
+    run.row_major(form.row, lambda j: form.column([r[j] for r in x_num]))
+    if check_invariants and run.solve(run.pool) != [form.column(c) for c in zip(*x_num)]:
         raise InvariantViolationError("solution matrix disagrees with a fresh elimination")
     return run.result()
 
@@ -153,7 +154,9 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     """Basis computation with row-by-row pivoting and bounded entries.
 
     Walks solution rows top-down: row ``i`` is formed once, as row ``i`` of the
-    cached adjugate (as :func:`inverse_variant_basis` keeps it) times the pool;
+    cached adjugate times the pool (kept in product form by
+    ``_Run.row_major_adjugate``, where :func:`inverse_variant_basis` updates
+    it on every exchange);
     while it has a fractional entry, exchange on it, and carry the row across
     the exchange rather than form it again. Once a row is integral it stays
     integral, so the walk never backtracks; once ``|det| == 1`` it forms no
@@ -166,8 +169,7 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     and verifies every solution is integral.
     """
     run = _split(a_mat)
-    solve, row = run.adjugate()
-    run.row_major(row, lambda j: solve(run.pool[j]))
+    run.row_major(*run.row_major_adjugate())
     if check_invariants and any(e % run.det for num in run.solve(run.pool) for e in num):
         raise InvariantViolationError("pool vector left fractional at exit")
     return run.result()

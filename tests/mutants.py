@@ -78,6 +78,14 @@ MUTANTS = [
      "if basis.rows != a_mat.rows or basis.cols != rank:", "if basis.rows != a_mat.rows:"),
     ("basis_transform entry check gone", "euclid.py",
      "run.solve(basis.to_int().columns)", "run.solve(basis.columns)"),
+    # the row-major drivers' product form: the fold into g when the walk
+    # reaches a row, the O(n) update of p and the O(n) column read
+    ("product-form fold skipped", "euclid.py",
+     "        if self.p is not None:\n            self.g[:] = ", "        if False:\n            self.g[:] = "),
+    ("product-form column update sign flipped", "euclid.py",
+     "(d0 * wk + pk * wi) // d", "(d0 * wk - pk * wi) // d"),
+    ("product-form combined column sign flipped", "euclid.py",
+     "(det * e - pk * ci) // d0", "(det * e + pk * ci) // d0"),
     ("carried row written in place", "euclid.py",
      "z = list(row(i))", "z = row(i)"),
     ("exchange hooks not run", "euclid.py",

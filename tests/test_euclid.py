@@ -37,8 +37,8 @@ from lattice_euclid import (
 )
 from lattice_euclid import euclid, exact
 from lattice_euclid.errors import InvariantViolationError
-from lattice_euclid.euclid import _nearest, _pivot, _Run, _split, _weights
-from lattice_euclid.exact import _bareiss, _integer_multiple
+from lattice_euclid.euclid import _nearest, _pivot, _ProductForm, _Run, _split, _unit, _weights
+from lattice_euclid.exact import _bareiss, _exchange_update, _integer_multiple
 
 from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix, round_half_up
 
@@ -703,7 +703,7 @@ def test_row_major_forms_each_row_once():
     ]
     for a, exchanges in cases:
         run = _split(a)
-        solve, row = run.adjugate()
+        row, column = run.row_major_adjugate()  # the row-wise driver's walk
         calls = []
 
         def counted(i):
@@ -711,13 +711,54 @@ def test_row_major_forms_each_row_once():
             calls.append((i, z, list(z)))
             return z
 
-        run.row_major(counted, lambda j: solve(run.pool[j]))
+        run.row_major(counted, column)
         # rows up to the one on which |det| reaches 1, none if the run starts there
         formed = next((rec.pivot_row + 1 for rec in run.trace if rec.det_after in (1, -1)), len(run.pivot_rows))
         assert [i for i, _, _ in calls] == list(range(0 if run.det0 in (1, -1) else formed))
         assert all(z == handed for _, z, handed in calls)  # the walk writes into no list it was handed
         assert len(run.trace) == exchanges
         assert tuple(run.trace) == solution_variant_basis(a).trace
+
+
+def test_product_form_columns_equal_the_eager_numerators_after_each_exchange():
+    # _ProductForm keeps g at the last fold and one column p for the exchanges
+    # since, on the walk's current row; combined, they must equal the
+    # numerators that _exchange_update advances on every exchange, over the
+    # pool (moves) and over the unit vectors (the adjugate), and each row the
+    # walk reaches must be the eager one after the fold
+    rng = random.Random(5151)
+    cases = [Matrix.from_rows([[-6, -5, -6], [1, -5, -2]])]  # two exchanges on row 0, then two on row 1
+    cases += [random_int_matrix(rng, n, n + 4, 40) for n in (2, 3, 4, 5) for _ in range(6)]
+    cases += [random_int_matrix(rng, 6, 3, 9) @ random_int_matrix(rng, 3, 8, 9) for _ in range(4)]
+    folds = 0
+    for a in cases:
+        run = _split(a)
+        adj = [list(r) for r in zip(*run.eliminate([_unit(t, run.dim) for t in run.pivot_rows]))]
+        x_num = [list(r) for r in zip(*run.solve(run.pool))]
+
+        def advance(i, j, w, d):
+            adj[:] = _exchange_update(adj, d, i, w)
+            x_num[:] = _exchange_update(x_num, d, i, w, j)
+
+        run.on_exchange.append(advance)
+        on_units = _ProductForm(run, [list(r) for r in adj], moves=False)
+        on_pool = _ProductForm(run, [list(r) for r in x_num], moves=True)
+
+        def check(i, j, w, d):
+            assert on_pool.p[i] == run.det
+            assert [on_units.column(c) for c in zip(*on_units.g)] == [list(c) for c in zip(*adj)]
+            assert [on_pool.column(c) for c in zip(*on_pool.g)] == [list(c) for c in zip(*x_num)]
+
+        def row(i):
+            nonlocal folds
+            folds += on_pool.p is not None
+            assert on_units.row(i) == adj[i] and on_pool.row(i) == x_num[i]
+            assert on_units.p is on_pool.p is None
+            return x_num[i]
+
+        run.on_exchange.append(check)
+        run.row_major(row, lambda j: [r[j] for r in x_num])
+    assert folds >= 10
 
 
 # --- basis_transform -------------------------------------------------------------

@@ -628,28 +628,72 @@ def test_the_exchange_path_builds_one_fraction_per_exchange(monkeypatch):
     assert len(made) == len(trace) > 0
 
 
+def _eager_walk(a, *hooks):
+    """The row-major walk on ``a`` as a reference: all of ``det * X`` advanced by ``_exchange_update`` on every exchange.
+
+    The ``hooks`` run after that update on each exchange.
+    """
+    run = _split(a)
+    x_num = [list(r) for r in zip(*run.solve(run.pool))] or [[] for _ in run.pivot_rows]
+
+    def advance(i, j, w, d):
+        x_num[:] = _exchange_update(x_num, d, i, w, j)
+
+    run.on_exchange += [advance, *hooks]
+    run.row_major(x_num.__getitem__, lambda j: [r[j] for r in x_num])
+    return run
+
+
+def _small_inputs(rng, count):
+    """``count`` inputs of at most 6 rows and 9 columns, about 30% of them rank-deficient products."""
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 6), rng.randint(0, 9)
+        if rng.random() < 0.3:  # rank r < n: a product, or zero columns for r == 0
+            r = rng.randint(0, n - 1)
+            out.append(random_int_matrix(rng, n, r, 9) @ random_int_matrix(rng, r, m, 30) if r else Matrix(((0,) * n,) * m, rows=n))
+        else:
+            out.append(random_int_matrix(rng, n, m, 60))
+    return out
+
+
+def test_row_major_drivers_equal_the_eager_walk():
+    # both row-major drivers compose each pivot row's exchanges into one
+    # product-form column (euclid._ProductForm) and fold it in when the walk
+    # reaches the next row; the eager walk advances all of det * X on every
+    # exchange. Basis, trace and counters must agree, with the drivers' own
+    # checks on and off, and some runs must exchange on two or more rows, or
+    # no fold between rows is exercised
+    rows_exchanged, deficient = [], 0
+    for a in _small_inputs(random.Random(2121), 400):
+        run = _eager_walk(a)
+        want = run.result()
+        rows_exchanged.append(len({rec.pivot_row for rec in want.trace}))
+        deficient += len(run.pivot_rows) < a.rows
+        for check in (False, True):
+            assert solution_variant_basis(a, check_invariants=check) == want
+            assert rowwise_variant_basis(a, check_invariants=check) == want
+    assert sum(k >= 2 for k in rows_exchanged) >= 50 and deficient >= 50
+
+
 def test_integer_transform_divides_exactly_and_matches_the_rational_one():
     # basis_transform solves d0 * Y once, against the solution driver's final
     # basis (d0 the initial determinant); it must equal the product form of
-    # the same exchanges, replayed here with the rational y_update, in values
-    # and in entry types
+    # the same exchanges, replayed here with the rational y_update on the
+    # eager walk, in values and in entry types
     rng = random.Random(909)
     cases = [Matrix.from_rows([[0, 2, 1], [3, 0, 1]])]  # d0 == -6
     cases += [random_int_matrix(rng, n, n + 3, 15) for n in (1, 2, 3, 4, 5, 6) for _ in range(5)]
     signs = set()
     for a in cases:
-        run = _split(a)
-        x_num = [list(r) for r in zip(*run.solve(run.pool))]
-        y_rat = Matrix.identity(run.basis.cols)
-        signs.add(run.det > 0)
+        y_rat = Matrix.identity(len(find_independent_columns(a)))
 
         def replay(i, j, w, d):
             nonlocal y_rat
             y_rat = y_update(y_rat, [Fraction(e, d) for e in w], i)
-            x_num[:] = _exchange_update(x_num, d, i, w, j)
 
-        run.on_exchange.append(replay)
-        run.row_major(lambda i: x_num[i], lambda j: [r[j] for r in x_num])
+        run = _eager_walk(a, replay)
+        signs.add(run.det0 > 0)
         transform = basis_transform(a, solution_variant_basis(a).basis)
         assert transform == y_rat
         assert [[type(e) for e in c] for c in transform.columns] == [[type(e) for e in c] for c in y_rat.columns]
