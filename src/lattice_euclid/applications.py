@@ -15,15 +15,18 @@ Both are configurations of the engine's FIFO order, the order of
   adjugate, so the run knows each determinant as it happens. The value from
   the factors must equal the split's determinant.
 * ``A x = b`` over the integers is solved on the columns of ``A`` stacked
-  over ``I_m`` (Cohen 1993, section 2.4): the run carries the ``m`` identity
-  rows below the basis rows, so every vector holds its integer coordinates
-  with respect to the original columns, and each exchange moves them with
-  it. The run itself is that of ``basic_basis``, trace included, solved
+  over ``I_m`` (Cohen 1993, section 2.4): every vector holds its integer
+  coordinates with respect to the original columns, and each exchange moves
+  them with it. The run carries them sparsely, below the basis rows: a row
+  only for an input column that has been in the basis, so at most ``rank +
+  exchanges`` rows, made when the column first enters.
+  The run itself is that of ``basic_basis``, trace included, solved
   on the cached adjugate as in ``inverse_variant_basis`` (``_Run.adjugate``
   reads only the pivot rows, so the carried rows need nothing). At the end
-  the carried rows are an integral ``U`` with ``A @ U = basis``;
-  feasibility then reduces to whether ``basis`` divides ``b`` evenly, which
-  the same adjugate solves, and a witness is ``U @ (basis**-1 b)``.
+  the carried rows, each at its input column and zero elsewhere, are an
+  integral ``U`` with ``A @ U = basis``; feasibility then reduces to whether
+  ``basis`` divides ``b`` evenly, which the same adjugate solves, and a
+  witness is ``U @ (basis**-1 b)``.
 """
 
 from __future__ import annotations
@@ -101,16 +104,16 @@ def diophantine_run(
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
     mu, vec = _integer_multiple(rhs)  # TypeError before the run on entries not int or Fraction
     run = _split(a_mat, coordinates=True)
-    coords = run.rows[run.dim :] or [()] * a_mat.cols  # U, m rows: A @ U == basis
     solve = run.adjugate()
 
     def check(i, j, w, d):
-        if a_mat.mat_vec([r[i] for r in coords]) != tuple(r[i] for r in run.rows[: run.dim]):
+        if a_mat.mat_vec([r[i] for r in run.coordinates(a_mat.cols)]) != tuple(r[i] for r in run.rows[: run.dim]):
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 
     if check_invariants:
         run.on_exchange.append(check)  # after the adjugate's update, as each exchange runs them
     run.fifo(solve)
+    coords = run.coordinates(a_mat.cols)  # U, m rows: A @ U == basis
     transform = Matrix._trusted(tuple(zip(*coords)), a_mat.cols)
     if check_invariants and (a_mat @ transform) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")

@@ -215,9 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solve A x = b over the integers",
         description="Solve A x = b over the integers. Prints a solution vector, "
         "or INFEASIBLE with exit code 1. Maintaining the generator-coordinate "
-        "transform adds one length-r dot product per carried row, m*r per exchange "
-        "(r the rank), at most m*r*log2|det0| over the run, on top of the plain "
-        "basis run.",
+        "transform adds one length-r dot product per carried row per exchange "
+        "(r the rank), on top of the plain basis run. A row is carried only for a "
+        "column that has been in the basis: at most r + k after k exchanges, and "
+        "never more than m.",
     )
     p_dioph.add_argument("file")
     p_dioph.add_argument("rhsfile")

@@ -46,7 +46,8 @@ each exchange, for FIFO; ``_Run.row_major_adjugate`` keeps it in product
 form, ``_ProductForm``, whose exchanges on one pivot row cost O(n) each.
 Rows below the basis rows ride along: the same exchange
 moves them with the vectors, so the Diophantine coordinates need no second
-copy. The public Fraction functions
+copy. They are carried sparsely: one row per input column that has been in
+the basis, made when it first enters. The public Fraction functions
 (:func:`mod_prime`, :func:`choose_pivot_argmin`, :func:`exchange_step`,
 :func:`solve_in_span`, :func:`check_off_pivot_rows`) clear denominators and
 call the same core.
@@ -340,9 +341,16 @@ class _Run:
     rewrites in place. The first ``dim`` are the basis rows; ``off_rows`` are
     those off the pivot rows, as ``(index, row)``, and ``basis`` is a
     ``Matrix`` built from them on each access, for the edges that need one.
-    Rows below the first ``dim`` are carried: pool vectors are as long as
-    ``rows``, and an exchange moves the carried entries with the vectors
-    (``_split`` carries each vector's coordinates in the input columns).
+    Rows below the first ``dim`` are carried, when ``carried`` is not None:
+    ``{input column: row}`` for each input column that has been in the
+    basis, the Diophantine coordinates (``_split`` makes the chosen columns'
+    rows). A pool vector holds its entries on the rows that existed when it
+    joined the pool (only the ``dim`` for an input column) and reads zero on
+    any row made later, then ``{input column: coefficient}`` for the columns
+    that have no row: ``{j: 1}`` for input column ``j``, ``{}`` for a former
+    basis column. An exchange makes the entering vector's new rows, so the
+    carry holds at most ``rank + exchanges`` rows, then moves the carried
+    entries with the vectors.
     A run without columns keeps no rows: ``rows`` is empty, and ``off_rows``
     yields the ``dim`` empty rows on demand.
     """
@@ -355,6 +363,7 @@ class _Run:
         det: int,
         discards: int = 0,
         dim: Optional[int] = None,
+        carried: Optional[dict[int, int]] = None,
     ):
         self.rows = rows
         self.dim = len(rows) if dim is None else dim
@@ -364,6 +373,7 @@ class _Run:
         self.trace: list[ExchangeRecord] = []
         self.discards = discards
         self.on_exchange: list[Callable] = []
+        self.carried = carried
         self._off = _off_rows(rows[: self.dim], self.pivot_rows)
 
     @property
@@ -453,17 +463,26 @@ class _Run:
 
         ``num`` must solve ``basis @ num == det * pool[j]``, ``num[i] / det``
         fractional (:func:`_rounded` raises IntegralPivotError before any state
-        changes otherwise). The old basis column takes pool slot ``j``; the new
-        determinant is ``W[i]``.
+        changes otherwise). The old basis column takes pool slot ``j``, as the
+        class docstring lays out a pool vector; the new determinant is ``W[i]``.
         """
         d = self.det
         rounded = _rounded(num, d, i)
         w = [e - d * r for e, r in zip(num, rounded)]  # _weights(num, d, i)
         self.det = w[i]
         self.trace.append(ExchangeRecord(len(self.trace), i, j, Fraction(w[i], d), self.det))
-        vec = self.pool[j]
-        self.pool[j] = tuple(r[i] for r in self.rows)
-        for r, v in zip(self.rows, vec):
+        vec, rows, carried = self.pool[j], self.rows, self.carried
+        old = tuple(r[i] for r in rows)
+        if carried is not None:  # vec's entry on every row, its own row made first if it is an input column
+            *vec, new = vec
+            vec += [0] * (len(rows) - len(vec))  # rows made since it joined the pool
+            for k, e in new.items():  # no vector but this one has a coordinate on k yet
+                carried[k] = len(rows)
+                rows.append([0] * len(num))
+                vec.append(e)
+            old += ({},)
+        self.pool[j] = old
+        for r, v in zip(rows, vec):
             r[i] = v - sum(map(mul, r, rounded))
         for hook in self.on_exchange:
             hook(i, j, w, d)
@@ -518,11 +537,12 @@ class _Run:
             if self.det in (1, -1):  # every solution is integral: no exchange can follow
                 break
             z = list(row(i))  # carried across this row's exchanges; the driver may own its list
+            peak = max(abs(r[i]) for r in basis_rows)  # then only exchanges on column i write it
             while (j := next((k for k, e in enumerate(z) if e % self.det), None)) is not None:
                 num = column(j)
                 if num[i] != z[j]:
                     raise InvariantViolationError("row solve disagrees with the full solve")
-                old_peak = max(abs(r[i]) for r in basis_rows)
+                old_peak = peak
                 # F**-1 keeps row i, and slot j now holds the old B_i, whose solution is e_i
                 z[j] = self.det
                 self.exchange(j, num, i)
@@ -532,6 +552,13 @@ class _Run:
                 # the other columns were checked when they entered, or are input
                 if peak > bound:
                     raise InvariantViolationError("intermediate basis exceeds the coefficient bound")
+
+    def coordinates(self, m: int) -> list[list[int]]:
+        """The carry as ``m`` rows, one per input column: its carried row, or zeros if it has none."""
+        u = [[0] * len(self.pivot_rows)] * m
+        for k, t in self.carried.items():
+            u[k] = self.rows[t]
+        return u
 
     def result(self) -> BasisResult:
         basis = self.basis
@@ -550,10 +577,11 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
 
     Zero columns are discarded, the first maximal independent set of
     columns forms the basis and the rest is pooled. With ``coordinates``
-    the run carries, below each vector, its coordinates in the columns of
-    ``a_mat``: ``m`` rows below the ``n`` basis rows, the unit vector
-    ``e_j`` below column ``j``. Raises ValueError on a non-integral entry.
-    Without a nonzero column the run has no columns and keeps no rows.
+    the run carries each vector's coordinates in the columns of ``a_mat``
+    (see :class:`_Run`): a row per chosen column below the ``n`` basis rows,
+    together the ``rank x rank`` identity, and ``{j: 1}`` after pooled
+    column ``j``; nothing ``m`` long. Raises ValueError on a non-integral
+    entry. Without a nonzero column the run has no columns and keeps no rows.
     """
     a_mat = a_mat.to_int()  # raises on a non-integral Fraction
     columns = a_mat.columns
@@ -561,16 +589,20 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     pivot_rows, col_idx, det = _bareiss([list(r) for r in zip(*columns)], a_mat.cols)
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(columns) if j not in chosen and any(col)]
+    rows = [list(r) for r in zip(*(columns[j] for j in col_idx))]
+    pool, carried = [columns[j] for j in pooled], None
     if coordinates:  # only for the columns the run keeps: a zero column carries nothing
-        m = a_mat.cols
-        columns = {j: columns[j] + _unit(j, m) for j in (*col_idx, *pooled)}
+        pool = [col + ({j: 1},) for j, col in zip(pooled, pool)]
+        carried = {j: a_mat.rows + p for p, j in enumerate(col_idx)}
+        rows += (list(_unit(p, len(col_idx))) for p in range(len(col_idx)))
     return _Run(
-        [list(r) for r in zip(*(columns[j] for j in col_idx))],
-        (columns[j] for j in pooled),
+        rows,
+        pool,
         sorted(pivot_rows),
         det,
         discards=a_mat.cols - len(col_idx) - len(pooled),
         dim=a_mat.rows,
+        carried=carried,
     )
 
 

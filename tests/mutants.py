@@ -94,6 +94,14 @@ MUTANTS = [
      "while pool and self.det not in (1, -1):", "while pool:"),
     ("row-major stop at |det| == 1 gone", "euclid.py",
      "            if self.det in (1, -1):  # every solution is integral: no exchange can follow\n                break\n", ""),
+    # Diophantine mode's sparse carry: a pooled column's coordinate, the
+    # entering column's own coordinate on its new row, a leaving column's coordinates
+    ("pooled column carries no coordinate", "euclid.py",
+     "col + ({j: 1},)", "col + ({},)"),
+    ("entering coordinate dropped as its row is made", "euclid.py",
+     "                vec.append(e)\n", "                vec.append(0)\n"),
+    ("former basis column leaves without coordinates", "euclid.py",
+     "            old += ({},)\n", "            old = (*old[: self.dim], {})\n"),
     # inverted conditions
     ("elimination check inverted", "euclid.py",
      "if d != self.det:", "if d == self.det:"),

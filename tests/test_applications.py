@@ -250,6 +250,159 @@ def test_diophantine_zero_columns_carry_no_coordinates():
             tracemalloc.stop()
 
 
+def test_diophantine_carry_memory_is_linear_in_m():
+    # a 1 x 2000 row without zero columns: each pooled column carries {j: 1},
+    # and a coordinate row exists only for a column that has been in the
+    # basis (a carry of all m coordinates under every vector peaked at 32 MB)
+    rng = random.Random(1)
+    a = Matrix.from_rows([[rng.randint(1, 1000) for _ in range(2000)]])
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        x = diophantine_solve(a, (1,))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert a.mat_vec(x) == (1,)
+    assert peak < 4 * 10**6, peak
+
+
+def _rational_solve(cols, v):
+    """``x`` with ``sum(x[k] * cols[k]) == v`` for independent ``cols``, as Fractions, or None off their span."""
+    r = len(cols)
+    rows = [[Fraction(c[t]) for c in cols] + [Fraction(v[t])] for t in range(len(v))]
+    for c in range(r):
+        p = next(t for t in range(c, len(rows)) if rows[t][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for t, row in enumerate(rows):
+            if t != c and row[c]:
+                rows[t] = [e - row[c] * g for e, g in zip(row, rows[c])]
+    if any(row[r] for row in rows[r:]):
+        return None
+    return [rows[k][r] for k in range(r)]
+
+
+def _dense_replay(a, trace):
+    """Replay a Diophantine ``trace`` FIFO on ``a`` stacked over ``I_m``: every vector carries all m coordinates.
+
+    Returns the final basis columns (n entries, then m coordinates) and, for
+    each exchange, the input column that entered, or None for a former basis column.
+    """
+    n, m = a.rows, a.cols
+    columns = [tuple(a.column(j)) + tuple(int(k == j) for k in range(m)) for j in range(m)]
+    basis, pool = [], []
+    for j, col in enumerate(columns):
+        if any(col[:n]):
+            if _rational_solve([b[:n] for b in basis], col[:n]) is None:
+                basis.append(col)
+            else:
+                pool.append((col, j))
+    entered = []
+    for rec in trace:
+        while True:  # FIFO: integral solutions are discarded
+            vec, origin = pool.pop(0)
+            x = _rational_solve([b[:n] for b in basis], vec[:n])
+            if any(e.denominator != 1 for e in x):
+                break
+        i = rec.pivot_row
+        rounded = [math.floor(e) for e in x]
+        rounded[i] = math.floor(x[i] + Fraction(1, 2))
+        assert (rec.column, rec.factor) == (0, x[i] - rounded[i])
+        pool.append((basis[i], None))
+        basis[i] = tuple(v - sum(map(mul, rounded, (b[t] for b in basis))) for t, v in enumerate(vec))
+        entered.append(origin)
+    return basis, entered
+
+
+def _carry_case(rng):
+    """A small random Diophantine input: rank-deficient in a third of cases, with zero columns in another third."""
+    n, m = rng.randint(1, 4), rng.randint(1, 7)
+    a = random_int_matrix(rng, n, m, 9)
+    kind = rng.randrange(3)
+    if kind == 1 and n > 1:  # the last row a combination of the others
+        rows = a.to_rows()
+        a = Matrix.from_rows(rows[:-1] + [[2 * x - y for x, y in zip(rows[0], rows[-2])]])
+    elif kind == 2:
+        zero = set(rng.sample(range(m), rng.randint(1, m)))
+        a = Matrix.from_rows([[0 if j in zero else e for j, e in enumerate(r)] for r in a.to_rows()])
+    if rng.randrange(2):
+        rhs = a.mat_vec([rng.randint(-4, 4) for _ in range(m)])
+    else:
+        rhs = tuple(rng.randint(-9, 9) for _ in range(n))
+    return a, rhs
+
+
+def test_diophantine_run_matches_a_dense_replay_of_its_trace():
+    # the sparse carry against a replay in which every vector carries all m
+    # coordinates: same witness (or span error), U and trace
+    rng = random.Random(4006)
+    mid_run = reentered = 0
+    seen = Counter()
+    for case in range(320):
+        a, rhs = _carry_case(rng)
+        try:
+            witness, transform, trace = diophantine_run(a, rhs, check_invariants=case % 2 == 0)
+        except SpanMismatchError as exc:
+            witness, transform, trace = "span", None, exc.trace
+        basis, entered = _dense_replay(a, trace)
+        n = a.rows
+        y = _rational_solve([b[:n] for b in basis], rhs)
+        if y is None:
+            assert witness == "span"
+        else:
+            assert (transform.rows, transform.cols) == (a.cols, len(basis))
+            assert transform.columns == tuple(b[n:] for b in basis)
+            if all(e.denominator == 1 for e in y):
+                assert witness == tuple(sum(map(mul, y, (b[n + k] for b in basis))) for k in range(a.cols))
+            else:
+                assert witness is None
+        mid_run += any(k is not None for k in entered[1:])  # a coordinate row made after the first exchange
+        reentered += None in entered
+        seen["deficient"] += len(basis) < min(a.rows, sum(map(any, a.columns)))
+        seen["zero columns"] += not all(map(any, a.columns))
+        seen[witness if witness in ("span", None) else "feasible"] += 1
+    assert mid_run and reentered
+    assert len(seen) == 5, seen
+
+
+def test_diophantine_carry_holds_at_most_rank_plus_exchanges_rows(monkeypatch):
+    # a coordinate row is made only when its input column first enters the
+    # basis: the rank chosen columns, then one per pooled column that enters
+    runs = []
+    original = applications._split
+
+    def capture(a_mat, coordinates=False):
+        run = original(a_mat, coordinates)
+        rank = len(run.pivot_rows)
+
+        def bounded(i, j, w, d):
+            assert len(run.rows) - run.dim == len(run.carried) <= rank + len(run.trace)
+
+        run.on_exchange.append(bounded)
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(applications, "_split", capture)
+    rng = random.Random(4007)
+    cases = [_carry_case(rng) for _ in range(60)] + [(random_int_matrix(rng, 2, 40, 50), (1, 1)) for _ in range(4)]
+    skipped = 0
+    for a, rhs in cases:
+        try:
+            diophantine_run(a, rhs)
+        except SpanMismatchError:
+            pass
+        run = runs.pop()
+        basis, entered = _dense_replay(a, run.trace)
+        assert len(run.carried) == len(basis) + sum(k is not None for k in entered)
+        skipped += len(run.carried) < sum(map(any, a.columns))
+    assert skipped
+
+
 def test_diophantine_constructed_feasible_instances():
     rng = random.Random(2002)
     for _ in range(60):

@@ -330,15 +330,22 @@ def test_split_checks_integer_entries_once(monkeypatch):
 
 
 def test_split_carries_coordinates_below_the_basis_rows():
-    # the m coordinate rows sit below the n basis rows, and the run reads
-    # nothing of them: same pivot rows, off-pivot rows and basis
+    # one coordinate row per chosen column sits below the n basis rows (the
+    # rank x rank identity, no m-long rows), a pooled column j carries {j: 1}
+    # after its entries, and the run reads nothing of the carry: same pivot
+    # rows, off-pivot rows and basis
     rng = random.Random(28)
     a = _low_rank(rng, 8, 12, 4, 9)
     run, plain = _split(a, coordinates=True), _split(a)
     assert run.off_rows == plain.off_rows and len(run.off_rows) == 4
     assert (run.dim, run.pivot_rows, run.det, run.basis) == (8, plain.pivot_rows, plain.det, plain.basis)
-    assert a @ Matrix.from_rows(run.rows[run.dim :]) == run.basis  # the coordinates U
+    chosen = find_independent_columns(a)
+    assert run.carried == {k: run.dim + p for p, k in enumerate(chosen)}
+    assert run.rows[run.dim :] == [list(_unit(p, 4)) for p in range(4)]
+    assert a @ Matrix.from_rows(run.coordinates(a.cols)) == run.basis  # the coordinates U
     assert [v[: run.dim] for v in run.pool] == plain.pool
+    pooled = [j for j in range(a.cols) if j not in chosen]
+    assert [v[run.dim :] for v in run.pool] == [({j: 1},) for j in pooled]
 
 
 def test_split_rejects_non_integral_input():

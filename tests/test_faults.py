@@ -122,12 +122,12 @@ def test_exchange_step_checks_the_solution_against_the_determinant():
 
 
 def _corrupt_coordinate(monkeypatch, column):
-    """Make the Diophantine run's split add 1 to one carried coordinate of basis ``column``."""
+    """Make the Diophantine run's split add 1 to basis ``column``'s carried coordinate of input column 0."""
     original = applications._split
 
     def wrapped(a_mat, coordinates=False):
         run = original(a_mat, coordinates)
-        run.rows[run.dim][column] += 1
+        run.rows[run.carried[0]][column] += 1
         return run
 
     monkeypatch.setattr(applications, "_split", wrapped)
