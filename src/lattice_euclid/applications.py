@@ -12,7 +12,8 @@ Both are configurations of the engine's FIFO order, the order of
   The run is that of ``inverse_variant_basis`` on ``(B | I)``: the column
   split eliminates ``B`` once (a rank below ``n`` means ``det(B) == 0``),
   the unit vectors are pooled, and the FIFO steps solve on the cached
-  adjugate, so the run knows each determinant as it happens. The value from
+  adjugate, so the run knows each determinant as it happens. No solve
+  follows the last exchange, so the adjugate never absorbs it. The value from
   the factors must equal the split's determinant.
 * ``A x = b`` over the integers is solved on the columns of ``A`` stacked
   over ``I_m`` (Cohen 1993, section 2.4): every vector holds its integer
@@ -21,8 +22,9 @@ Both are configurations of the engine's FIFO order, the order of
   only for an input column that has been in the basis, so at most ``rank +
   exchanges`` rows, made when the column first enters.
   The run itself is that of ``basic_basis``, trace included, solved
-  on the cached adjugate as in ``inverse_variant_basis`` (``_Run.adjugate``
-  reads only the pivot rows, so the carried rows need nothing). At the end
+  on the cached adjugate as in ``inverse_variant_basis``: ``_Run.adjugate``
+  folds each exchange in before the next solve and reads only the pivot
+  rows, so the carried rows need nothing. At the end
   the carried rows, each at its input column and zero elsewhere, are an
   integral ``U`` with ``A @ U = basis``; feasibility then reduces to whether
   ``basis`` divides ``b`` evenly, which the same adjugate solves, and a
@@ -67,7 +69,7 @@ def determinant_with_trace(b_mat: Matrix) -> tuple[int, tuple[ExchangeRecord, ..
     if len(run.pivot_rows) < n:
         return 0, ()
     run.pool = [_unit(k, n) for k in range(n)]
-    run.fifo(run.adjugate())
+    run.fifo(run.adjugate()[0])
     sign = bareiss_det(run.basis)
     if abs(sign) != 1:
         raise InvariantViolationError("exchange run did not end on a unimodular basis")
@@ -104,14 +106,14 @@ def diophantine_run(
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
     mu, vec = _integer_multiple(rhs)  # TypeError before the run on entries not int or Fraction
     run = _split(a_mat, coordinates=True)
-    solve = run.adjugate()
+    solve = run.adjugate()[0]
 
     def check(i, j, w, d):
         if a_mat.mat_vec([r[i] for r in run.coordinates(a_mat.cols)]) != tuple(r[i] for r in run.rows[: run.dim]):
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 
     if check_invariants:
-        run.on_exchange.append(check)  # after the adjugate's update, as each exchange runs them
+        run.on_exchange.append(check)
     run.fifo(solve)
     coords = run.coordinates(a_mat.cols)  # U, m rows: A @ U == basis
     transform = Matrix._trusted(tuple(zip(*coords)), a_mat.cols)

@@ -41,9 +41,10 @@ rows, ``_Run.eliminate``, checked against the determinant, and a ``Matrix``
 of the basis is built only at the edges. ``_Run.solve`` is the one checked
 solve from scratch: one elimination of all the vectors it is given, each
 result checked off the pivot rows. The cached solvers keep the adjugate of
-the pivot-row system over the determinant: ``_Run.adjugate`` advances it on
-each exchange, for FIFO; ``_Run.row_major_adjugate`` keeps it in product
-form, ``_ProductForm``, whose exchanges on one pivot row cost O(n) each.
+the pivot-row system over the determinant, ``_Run.adjugate``, in product
+form, ``_ProductForm``: exchanges on one pivot row cost O(n) each, and fold
+into the adjugate before a FIFO solve reads it or when the row-major walk
+reaches a row.
 Rows below the basis rows ride along: the same exchange
 moves them with the vectors, so the Diophantine coordinates need no second
 copy. They are carried sparsely: one row per input column that has been in
@@ -284,13 +285,12 @@ class _ProductForm:
     fold and ``d0`` its determinant. The exchanges since then pivoted on row
     ``i``, so the basis is ``B0 @ E``, ``E`` the identity with column ``i``
     set to ``p / d0``: ``p = d0 * B0**-1 @ B_i`` and ``p[i] == det`` (``p`` is
-    None while ``E`` is the identity). :meth:`row` folds ``E`` into ``g``, in
-    one ``_exchange_update``, and starts row ``i``: every exchange until the
-    next call must pivot on it, as the row-major walk's do. An exchange
-    ``(i, j, W, d)`` costs O(n): with ``moves`` (``C`` is the pool, and slot
-    ``j`` now holds the old ``B_i``) column ``j`` of ``g`` becomes ``p``, then
-    ``p`` becomes the new ``B_i``, ``B @ W / d``. Every division is exact by
-    Cramer's rule.
+    None while ``E`` is the identity). :meth:`fold` multiplies ``E`` into
+    ``g``, in one ``_exchange_update``; an exchange on another row folds
+    first, so ``E`` composes one row's exchanges. An exchange ``(i, j, W, d)``
+    costs O(n): with ``moves`` (``C`` is the pool, and slot ``j`` now holds
+    the old ``B_i``) column ``j`` of ``g`` becomes ``p``, then ``p`` becomes
+    the new ``B_i``, ``B @ W / d``. Every division is exact by Cramer's rule.
     """
 
     def __init__(self, run: "_Run", g: list[list[int]], moves: bool):
@@ -299,20 +299,28 @@ class _ProductForm:
         run.on_exchange.append(self.exchange)
 
     def exchange(self, i: int, j: int, w: Sequence[int], d: int) -> None:
-        d0, wi = self.d0, w[i]
-        p = self.p or [d0 * (k == i) for k in range(len(w))]
+        if self.p is not None and i != self.i:
+            self.fold()
+        d0, p = self.d0, self.p
         if self.moves:
-            for r, e in zip(self.g, p):
+            for r, e in zip(self.g, p or [d0 * (k == i) for k in range(len(w))]):
                 r[j] = e
-        self.p = [wi if k == i else (d0 * wk + pk * wi) // d for k, (wk, pk) in enumerate(zip(w, p))]
+        if p is None:  # the first exchange since the fold: d0 == d, so E's column is W itself
+            self.i, self.p = i, list(w)
+        else:
+            wi = w[i]
+            self.p = [wi if k == i else (d0 * wk + pk * wi) // d for k, (wk, pk) in enumerate(zip(w, p))]
 
-    def row(self, i: int) -> list[int]:
-        """Fold ``E`` into ``g`` and start row ``i``; returns row ``i`` of ``det * B**-1 @ C``, the list ``g`` holds."""
+    def fold(self) -> list[list[int]]:
+        """Fold ``E`` into ``g``; returns ``g``, then ``det * B**-1 @ C``."""
         if self.p is not None:
             self.g[:] = _exchange_update(self.g, self.d0, self.i, self.p)
             self.d0, self.p = self.p[self.i], None
-        self.i = i
-        return self.g[i]
+        return self.g
+
+    def row(self, i: int) -> list[int]:
+        """Fold; returns row ``i`` of ``det * B**-1 @ C``, the list ``g`` holds."""
+        return self.fold()[i]
 
     def column(self, c: Sequence[int]) -> list[int]:
         """``det * B**-1 @ v`` from ``c == d0 * B0**-1 @ v``, in O(n): row ``i`` is kept."""
@@ -406,57 +414,35 @@ class _Run:
             _check_span(self.off_rows, vec, num, self.det)
         return nums
 
-    def _adjugate(self) -> tuple[list[list[int]], Callable, Callable]:
-        """``(adj, solve, times_pool)``: ``adj`` the adjugate ``det * B**-1`` of the pivot-row system, as int rows.
+    def adjugate(self) -> tuple[Callable, Callable, Callable]:
+        """``(solve, row, column)`` on the adjugate ``det * B**-1`` of the pivot-row system, a :class:`_ProductForm`.
 
-        One elimination of the unit vectors builds it; the caller keeps it
-        current. ``solve(vec, form=None)`` is ``adj @ vec``, through ``form``
-        if given, checked off the pivot rows as :meth:`solve` checks; and
-        ``times_pool(r)`` is ``r @ vec`` for each pool vector. Both read only
-        the pivot rows, so carried rows need nothing.
+        One elimination of the unit vectors builds it. ``solve(vec)``, for
+        :meth:`fifo`, folds the exchanges since the last read in and is ``adj
+        @ vec``; for :meth:`row_major`, ``row(i)`` folds and is ``adj[i]``
+        times the pool, and ``column(j)`` is ``adj0 @ pool[j]`` combined with
+        the row's exchanges in O(n). Both solves are checked off the pivot rows
+        as :meth:`solve` checks. All read only the pivot rows, so carried rows
+        need nothing.
         """
         rows, covered = self.pivot_rows, len(self.pivot_rows) == self.dim
         columns = self.eliminate([_unit(t, self.dim) for t in rows])
-        adj = [list(r) for r in zip(*columns)]
+        form = _ProductForm(self, [list(r) for r in zip(*columns)], moves=False)
 
-        def solve(vec, form=None):
+        def solve(vec, pending=False):
             v = [vec[t] for t in rows]
-            num = [sum(map(mul, r, v)) for r in adj]
-            if form is not None:
-                num = form(num)
+            num = [sum(map(mul, r, v)) for r in (form.g if pending else form.fold())]
+            if pending:
+                num = form.column(num)
             if not covered:
                 _check_span(self.off_rows, vec, num, self.det)
             return num
 
-        def times_pool(r):
+        def row(i):
+            r = form.row(i)
             return [sum(map(mul, r, v if covered else map(v.__getitem__, rows))) for v in self.pool]
 
-        return adj, solve, times_pool
-
-    def adjugate(self) -> Callable:
-        """``solve(vec)`` on the adjugate, ``num`` as :meth:`solve` returns it, for the FIFO order.
-
-        A hook in ``on_exchange`` multiplies the adjugate by each exchange's
-        ``F**-1`` at once: FIFO's exchanges pivot on any row, so they do not
-        compose into one column as the row-major walk's do (:meth:`row_major_adjugate`).
-        """
-        adj, solve, _ = self._adjugate()
-
-        def advance(i, j, w, d):
-            adj[:] = _exchange_update(adj, d, i, w)
-
-        self.on_exchange.append(advance)
-        return solve
-
-    def row_major_adjugate(self) -> tuple[Callable, Callable]:
-        """``(row, column)`` for :meth:`row_major` on the adjugate, kept as a :class:`_ProductForm`.
-
-        ``row(i)`` folds the last row's exchanges in, then is ``adj[i]`` times
-        the pool; ``column(j)`` is ``adj @ pool[j]`` combined with this row's in O(n).
-        """
-        adj, solve, times_pool = self._adjugate()
-        form = _ProductForm(self, adj, moves=False)
-        return (lambda i: times_pool(form.row(i))), (lambda j: solve(self.pool[j], form.column))
+        return solve, row, lambda j: solve(self.pool[j], pending=True)
 
     def exchange(self, j: int, num: Sequence[int], i: int) -> None:
         """Swap basis column ``i`` for the residue of ``pool[j]``, then run the ``on_exchange`` hooks.

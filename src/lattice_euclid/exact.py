@@ -13,9 +13,9 @@ Python ints with exact divisions, and Fractions appear only in the outputs.
 
 After an exchange nothing is eliminated again: the cached inverse and the
 solution matrix advance by the exchange's elementary matrix in one integer
-kernel, ``_exchange_update``. FIFO applies it eagerly, on every exchange;
-the row-major walk keeps the product form of the inverse of Dantzig and
-Orchard-Hays (``euclid._ProductForm``) and applies it once per pivot row.
+kernel, ``_exchange_update``, applied to the product form of the inverse of
+Dantzig and Orchard-Hays (``euclid._ProductForm``): once per pivot row, on
+the row-major walk, and before each solve that reads an exchange, for FIFO.
 """
 
 from __future__ import annotations

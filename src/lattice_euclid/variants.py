@@ -19,16 +19,18 @@ determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity with
 column ``i`` set to ``w``: the cached inverse and ``X`` advance in integer
 numerators over ``det B`` by ``F**-1``, in ints on ``d * w``, which the
 engine hands to the drivers' hooks in ``_Run.on_exchange``; a transform
-would advance by ``F`` (:func:`y_update`). The inverse driver applies each
-``F**-1`` at once (``exact._exchange_update``).
+would advance by ``F`` (:func:`y_update`). The cached inverse and ``X``
+are each kept in a product form, ``euclid._ProductForm``: the exchanges on
+one pivot row compose into one ``F**-1``, absorbed in one
+``exact._exchange_update``. The inverse driver solves between any two
+exchanges, so it absorbs each one at its next solve.
 
 The last two run the engine's row-major order, so they produce the same
-trace, and every exchange pivots on the walk's current row: a row's
-``F**-1`` compose into one (``euclid._ProductForm``), which ``X`` and the
-adjugate absorb once per row. That order is what tames coefficient
-growth: when rows above ``i`` are integral, the exchanged column is a
-combination of the current column ``i`` and *untouched* input columns
-only, so each exchange adds at most ``(n - 1) * ||A||`` to the column's
+trace, and every exchange pivots on the walk's current row: ``X`` and the
+adjugate absorb a row's exchanges once, when the walk reaches the next row.
+That order is what tames coefficient growth: when rows above ``i`` are
+integral, the exchanged column is a combination of the current column ``i``
+and *untouched* input columns only, so each exchange adds at most ``(n - 1) * ||A||`` to the column's
 magnitude, and every basis entry ever produced stays within
 ``n^2 * ||A|| * ceil(log2(n * ||A||))``.
 """
@@ -67,7 +69,7 @@ def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
     adjugate ``d * B**-1``, handed to the engine as numerators over ``d``.
     """
     run = _split(a_mat)
-    run.fifo(run.adjugate())
+    run.fifo(run.adjugate()[0])
     return run.result()
 
 
@@ -153,12 +155,11 @@ def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
 def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
     """Basis computation with row-by-row pivoting and bounded entries.
 
-    Walks solution rows top-down: row ``i`` is formed once, as row ``i`` of the
-    cached adjugate times the pool (kept in product form by
-    ``_Run.row_major_adjugate``, where :func:`inverse_variant_basis` updates
-    it on every exchange);
-    while it has a fractional entry, exchange on it, and carry the row across
-    the exchange rather than form it again. Once a row is integral it stays
+    Walks solution rows top-down: row ``i`` is formed once, as row ``i`` of
+    the cached adjugate times the pool (``_Run.adjugate``: the product form
+    that :func:`inverse_variant_basis` folds before each solve folds here
+    once per row); while it has a fractional entry, exchange on it, and
+    carry the row across the exchange rather than form it again. Once a row is integral it stays
     integral, so the walk never backtracks; once ``|det| == 1`` it forms no
     further row. Both the per-step
     growth cap ``new <= old + (n-1)*||A||`` and the global :func:`coefficient_bound`
@@ -169,7 +170,8 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
     and verifies every solution is integral.
     """
     run = _split(a_mat)
-    run.row_major(*run.row_major_adjugate())
+    _, row, column = run.adjugate()
+    run.row_major(row, column)
     if check_invariants and any(e % run.det for num in run.solve(run.pool) for e in num):
         raise InvariantViolationError("pool vector left fractional at exit")
     return run.result()

@@ -78,10 +78,15 @@ MUTANTS = [
      "if basis.rows != a_mat.rows or basis.cols != rank:", "if basis.rows != a_mat.rows:"),
     ("basis_transform entry check gone", "euclid.py",
      "run.solve(basis.to_int().columns)", "run.solve(basis.columns)"),
-    # the row-major drivers' product form: the fold into g when the walk
-    # reaches a row, the O(n) update of p and the O(n) column read
+    # the product form every cached solver keeps: the fold into g, the fold
+    # before an exchange on another row, a FIFO solve's fold before it reads
+    # g, the O(n) update of p and the O(n) column read
     ("product-form fold skipped", "euclid.py",
      "        if self.p is not None:\n            self.g[:] = ", "        if False:\n            self.g[:] = "),
+    ("row-change fold gone", "euclid.py",
+     "            self.fold()\n", "            pass\n"),
+    ("FIFO solve reads the form unfolded", "euclid.py",
+     "(form.g if pending else form.fold())", "form.g"),
     ("product-form column update sign flipped", "euclid.py",
      "(d0 * wk + pk * wi) // d", "(d0 * wk - pk * wi) // d"),
     ("product-form combined column sign flipped", "euclid.py",

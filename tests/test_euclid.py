@@ -19,6 +19,7 @@ from lattice_euclid import (
     basic_basis,
     basis_transform,
     choose_pivot_argmin,
+    determinant_with_trace,
     diophantine_run,
     diophantine_solve,
     exchange_step,
@@ -710,7 +711,7 @@ def test_row_major_forms_each_row_once():
     ]
     for a, exchanges in cases:
         run = _split(a)
-        row, column = run.row_major_adjugate()  # the row-wise driver's walk
+        _, row, column = run.adjugate()  # the row-wise driver's walk
         calls = []
 
         def counted(i):
@@ -766,6 +767,68 @@ def test_product_form_columns_equal_the_eager_numerators_after_each_exchange():
         run.on_exchange.append(check)
         run.row_major(row, lambda j: [r[j] for r in x_num])
     assert folds >= 10
+
+
+def test_product_form_equals_the_eager_adjugate_in_fifo_order():
+    # FIFO pivots on any row: an exchange on a row other than the pending one
+    # folds first, so the form over the unit vectors, read in O(n) after each
+    # exchange, equals the adjugate _exchange_update advances on every
+    # exchange; folded after each exchange, as a FIFO solve folds, it is that
+    # adjugate itself
+    rng = random.Random(6161)
+    cases = [Matrix.from_rows([[-6, -5, -6], [1, -5, -2]])]  # FIFO pivots on rows 0, 1 and 0
+    cases += [random_int_matrix(rng, n, n + rng.randint(1, 5), 40) for n in (2, 3, 4, 5) for _ in range(8)]
+    cases += [random_int_matrix(rng, n, 3, 9) @ random_int_matrix(rng, 3, 8, 9) for n in (4, 6) for _ in range(4)]
+    row_changes = 0
+    for a in cases:
+        run = _split(a)
+        adj = [list(r) for r in zip(*run.eliminate([_unit(t, run.dim) for t in run.pivot_rows]))]
+
+        def advance(i, j, w, d):
+            adj[:] = _exchange_update(adj, d, i, w)
+
+        run.on_exchange.append(advance)
+        unfolded = _ProductForm(run, [list(r) for r in adj], moves=False)
+        folded = _ProductForm(run, [list(r) for r in adj], moves=False)
+
+        def check(i, j, w, d):
+            assert [unfolded.column(c) for c in zip(*unfolded.g)] == [list(c) for c in zip(*adj)]
+            assert folded.fold() == adj
+
+        run.on_exchange.append(check)
+        run.fifo(lambda vec: run.solve((vec,))[0])
+        assert tuple(run.trace) == inverse_variant_basis(a).trace
+        row_changes += sum(r.pivot_row != s.pivot_row for r, s in zip(run.trace, run.trace[1:]))
+    assert row_changes >= 10
+
+
+def test_fifo_folds_at_most_once_per_exchange(monkeypatch):
+    # the adjugate folds an exchange in when a solve reads it: determinant
+    # mode's last exchange reaches |det| == 1, and no solve follows it
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _exchange_update(*args)
+
+    monkeypatch.setattr(euclid, "_exchange_update", counting)
+    value, trace = determinant_with_trace(Matrix.from_rows([[0, -9], [-6, -6]]))
+    assert (value, len(trace), abs(trace[-1].det_after)) == (-54, 3, 1)
+    assert len(calls) == 2
+    rng = random.Random(6262)
+    folds = 0
+    for _ in range(12):
+        a = random_int_matrix(rng, 4, 8, 50)
+        for run_driver in (
+            lambda: inverse_variant_basis(a).trace,
+            lambda: determinant_with_trace(Matrix(a.columns[:4], rows=4))[1],
+            lambda: diophantine_run(a, a.mat_vec(range(8)))[2],
+        ):
+            calls.clear()
+            trace = run_driver()
+            assert len(calls) <= len(trace)
+            folds += len(calls)
+    assert folds >= 30
 
 
 # --- basis_transform -------------------------------------------------------------

@@ -29,7 +29,7 @@ WORKED = Matrix.from_rows([[2, 0, 1], [0, 3, 1]])  # det 6; row 0 of X is (1/2),
 def _row_major_on_the_adjugate(a, column):
     """The row-wise driver's walk on ``a``, its column solves passed through ``column``."""
     run = euclid._split(a)
-    row, solve = run.row_major_adjugate()
+    _, row, solve = run.adjugate()
     run.row_major(row, lambda j: column(run, solve(j)))
     return run
 
