@@ -37,10 +37,11 @@ trace factor, and hands ``det * w`` to the trackers in ``_Run.on_exchange``,
 which keep numerators over the run's determinant; its pivot entry is the new
 determinant. A run keeps its basis once, as int rows that each exchange
 rewrites in place; every solver starts from one elimination of their pivot
-rows, ``_Run.eliminate``, checked against the determinant, and a ``Matrix``
-of the basis is built only at the edges. ``_Run.solve`` is the one checked
-solve from scratch: one elimination of all the vectors it is given, each
-result checked off the pivot rows. The cached solvers keep the adjugate of
+rows, ``_Run.eliminate``, checked against the determinant (the solution
+matrix from the split's own, ``_Run.echelon``), and a ``Matrix`` of the
+basis is built only at the edges. ``_Run.solve`` is the one checked solve
+from scratch: one elimination of all the vectors it is given, each result
+checked off the pivot rows. The cached solvers keep the adjugate of
 the pivot-row system over the determinant, ``_Run.adjugate``, in product
 form, ``_ProductForm``: exchanges on one pivot row cost O(n) each, and fold
 into the adjugate before a FIFO solve reads it or when the row-major walk
@@ -361,6 +362,10 @@ class _Run:
     entries with the vectors.
     A run without columns keeps no rows: ``rows`` is empty, and ``off_rows``
     yields the ``dim`` empty rows on demand.
+
+    ``echelon``, set by :func:`_split`, is ``(a, cols, pooled)``: the rows
+    ``exact._bareiss`` rewrote in place, the pivot columns, and the input
+    column of each pool vector before any exchange.
     """
 
     def __init__(
@@ -382,6 +387,7 @@ class _Run:
         self.discards = discards
         self.on_exchange: list[Callable] = []
         self.carried = carried
+        self.echelon: Optional[tuple] = None
         self._off = _off_rows(rows[: self.dim], self.pivot_rows)
 
     @property
@@ -572,7 +578,8 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     a_mat = a_mat.to_int()  # raises on a non-integral Fraction
     columns = a_mat.columns
     # the elimination of find_independent_columns, on entries already checked
-    pivot_rows, col_idx, det = _bareiss([list(r) for r in zip(*columns)], a_mat.cols)
+    echelon = [list(r) for r in zip(*columns)]
+    pivot_rows, col_idx, det = _bareiss(echelon, a_mat.cols)
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(columns) if j not in chosen and any(col)]
     rows = [list(r) for r in zip(*(columns[j] for j in col_idx))]
@@ -581,7 +588,7 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
         pool = [col + ({j: 1},) for j, col in zip(pooled, pool)]
         carried = {j: a_mat.rows + p for p, j in enumerate(col_idx)}
         rows += (list(_unit(p, len(col_idx))) for p in range(len(col_idx)))
-    return _Run(
+    run = _Run(
         rows,
         pool,
         sorted(pivot_rows),
@@ -590,6 +597,8 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
         dim=a_mat.rows,
         carried=carried,
     )
+    run.echelon = (echelon, col_idx, pooled)
+    return run
 
 
 def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i: int) -> EuclidState:

@@ -10,6 +10,9 @@ One fraction-free forward elimination, ``_bareiss`` (Bareiss 1968,
 elimination"), serves the whole package: :func:`solve_system`,
 :func:`invert`, :func:`bareiss_det` and the engine's column split. It runs on
 Python ints with exact divisions, and Fractions appear only in the outputs.
+One integer back-substitution, ``_back_substitute``, reads the solutions of
+every right-hand side at once off the echelon rows it leaves: the solution
+driver takes ``det * X`` for the whole pool from the split's own elimination.
 
 After an exchange nothing is eliminated again: the cached inverse and the
 solution matrix advance by the exchange's elementary matrix in one integer
@@ -276,6 +279,27 @@ def _eliminate_rows(a: list[list[int]], n: int, n_rhs: int) -> tuple[int, list[l
             y[k] = acc // row[k]
         out.append(y)
     return d, out
+
+
+def _back_substitute(a: list[list[int]], cols: Sequence[int], rhs: Sequence[int], d: int) -> list[list[int]]:
+    """The rows of ``d * X`` from the echelon rows ``a`` that :func:`_bareiss` leaves.
+
+    ``cols`` are the pivot columns (row ``t`` pivots on ``cols[t]``),
+    ``rhs`` the columns of ``a`` solved for, and ``d`` plus or minus the
+    determinant of the pivot minor, so every division is exact. Row ``t``
+    comes from the rows below it, across all right-hand sides at once.
+    """
+    out: list[list[int]] = [[]] * len(cols)
+    for t in range(len(cols) - 1, -1, -1):
+        row = a[t]
+        acc = [d * row[c] for c in rhs]
+        for s in range(t + 1, len(cols)):
+            e = row[cols[s]]
+            if e:
+                acc = [x - e * y for x, y in zip(acc, out[s])]
+        pivot = row[cols[t]]
+        out[t] = [x // pivot for x in acc]
+    return out
 
 
 def solve_system(b_mat: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:

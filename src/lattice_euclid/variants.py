@@ -8,8 +8,9 @@ vectors against the basis:
   pivots, same trace) against the engine's cached adjugate of the
   independent system, ``_Run.adjugate``. Determinant mode
   (:mod:`lattice_euclid.applications`) is this run on ``(B | I)``.
-* ``solution_variant_basis`` solves all pool vectors up front into a
-  solution matrix ``X`` and advances only ``X``.
+* ``solution_variant_basis`` reads the solution matrix ``X`` of the whole
+  pool off the column split's own elimination, in one back-substitution
+  (``exact._back_substitute``), and advances only ``X``.
 * ``rowwise_variant_basis`` forms each row of ``X`` once, as one row of the
   adjugate times the pool; the engine carries the row across the exchanges
   on it.
@@ -45,6 +46,7 @@ from .errors import DimensionMismatchError, InvariantViolationError
 from .exact import (
     Matrix,
     Scalar,
+    _back_substitute,
     _eliminate,
     _integer_multiple,
     _rational_exchange_update,
@@ -54,6 +56,7 @@ from .euclid import (
     BasisResult,
     _ProductForm,
     _check_pivot,
+    _check_span,
     _split,
     _unit,
     _weights,
@@ -113,7 +116,13 @@ def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
 def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
     """Basis computation via bulk solution-matrix updates.
 
-    Solves every pool vector in one elimination, then repeatedly exchanges
+    Reads ``det * X`` for every pool vector off the echelon rows the column
+    split leaves: a pooled column left of a later pivot was stepped over
+    because every row left was zero there, and no later step writes it, so
+    its entries are those of the same column appended at the end. One
+    elimination of the pivot-row block, without right-hand sides, checks the
+    split's determinant, and each pool vector is checked off the pivot rows
+    when they do not cover every row. Then the driver repeatedly exchanges
     on the minimal fractional row (smallest column on ties), updating ``X``
     as :func:`solution_update` does but over the determinant in ints, in
     product form: each exchange costs O(n), and ``X`` absorbs a row's
@@ -126,7 +135,11 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     InvariantViolationError.
     """
     run = _split(a_mat)
-    x_num = [list(r) for r in zip(*run.solve(run.pool))] or [[] for _ in run.pivot_rows]  # det * X
+    x_num = _back_substitute(*run.echelon, run.det)  # det * X, read off the split's elimination
+    run.eliminate(())  # the pivot-row block alone, checked against the split's determinant
+    if len(run.pivot_rows) < run.dim:
+        for vec, num in zip(run.pool, zip(*x_num)):
+            _check_span(run.off_rows, vec, num, run.det)
     form = _ProductForm(run, x_num, moves=True)
     run.row_major(form.row, lambda j: form.column([r[j] for r in x_num]))
     if check_invariants and run.solve(run.pool) != [form.column(c) for c in zip(*x_num)]:

@@ -32,6 +32,12 @@ MUTANTS = [
      'raise InvariantViolationError("intermediate basis exceeds the coefficient bound")', "pass"),
     ("solution-matrix check gone", "variants.py",
      'raise InvariantViolationError("solution matrix disagrees with a fresh elimination")', "pass"),
+    # the solution driver reads det * X off the split: the pivot-row block's
+    # determinant, and each pool vector off the pivot rows
+    ("solution driver's determinant check gone", "variants.py",
+     "    run.eliminate(())  # the pivot-row block alone", "    ()  # the pivot-row block alone"),
+    ("solution driver's off-pivot check gone", "variants.py",
+     "            _check_span(run.off_rows, vec, num, run.det)\n", "            pass\n"),
     ("fractional-exit check gone", "variants.py",
      'raise InvariantViolationError("pool vector left fractional at exit")', "pass"),
     ("unimodular-end check gone", "applications.py",
@@ -126,6 +132,10 @@ MUTANTS = [
      "if abs(sign) != 1:", "if abs(sign) == 1:"),
     ("transform check inverted", "applications.py",
      "if check_invariants and (a_mat @ transform) != run.basis:", "if check_invariants and (a_mat @ transform) == run.basis:"),
+    ("solution driver's off-pivot condition inverted", "variants.py",
+     "if len(run.pivot_rows) < run.dim:", "if len(run.pivot_rows) >= run.dim:"),
+    ("back-substitution sign flipped", "exact.py",
+     "acc = [x - e * y for x, y in zip(acc, out[s])]", "acc = [x + e * y for x, y in zip(acc, out[s])]"),
     ("fractional-exit check inverted", "variants.py",
      "if check_invariants and any(e % run.det", "if check_invariants and not any(e % run.det"),
 ]

@@ -3,8 +3,8 @@
 On correct code these checks never fire, so no other test reaches them. Each
 test here breaks one invariant on purpose (a monkeypatched helper, an
 inflated solution, a corrupted coordinate) and requires the check's own
-InvariantViolationError; ``tests/mutants.py`` confirms that each test fails
-once its check is gone.
+error, an InvariantViolationError or a SpanMismatchError; ``tests/mutants.py``
+confirms that each test fails once its check is gone.
 """
 
 from fractions import Fraction
@@ -20,8 +20,8 @@ from lattice_euclid import (
     rowwise_variant_basis,
     solution_variant_basis,
 )
-from lattice_euclid import applications, euclid
-from lattice_euclid.errors import InvariantViolationError
+from lattice_euclid import applications, euclid, variants
+from lattice_euclid.errors import InvariantViolationError, SpanMismatchError
 
 WORKED = Matrix.from_rows([[2, 0, 1], [0, 3, 1]])  # det 6; row 0 of X is (1/2), its first pivot
 
@@ -55,25 +55,52 @@ def test_row_major_enforces_the_coefficient_bound(monkeypatch):
         solution_variant_basis(WORKED)
 
 
-def _corrupt_last_pool_solve(monkeypatch, calls_before, corrupt):
-    """Make ``_Run.solve`` return ``corrupt(run, columns)`` after its first ``calls_before`` calls."""
+def _corrupt_last_pool_solve(monkeypatch, corrupt):
+    """Make ``_Run.solve`` return ``corrupt(run, columns)``.
+
+    A row-major driver calls it once, for its closing re-solve of the pool.
+    """
     original = euclid._Run.solve
-    calls = []
-
-    def wrapped(run, vecs):
-        calls.append(run)
-        return corrupt(run, original(run, vecs)) if len(calls) > calls_before else original(run, vecs)
-
-    monkeypatch.setattr(euclid._Run, "solve", wrapped)
+    monkeypatch.setattr(euclid._Run, "solve", lambda run, vecs: corrupt(run, original(run, vecs)))
 
 
 def test_solution_driver_checks_its_solution_matrix(monkeypatch):
-    # the solution driver solves the pool first, then re-solves it to check
-    # X: a different X there must raise
+    # the solution driver reads X off the column split, then re-solves the
+    # pool to check it: a different X there must raise
     solution_variant_basis(WORKED, check_invariants=True)
-    _corrupt_last_pool_solve(monkeypatch, 1, lambda run, columns: [[e + run.det for e in c] for c in columns])
+    _corrupt_last_pool_solve(monkeypatch, lambda run, columns: [[e + run.det for e in c] for c in columns])
     with pytest.raises(InvariantViolationError, match="disagrees with a fresh elimination"):
         solution_variant_basis(WORKED, check_invariants=True)
+
+
+def test_solution_driver_checks_the_split_determinant(monkeypatch):
+    # X is read off the split's elimination, over its determinant; a split
+    # that claims twice the determinant still divides exactly, so only the
+    # elimination of the pivot-row block can refute it
+    original = euclid._bareiss
+
+    def doubled(a, width):
+        pivot_rows, cols, det = original(a, width)
+        return pivot_rows, cols, 2 * det
+
+    solution_variant_basis(WORKED)
+    monkeypatch.setattr(euclid, "_bareiss", doubled)
+    with pytest.raises(InvariantViolationError, match="elimination disagrees with the tracked determinant"):
+        solution_variant_basis(WORKED)
+
+
+# rank 2: row 2 is the sum of rows 0 and 1, so the pivot rows miss it
+DEFICIENT = Matrix.from_rows([[2, 0, 1], [0, 3, 1], [2, 3, 2]])
+
+
+def test_solution_driver_checks_its_solution_matrix_off_the_pivot_rows(monkeypatch):
+    # the back-substitution reads the pivot rows only; det * X shifted by det
+    # in every entry leaves the span on row 2
+    solution_variant_basis(DEFICIENT)
+    original = variants._back_substitute
+    monkeypatch.setattr(variants, "_back_substitute", lambda *args: [[e + args[-1] for e in r] for r in original(*args)])
+    with pytest.raises(SpanMismatchError, match="at row 2"):
+        solution_variant_basis(DEFICIENT)
 
 
 def test_rowwise_driver_checks_the_pool_is_integral_at_exit(monkeypatch):
@@ -85,7 +112,7 @@ def test_rowwise_driver_checks_the_pool_is_integral_at_exit(monkeypatch):
         run.det *= 2
         return [[2 * e + 1 for e in c] for c in columns]
 
-    _corrupt_last_pool_solve(monkeypatch, 0, halves)
+    _corrupt_last_pool_solve(monkeypatch, halves)
     with pytest.raises(InvariantViolationError, match="left fractional at exit"):
         rowwise_variant_basis(WORKED, check_invariants=True)
 

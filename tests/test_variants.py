@@ -33,7 +33,7 @@ from lattice_euclid import (
 from lattice_euclid import euclid, variants
 from lattice_euclid.errors import DimensionMismatchError, SpanMismatchError
 from lattice_euclid.euclid import _split, _weights
-from lattice_euclid.exact import _exchange_update
+from lattice_euclid.exact import _back_substitute, _exchange_update
 
 from _oracles import is_integral, random_int_matrix, random_nonsingular, round_half_up
 
@@ -292,6 +292,36 @@ def test_solution_variant_transform_reproduces_basis_random():
         assert lattice_equal(a, res.basis)
 
 
+def test_solution_matrix_read_off_the_split_matches_a_fresh_solve():
+    # the solution driver reads det * X off the column split's elimination:
+    # its rows must be those of a checked solve of the pool from scratch. A
+    # pooled column left of a later pivot was stepped over with every row
+    # below the pivot rows zero, and no later step writes it
+    rng = random.Random(4246)
+    seen = set()
+    for _ in range(1200):
+        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        rank = rng.randint(1, n)
+        a = random_int_matrix(rng, n, rank, 4) @ random_int_matrix(rng, rank, m, 4)
+        zeroed = {j for j in range(m) if rng.random() < 0.15}
+        a = Matrix(tuple((0,) * n if j in zeroed else col for j, col in enumerate(a.columns)), rows=n)
+        run = _split(a)
+        rows, cols, pooled = run.echelon
+        got = _back_substitute(rows, cols, pooled, run.det)
+        want = run.solve(run.pool)
+        assert got == [[num[t] for num in want] for t in range(len(run.pivot_rows))]
+        seen.update(
+            case for case, occurred in (
+                ("rank-deficient", 0 < len(cols) < n),
+                ("zero column", any(not any(col) for col in a.columns)),
+                ("square, empty pool", m == n == len(cols)),
+                ("no columns", not m),
+                ("pooled left of a later pivot", any(j < cols[-1] for j in pooled)),
+            ) if occurred
+        )
+    assert seen == {"rank-deficient", "zero column", "square, empty pool", "no columns", "pooled left of a later pivot"}
+
+
 # --- row solving and row-wise variant ----------------------------------------------
 
 
@@ -375,14 +405,17 @@ def test_rowwise_variant_eliminates_once(monkeypatch):
 
 
 def test_solution_variant_eliminates_once(monkeypatch):
-    # one elimination solves the pool into X, which the exchanges advance,
-    # and the run tracks no transform: one per run, whatever the number of
-    # exchanges, on full and deficient rank, square input and no columns
+    # the column split's one elimination, over all m columns of A, gives
+    # det * X, which the exchanges advance; one elimination of the pivot-row
+    # block, with no right-hand side, checks the split's determinant. Two per
+    # run, whatever the pool size or the number of exchanges, on full and
+    # deficient rank, square input and no columns
     rng = random.Random(4245)
     lowrank = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
     assert len(find_independent_columns(lowrank)) < lowrank.rows
     cases = [
         random_instance(InstanceParams(n=6, m=10, bound=1000, seed=35)),
+        random_instance(InstanceParams(n=3, m=40, bound=1000, seed=36)),
         lowrank,
         Matrix.from_rows([[3, 1], [0, 2]]),
         Matrix((), rows=3),
@@ -390,22 +423,27 @@ def test_solution_variant_eliminates_once(monkeypatch):
     expected = [rowwise_variant_basis(a) for a in cases]
     calls = []
 
-    def counting(name, original):
+    def counting(name, original, shape=None):
         def call(*args):
-            calls.append(name)
+            calls.append(name if shape is None else (name, args[shape]))
             return original(*args)
         return call
 
-    for module, name in ((variants, "_eliminate"), (euclid, "_eliminate_rows"), (euclid, "solve_system")):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for module, name, shape in (
+        (euclid, "_bareiss", 1),  # its width
+        (euclid, "_eliminate_rows", 2),  # its number of right-hand sides
+        (variants, "_eliminate", None),
+        (euclid, "solve_system", None),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name), shape))
     exchanges = []
     for a, want in zip(cases, expected):
         calls.clear()
         res = solution_variant_basis(a)
         exchanges.append(res.exchanges)
-        assert calls == ["_eliminate_rows"]
+        assert calls == [("_bareiss", a.cols), ("_eliminate_rows", 0)]
         assert (res.basis, res.trace) == (want.basis, want.trace)
-    assert exchanges[0] > 0 and exchanges[1] > 0 and exchanges[2:] == [0, 0]
+    assert all(exchanges[:3]) and exchanges[3:] == [0, 0]
 
 
 def test_diophantine_run_eliminates_once(monkeypatch):
