@@ -109,7 +109,7 @@ def diophantine_run(
     solve = run.adjugate()[0]
 
     def check(i, j, w, d):
-        if a_mat.mat_vec([r[i] for r in run.coordinates(a_mat.cols)]) != tuple(r[i] for r in run.rows[: run.dim]):
+        if a_mat.mat_vec([r[i] for r in run.coordinates(a_mat.cols)]) != run.basis.column(i):
             raise InvariantViolationError("coordinate tracking drifted from the basis")
 
     if check_invariants:

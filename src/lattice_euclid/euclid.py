@@ -38,7 +38,7 @@ which keep numerators over the run's determinant; its pivot entry is the new
 determinant. A run keeps its basis once, as int rows that each exchange
 rewrites in place; every solver starts from one elimination of their pivot
 rows, ``_Run.eliminate``, checked against the determinant (the solution
-matrix from the split's own, ``_Run.echelon``), and a ``Matrix`` of the
+matrix, ``_Run.solution_matrix``, from the split's own), and a ``Matrix`` of the
 basis is built only at the edges. ``_Run.solve`` is the one checked solve
 from scratch: one elimination of all the vectors it is given, each result
 checked off the pivot rows. The cached solvers keep the adjugate of
@@ -68,6 +68,7 @@ from .errors import DimensionMismatchError, IntegralPivotError, InvariantViolati
 from .exact import (
     Matrix,
     Scalar,
+    _back_substitute,
     _bareiss,
     _check_entries,
     _eliminate,
@@ -319,10 +320,6 @@ class _ProductForm:
             self.d0, self.p = self.p[self.i], None
         return self.g
 
-    def row(self, i: int) -> list[int]:
-        """Fold; returns row ``i`` of ``det * B**-1 @ C``, the list ``g`` holds."""
-        return self.fold()[i]
-
     def column(self, c: Sequence[int]) -> list[int]:
         """``det * B**-1 @ v`` from ``c == d0 * B0**-1 @ v``, in O(n): row ``i`` is kept."""
         p = self.p
@@ -346,6 +343,13 @@ class _Run:
     ``on_exchange`` as ``hook(i, j, W, d)``, ``j`` the source's pool slot; a
     tracker keeps numerators over ``det``, which is ``d`` before it.
 
+    A driver picks one of three solvers and one of the two orders,
+    :meth:`fifo` and :meth:`row_major`: :meth:`solve`, from scratch;
+    :meth:`adjugate`, the cached adjugate, for either order; and
+    :meth:`solution_matrix`, the pool's solution matrix, for the row-major
+    walk. Each checks its solutions off the pivot rows; ``covered``, true
+    when the pivot rows are every basis row, is when the cached ones skip it.
+
     The run keeps its basis once: ``rows``, int lists that each exchange
     rewrites in place. The first ``dim`` are the basis rows; ``off_rows`` are
     those off the pivot rows, as ``(index, row)``, and ``basis`` is a
@@ -365,7 +369,8 @@ class _Run:
 
     ``echelon``, set by :func:`_split`, is ``(a, cols, pooled)``: the rows
     ``exact._bareiss`` rewrote in place, the pivot columns, and the input
-    column of each pool vector before any exchange.
+    column of each pool vector before any exchange; :meth:`solution_matrix`
+    reads it.
     """
 
     def __init__(
@@ -388,6 +393,7 @@ class _Run:
         self.on_exchange: list[Callable] = []
         self.carried = carried
         self.echelon: Optional[tuple] = None
+        self.covered = len(self.pivot_rows) == self.dim  # else the cached solvers check off the pivot rows
         self._off = _off_rows(rows[: self.dim], self.pivot_rows)
 
     @property
@@ -431,7 +437,7 @@ class _Run:
         as :meth:`solve` checks. All read only the pivot rows, so carried rows
         need nothing.
         """
-        rows, covered = self.pivot_rows, len(self.pivot_rows) == self.dim
+        rows, covered = self.pivot_rows, self.covered
         columns = self.eliminate([_unit(t, self.dim) for t in rows])
         form = _ProductForm(self, [list(r) for r in zip(*columns)], moves=False)
 
@@ -445,10 +451,31 @@ class _Run:
             return num
 
         def row(i):
-            r = form.row(i)
+            r = form.fold()[i]
             return [sum(map(mul, r, v if covered else map(v.__getitem__, rows))) for v in self.pool]
 
         return solve, row, lambda j: solve(self.pool[j], pending=True)
+
+    def solution_matrix(self) -> tuple[Callable, Callable]:
+        """``(row, column)`` on ``det * X``, ``X`` the solution matrix of the pool, for :meth:`row_major`.
+
+        Read off the column split's elimination, :attr:`echelon`, before any
+        exchange, in one ``exact._back_substitute``: a pooled column left of a
+        later pivot was stepped over because every row left was zero there,
+        and no later step writes it. One elimination of the pivot-row block,
+        without right-hand sides, checks the split's determinant, and each
+        pool vector is checked off the pivot rows as :meth:`solve` checks.
+        ``X`` is kept in a :class:`_ProductForm` over the pool: ``row(i)``
+        folds and is row ``i``, and ``column(j)`` is column ``j`` at the last
+        fold combined with the row's exchanges in O(n).
+        """
+        x_num = _back_substitute(*self.echelon, self.det)
+        self.eliminate(())  # the pivot-row block alone, checked against the split's determinant
+        if not self.covered:
+            for vec, num in zip(self.pool, zip(*x_num)):
+                _check_span(self.off_rows, vec, num, self.det)
+        form = _ProductForm(self, x_num, moves=True)
+        return (lambda i: form.fold()[i]), (lambda j: form.column([r[j] for r in x_num]))
 
     def exchange(self, j: int, num: Sequence[int], i: int) -> None:
         """Swap basis column ``i`` for the residue of ``pool[j]``, then run the ``on_exchange`` hooks.

@@ -1,38 +1,22 @@
 """Accelerated configurations of the exchange engine.
 
-Each driver here is a configuration of the engine in
-:mod:`lattice_euclid.euclid` that only swaps in a faster way to solve pool
-vectors against the basis:
+Each driver here is a configuration of the engine ``euclid._Run``: it picks
+one of the engine's solvers and one of its two pivot orders, nothing else.
 
-* ``inverse_variant_basis`` runs the FIFO order of ``basic_basis`` (same
-  pivots, same trace) against the engine's cached adjugate of the
-  independent system, ``_Run.adjugate``. Determinant mode
-  (:mod:`lattice_euclid.applications`) is this run on ``(B | I)``.
-* ``solution_variant_basis`` reads the solution matrix ``X`` of the whole
-  pool off the column split's own elimination, in one back-substitution
-  (``exact._back_substitute``), and advances only ``X``.
-* ``rowwise_variant_basis`` forms each row of ``X`` once, as one row of the
-  adjugate times the pool; the engine carries the row across the exchanges
-  on it.
+* ``inverse_variant_basis``: the FIFO order of ``basic_basis`` (same pivots,
+  same trace), solved on the cached adjugate, ``_Run.adjugate``.
+  Determinant mode (:mod:`lattice_euclid.applications`) is this run on
+  ``(B | I)``.
+* ``solution_variant_basis``: the row-major order, on the pool's solution
+  matrix read off the column split, ``_Run.solution_matrix``.
+* ``rowwise_variant_basis``: the row-major order, each row formed once as one
+  row of the cached adjugate times the pool, ``_Run.adjugate``.
 
-Every solver hands the engine ``num``, integer numerators over the run's
-determinant ``d``. An exchange is ``B' = B @ F``, ``F`` the identity with
-column ``i`` set to ``w``: the cached inverse and ``X`` advance in integer
-numerators over ``det B`` by ``F**-1``, in ints on ``d * w``, which the
-engine hands to the drivers' hooks in ``_Run.on_exchange``; a transform
-would advance by ``F`` (:func:`y_update`). The cached inverse and ``X``
-are each kept in a product form, ``euclid._ProductForm``: the exchanges on
-one pivot row compose into one ``F**-1``, absorbed in one
-``exact._exchange_update``. The inverse driver solves between any two
-exchanges, so it absorbs each one at its next solve.
-
-The last two run the engine's row-major order, so they produce the same
-trace, and every exchange pivots on the walk's current row: ``X`` and the
-adjugate absorb a row's exchanges once, when the walk reaches the next row.
-That order is what tames coefficient growth: when rows above ``i`` are
-integral, the exchanged column is a combination of the current column ``i``
-and *untouched* input columns only, so each exchange adds at most ``(n - 1) * ||A||`` to the column's
-magnitude, and every basis entry ever produced stays within
+The last two produce the same trace. That order is what tames coefficient
+growth: when rows above ``i`` are integral, the exchanged column is a
+combination of the current column ``i`` and *untouched* input columns only,
+so each exchange adds at most ``(n - 1) * ||A||`` to the column's magnitude,
+and every basis entry ever produced stays within
 ``n^2 * ||A|| * ceil(log2(n * ||A||))``.
 """
 
@@ -46,21 +30,12 @@ from .errors import DimensionMismatchError, InvariantViolationError
 from .exact import (
     Matrix,
     Scalar,
-    _back_substitute,
     _eliminate,
     _integer_multiple,
     _rational_exchange_update,
     solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
 )
-from .euclid import (
-    BasisResult,
-    _ProductForm,
-    _check_pivot,
-    _check_span,
-    _split,
-    _unit,
-    _weights,
-)
+from .euclid import BasisResult, _check_pivot, _split, _unit, _weights
 
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
@@ -116,13 +91,9 @@ def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
 def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> BasisResult:
     """Basis computation via bulk solution-matrix updates.
 
-    Reads ``det * X`` for every pool vector off the echelon rows the column
-    split leaves: a pooled column left of a later pivot was stepped over
-    because every row left was zero there, and no later step writes it, so
-    its entries are those of the same column appended at the end. One
-    elimination of the pivot-row block, without right-hand sides, checks the
-    split's determinant, and each pool vector is checked off the pivot rows
-    when they do not cover every row. Then the driver repeatedly exchanges
+    Reads ``det * X`` for the whole pool off the column split's elimination
+    (``_Run.solution_matrix``, which checks it against the split's
+    determinant and off the pivot rows). Then the driver repeatedly exchanges
     on the minimal fractional row (smallest column on ties), updating ``X``
     as :func:`solution_update` does but over the determinant in ints, in
     product form: each exchange costs O(n), and ``X`` absorbs a row's
@@ -135,14 +106,9 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     InvariantViolationError.
     """
     run = _split(a_mat)
-    x_num = _back_substitute(*run.echelon, run.det)  # det * X, read off the split's elimination
-    run.eliminate(())  # the pivot-row block alone, checked against the split's determinant
-    if len(run.pivot_rows) < run.dim:
-        for vec, num in zip(run.pool, zip(*x_num)):
-            _check_span(run.off_rows, vec, num, run.det)
-    form = _ProductForm(run, x_num, moves=True)
-    run.row_major(form.row, lambda j: form.column([r[j] for r in x_num]))
-    if check_invariants and run.solve(run.pool) != [form.column(c) for c in zip(*x_num)]:
+    row, column = run.solution_matrix()
+    run.row_major(row, column)
+    if check_invariants and run.solve(run.pool) != [column(j) for j in range(len(run.pool))]:
         raise InvariantViolationError("solution matrix disagrees with a fresh elimination")
     return run.result()
 

@@ -32,12 +32,13 @@ MUTANTS = [
      'raise InvariantViolationError("intermediate basis exceeds the coefficient bound")', "pass"),
     ("solution-matrix check gone", "variants.py",
      'raise InvariantViolationError("solution matrix disagrees with a fresh elimination")', "pass"),
-    # the solution driver reads det * X off the split: the pivot-row block's
+    # _Run.solution_matrix reads det * X off the split: the pivot-row block's
     # determinant, and each pool vector off the pivot rows
-    ("solution driver's determinant check gone", "variants.py",
-     "    run.eliminate(())  # the pivot-row block alone", "    ()  # the pivot-row block alone"),
-    ("solution driver's off-pivot check gone", "variants.py",
-     "            _check_span(run.off_rows, vec, num, run.det)\n", "            pass\n"),
+    ("solution matrix's determinant check gone", "euclid.py",
+     "        self.eliminate(())  # the pivot-row block alone", "        ()  # the pivot-row block alone"),
+    ("solution matrix's off-pivot check gone", "euclid.py",
+     "zip(*x_num)):\n                _check_span(self.off_rows, vec, num, self.det)\n",
+     "zip(*x_num)):\n                pass\n"),
     ("fractional-exit check gone", "variants.py",
      'raise InvariantViolationError("pool vector left fractional at exit")', "pass"),
     ("unimodular-end check gone", "applications.py",
@@ -58,9 +59,11 @@ MUTANTS = [
      'raise InvariantViolationError("elimination disagrees with the tracked determinant")', "pass"),
     ("row-against-column cross-check gone", "euclid.py",
      'raise InvariantViolationError("row solve disagrees with the full solve")', "pass"),
+    # the 16-space line is also the solution matrix's, hence the context
     ("adjugate off-pivot check gone", "euclid.py",
-     "                _check_span(self.off_rows, vec, num, self.det)\n", "                pass\n"),
-    # the 12-space line also occurs inside the adjugate's 16-space one, hence the context
+     "                _check_span(self.off_rows, vec, num, self.det)\n            return num\n",
+     "                pass\n            return num\n"),
+    # the 12-space line also occurs inside the 16-space ones, hence the context
     ("checked solve's off-pivot check gone", "euclid.py",
      "            _check_span(self.off_rows, vec, num, self.det)\n        return nums\n",
      "            pass\n        return nums\n"),
@@ -73,10 +76,10 @@ MUTANTS = [
      "    _check_entries(vec)\n    mu, scaled = ", "    mu, scaled = "),
     ("solve_in_span's vec check gone", "euclid.py",
      "    _check_entries(vec)\n    d, (num,) = ", "    d, (num,) = "),
-    # the adjugate checks off the pivot rows unless they cover every row; a run
-    # without columns covers none, though it keeps no rows to check
-    ("adjugate covers every row", "euclid.py",
-     "rows, covered = self.pivot_rows, len(self.pivot_rows) == self.dim", "rows, covered = self.pivot_rows, True"),
+    # the one off-pivot rule: the cached solvers check off the pivot rows unless
+    # they cover every row; a run without columns covers none, though it keeps no rows to check
+    ("pivot rows said to cover every row", "euclid.py",
+     "self.covered = len(self.pivot_rows) == self.dim", "self.covered = True"),
     # basis_transform's input checks: rows, columns, integral entries
     ("basis_transform row check gone", "euclid.py",
      "if basis.rows != a_mat.rows or basis.cols != rank:", "if basis.cols != rank:"),
@@ -132,8 +135,6 @@ MUTANTS = [
      "if abs(sign) != 1:", "if abs(sign) == 1:"),
     ("transform check inverted", "applications.py",
      "if check_invariants and (a_mat @ transform) != run.basis:", "if check_invariants and (a_mat @ transform) == run.basis:"),
-    ("solution driver's off-pivot condition inverted", "variants.py",
-     "if len(run.pivot_rows) < run.dim:", "if len(run.pivot_rows) >= run.dim:"),
     ("back-substitution sign flipped", "exact.py",
      "acc = [x - e * y for x, y in zip(acc, out[s])]", "acc = [x + e * y for x, y in zip(acc, out[s])]"),
     ("fractional-exit check inverted", "variants.py",

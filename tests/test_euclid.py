@@ -760,7 +760,7 @@ def test_product_form_columns_equal_the_eager_numerators_after_each_exchange():
         def row(i):
             nonlocal folds
             folds += on_pool.p is not None
-            assert on_units.row(i) == adj[i] and on_pool.row(i) == x_num[i]
+            assert on_units.fold()[i] == adj[i] and on_pool.fold()[i] == x_num[i]
             assert on_units.p is on_pool.p is None
             return x_num[i]
 

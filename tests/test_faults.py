@@ -20,7 +20,7 @@ from lattice_euclid import (
     rowwise_variant_basis,
     solution_variant_basis,
 )
-from lattice_euclid import applications, euclid, variants
+from lattice_euclid import applications, euclid
 from lattice_euclid.errors import InvariantViolationError, SpanMismatchError
 
 WORKED = Matrix.from_rows([[2, 0, 1], [0, 3, 1]])  # det 6; row 0 of X is (1/2), its first pivot
@@ -97,8 +97,8 @@ def test_solution_driver_checks_its_solution_matrix_off_the_pivot_rows(monkeypat
     # the back-substitution reads the pivot rows only; det * X shifted by det
     # in every entry leaves the span on row 2
     solution_variant_basis(DEFICIENT)
-    original = variants._back_substitute
-    monkeypatch.setattr(variants, "_back_substitute", lambda *args: [[e + args[-1] for e in r] for r in original(*args)])
+    original = euclid._back_substitute
+    monkeypatch.setattr(euclid, "_back_substitute", lambda *args: [[e + args[-1] for e in r] for r in original(*args)])
     with pytest.raises(SpanMismatchError, match="at row 2"):
         solution_variant_basis(DEFICIENT)
 

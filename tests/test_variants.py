@@ -296,7 +296,8 @@ def test_solution_matrix_read_off_the_split_matches_a_fresh_solve():
     # the solution driver reads det * X off the column split's elimination:
     # its rows must be those of a checked solve of the pool from scratch. A
     # pooled column left of a later pivot was stepped over with every row
-    # below the pivot rows zero, and no later step writes it
+    # below the pivot rows zero, and no later step writes it. The engine's
+    # tracker, _Run.solution_matrix, reads the same before any exchange
     rng = random.Random(4246)
     seen = set()
     for _ in range(1200):
@@ -310,6 +311,9 @@ def test_solution_matrix_read_off_the_split_matches_a_fresh_solve():
         got = _back_substitute(rows, cols, pooled, run.det)
         want = run.solve(run.pool)
         assert got == [[num[t] for num in want] for t in range(len(run.pivot_rows))]
+        row, column = run.solution_matrix()
+        assert [row(i) for i in range(len(cols))] == got
+        assert [column(j) for j in range(len(run.pool))] == want
         seen.update(
             case for case, occurred in (
                 ("rank-deficient", 0 < len(cols) < n),
