@@ -39,7 +39,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InvariantViolationError, SpanMismatchError
-from .exact import Matrix, _integer_multiple, bareiss_det
+from .exact import Matrix, _check_square, _integer_multiple, bareiss_det
 from .euclid import ExchangeRecord, _split, _unit
 
 
@@ -62,9 +62,7 @@ def determinant_with_trace(b_mat: Matrix) -> tuple[int, tuple[ExchangeRecord, ..
     on ``(B | I)``: each record holds the determinant after its exchange, as
     the run knew it then. Singular input returns ``(0, ())``.
     """
-    n = b_mat.rows
-    if b_mat.cols != n:
-        raise DimensionMismatchError("determinant needs a square matrix")
+    n = _check_square(b_mat, "determinant")
     run = _split(b_mat)
     if len(run.pivot_rows) < n:
         return 0, ()

@@ -106,9 +106,10 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_det(args: argparse.Namespace) -> int:
     b_mat = _load(args.file)
-    if b_mat.rows != b_mat.cols:
-        raise _InputError(f"{args.file}: determinant needs a square matrix")
-    value, trace = determinant_with_trace(b_mat)
+    try:
+        value, trace = determinant_with_trace(b_mat)
+    except DimensionMismatchError as exc:  # not square
+        raise _InputError(f"{args.file}: {exc}") from None
     _emit_trace(trace)
     print(value)
     return 0

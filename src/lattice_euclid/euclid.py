@@ -71,6 +71,7 @@ from .exact import (
     _back_substitute,
     _bareiss,
     _check_entries,
+    _check_index,
     _eliminate,
     _eliminate_rows,
     _exchange_update,
@@ -170,12 +171,6 @@ def _pivot(num: Sequence[int], d: int) -> Optional[int]:
     return best
 
 
-def _check_pivot(i: int, n: int) -> None:
-    """Raise IndexError unless ``i`` indexes one of ``n`` coordinates."""
-    if not 0 <= i < n:
-        raise IndexError(f"pivot {i} out of range for {n} coordinates")
-
-
 def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) -> tuple[int, ...]:
     """Residue with the pivot coordinate rounded to the nearest integer.
 
@@ -187,7 +182,7 @@ def mod_prime(b_mat: Matrix, vec: Sequence[int], x: Sequence[Scalar], i: int) ->
     if len(vec) != b_mat.rows:
         raise DimensionMismatchError(f"vector of length {len(vec)} against {b_mat.rows} rows")
     _check_entries(vec)
-    _check_pivot(i, len(x))
+    _check_index(i, len(x), "pivot")
     d, num = _integer_multiple(x)
     return tuple(v - w for v, w in zip(vec, b_mat.mat_vec(_rounded(num, d, i))))
 
@@ -260,10 +255,10 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
             f"{len(pivot_rows)} pivot rows and a vector of length {len(vec)} "
             f"against a {basis.rows}x{basis.cols} basis"
         )
-    _check_entries(vec)
     d, (num,) = _eliminate(basis.submatrix_rows(pivot_rows), ([vec[t] for t in pivot_rows],))
-    _check_span(_off_rows(basis.to_rows(), pivot_rows), vec, num, d)
-    return tuple(Fraction(e, d) for e in num)
+    x = tuple(Fraction(e, d) for e in num)
+    check_off_pivot_rows(basis, pivot_rows, vec, x)
+    return x
 
 
 def coefficient_bound(n_rows: int, max_entry: int) -> int:
@@ -347,8 +342,9 @@ class _Run:
     :meth:`fifo` and :meth:`row_major`: :meth:`solve`, from scratch;
     :meth:`adjugate`, the cached adjugate, for either order; and
     :meth:`solution_matrix`, the pool's solution matrix, for the row-major
-    walk. Each checks its solutions off the pivot rows; ``covered``, true
-    when the pivot rows are every basis row, is when the cached ones skip it.
+    walk. Each checks its solutions off the pivot rows through :meth:`check`,
+    the one off-pivot check, which skips when ``covered``: the pivot rows are
+    every basis row.
 
     The run keeps its basis once: ``rows``, int lists that each exchange
     rewrites in place. The first ``dim`` are the basis rows; ``off_rows`` are
@@ -393,7 +389,7 @@ class _Run:
         self.on_exchange: list[Callable] = []
         self.carried = carried
         self.echelon: Optional[tuple] = None
-        self.covered = len(self.pivot_rows) == self.dim  # else the cached solvers check off the pivot rows
+        self.covered = len(self.pivot_rows) == self.dim  # else check() reads the rows off them
         self._off = _off_rows(rows[: self.dim], self.pivot_rows)
 
     @property
@@ -419,11 +415,16 @@ class _Run:
             raise InvariantViolationError("elimination disagrees with the tracked determinant")
         return nums
 
+    def check(self, vecs: Iterable[Sequence[int]], nums: Iterable[Sequence[int]]) -> None:
+        """Raise SpanMismatchError unless ``basis @ num == det * vec`` off the pivot rows, for each pair."""
+        if not self.covered:
+            for vec, num in zip(vecs, nums):
+                _check_span(self.off_rows, vec, num, self.det)
+
     def solve(self, vecs: Sequence[Sequence[int]]) -> list[list[int]]:
         """``[num for each vec]``, ``basis @ num == det * vec``: one elimination, each checked off the pivot rows."""
         nums = self.eliminate(vecs)
-        for vec, num in zip(vecs, nums):
-            _check_span(self.off_rows, vec, num, self.det)
+        self.check(vecs, nums)
         return nums
 
     def adjugate(self) -> tuple[Callable, Callable, Callable]:
@@ -434,10 +435,10 @@ class _Run:
         @ vec``; for :meth:`row_major`, ``row(i)`` folds and is ``adj[i]``
         times the pool, and ``column(j)`` is ``adj0 @ pool[j]`` combined with
         the row's exchanges in O(n). Both solves are checked off the pivot rows
-        as :meth:`solve` checks. All read only the pivot rows, so carried rows
+        by :meth:`check`. All read only the pivot rows, so carried rows
         need nothing.
         """
-        rows, covered = self.pivot_rows, self.covered
+        rows, covered, check = self.pivot_rows, self.covered, self.check
         columns = self.eliminate([_unit(t, self.dim) for t in rows])
         form = _ProductForm(self, [list(r) for r in zip(*columns)], moves=False)
 
@@ -446,8 +447,7 @@ class _Run:
             num = [sum(map(mul, r, v)) for r in (form.g if pending else form.fold())]
             if pending:
                 num = form.column(num)
-            if not covered:
-                _check_span(self.off_rows, vec, num, self.det)
+            check((vec,), (num,))
             return num
 
         def row(i):
@@ -464,16 +464,14 @@ class _Run:
         later pivot was stepped over because every row left was zero there,
         and no later step writes it. One elimination of the pivot-row block,
         without right-hand sides, checks the split's determinant, and each
-        pool vector is checked off the pivot rows as :meth:`solve` checks.
+        pool vector is checked off the pivot rows by :meth:`check`.
         ``X`` is kept in a :class:`_ProductForm` over the pool: ``row(i)``
         folds and is row ``i``, and ``column(j)`` is column ``j`` at the last
         fold combined with the row's exchanges in O(n).
         """
         x_num = _back_substitute(*self.echelon, self.det)
         self.eliminate(())  # the pivot-row block alone, checked against the split's determinant
-        if not self.covered:
-            for vec, num in zip(self.pool, zip(*x_num)):
-                _check_span(self.off_rows, vec, num, self.det)
+        self.check(self.pool, zip(*x_num))
         form = _ProductForm(self, x_num, moves=True)
         return (lambda i: form.fold()[i]), (lambda j: form.column([r[j] for r in x_num]))
 
@@ -644,7 +642,7 @@ def exchange_step(state: EuclidState, vec: Sequence[int], x: Sequence[Scalar], i
         raise ValueError("exchange source vector is not in the pool") from None
     if len(x) != state.basis.cols:
         raise DimensionMismatchError(f"solution of length {len(x)} against {state.basis.cols} columns")
-    _check_pivot(i, len(x))
+    _check_index(i, len(x), "pivot")
     run = _Run([list(r) for r in zip(*state.basis.columns)], state.pool, state.pivot_rows, state.det)
     run.trace = list(state.trace)
     mu, num = _integer_multiple(x)

@@ -47,6 +47,19 @@ def _check_entries(values: Iterable[Scalar]) -> None:
             raise TypeError(f"entries must be int or Fraction, got {type(e).__name__}")
 
 
+def _check_index(k: int, n: int, what: str) -> None:
+    """Raise IndexError unless ``0 <= k < n``, so that a negative index never wraps."""
+    if not 0 <= k < n:
+        raise IndexError(f"{what} {k} out of range for size {n}")
+
+
+def _check_square(mat: Matrix, what: str) -> int:
+    """The side of ``mat``; DimensionMismatchError unless it is square."""
+    if mat.cols != mat.rows:
+        raise DimensionMismatchError(f"{what} needs a square matrix")
+    return mat.rows
+
+
 class Matrix:
     """Immutable dense matrix stored as a tuple of columns.
 
@@ -118,8 +131,7 @@ class Matrix:
         return self._columns[j][i]
 
     def with_column(self, j: int, column: Sequence[Scalar]) -> "Matrix":
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range for {self.cols} columns")
+        _check_index(j, self.cols, "column")
         new = Matrix((column,), rows=self.rows).column(0)  # checks the new column only
         return Matrix._trusted(self._columns[:j] + (new,) + self._columns[j + 1 :], self.rows)
 
@@ -311,9 +323,7 @@ def solve_system(b_mat: Matrix, rhs: Sequence[Scalar]) -> tuple[Fraction, ...]:
     input is cleared row by row first. Raises SingularMatrixError if some
     column has no usable pivot.
     """
-    n = b_mat.rows
-    if b_mat.cols != n:
-        raise DimensionMismatchError("solve_system needs a square matrix")
+    n = _check_square(b_mat, "solve_system")
     if len(rhs) != n:
         raise DimensionMismatchError(
             f"right-hand side of length {len(rhs)} against {n} rows"
@@ -329,9 +339,7 @@ def bareiss_det(b_mat: Matrix) -> int:
     no rational bookkeeping at all. Singular input returns 0; a
     non-integral entry raises ValueError.
     """
-    n = b_mat.rows
-    if b_mat.cols != n:
-        raise DimensionMismatchError("determinant needs a square matrix")
+    n = _check_square(b_mat, "determinant")
     _, cols, d = _bareiss([list(r) for r in zip(*b_mat.to_int().columns)], n)
     return d if len(cols) == n else 0
 
@@ -344,14 +352,12 @@ def invert(b_mat: Matrix) -> Matrix:
     ``d * b_mat**-1`` (the adjugate), and each entry is divided by ``d``
     once at the end.
     """
-    n = b_mat.rows
-    if b_mat.cols != n:
-        raise DimensionMismatchError("invert needs a square matrix")
+    n = _check_square(b_mat, "invert")
     d, columns = _eliminate(b_mat, Matrix.identity(n).columns)
     return Matrix(tuple(tuple(Fraction(e, d) for e in col) for col in columns), rows=n)
 
 
-def _exchange_update(num: list[list[int]], d: int, i: int, w: Sequence[int], j: int | None = None) -> list[list[int]]:
+def _exchange_update(num: list[list[int]], d: int, i: int, w: Sequence[int]) -> list[list[int]]:
     """Numerators over ``w[i]`` of ``F**-1 @ (num / d)``, in ints.
 
     ``F`` is the identity with column ``i`` set to ``w / d``. Row ``i`` is
@@ -359,11 +365,7 @@ def _exchange_update(num: list[list[int]], d: int, i: int, w: Sequence[int], j: 
     ``d == det B`` and ``num / d == B**-1 C`` for integer ``B``, ``C`` and
     ``B @ F``, the output is ``det(B @ F) * (B @ F)**-1 C``, integral by
     Cramer's rule: every division is exact and ``w[i] == det(B @ F)``.
-    With ``j``, column ``j`` of ``num / d`` (an exchanged pool column) is first set to ``e_i``, in place.
     """
-    if j is not None:
-        for k, row in enumerate(num):
-            row[j] = d if k == i else 0
     wi, head = w[i], num[i]
     return [
         row if k == i else [(wi * e - wk * h) // d for e, h in zip(row, head)]
@@ -371,15 +373,15 @@ def _exchange_update(num: list[list[int]], d: int, i: int, w: Sequence[int], j: 
     ]
 
 
-def _rational_exchange_update(mat: Matrix, i: int, w: Sequence[Scalar], j: int | None = None) -> Matrix:
-    """``F**-1 @ mat`` for rational ``mat`` and ``w``, ``F`` and ``j`` as above.
+def _rational_exchange_update(mat: Matrix, i: int, w: Sequence[Scalar]) -> Matrix:
+    """``F**-1 @ mat`` for rational ``mat`` and ``w``, ``F`` as above.
 
     The kernel runs over ``d = lcm**2``, ``lcm`` of every denominator in
     ``mat`` and ``w``; then each of its divisions is exact.
     """
     d = lcm_denominators(chain(chain.from_iterable(mat.columns), w)) ** 2
     w_num = _numerators(w, d)
-    num = _exchange_update([_numerators(r, d) for r in zip(*mat.columns)], d, i, w_num, j)
+    num = _exchange_update([_numerators(r, d) for r in zip(*mat.columns)], d, i, w_num)
     return Matrix(tuple(zip(*([Fraction(e, w_num[i]) for e in r] for r in num))), rows=mat.rows)
 
 
@@ -393,15 +395,12 @@ def column_update_inverse(b_inv: Matrix, i: int, new_column: Sequence[Scalar]) -
     replacement must keep the matrix nonsingular, which is exactly the
     condition ``w[i] != 0``.
     """
-    n = b_inv.rows
-    if b_inv.cols != n:
-        raise DimensionMismatchError("column_update_inverse needs a square inverse")
+    n = _check_square(b_inv, "column_update_inverse")
     if len(new_column) != n:
         raise DimensionMismatchError(
             f"replacement column of length {len(new_column)} against {n} rows"
         )
-    if not 0 <= i < n:
-        raise IndexError(f"column {i} out of range")
+    _check_index(i, n, "column")
     w = b_inv.mat_vec(new_column)
     if w[i] == 0:
         raise SingularUpdateError(

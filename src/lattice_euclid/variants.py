@@ -31,11 +31,13 @@ from .exact import (
     Matrix,
     Scalar,
     _eliminate,
+    _check_index,
+    _check_square,
     _integer_multiple,
     _rational_exchange_update,
     solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
 )
-from .euclid import BasisResult, _check_pivot, _split, _unit, _weights
+from .euclid import BasisResult, _split, _unit, _weights
 
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
@@ -68,12 +70,11 @@ def solution_update(x_mat: Matrix, i: int, j: int) -> Matrix:
     integral stays integral (``w[k] == 0``), which is what makes row-by-row
     pivoting converge top-down.
     """
-    if not 0 <= j < x_mat.cols:
-        raise IndexError(f"column {j} out of range for {x_mat.cols} columns")
-    _check_pivot(i, x_mat.rows)
+    _check_index(i, x_mat.rows, "pivot")
+    z = x_mat.with_column(j, _unit(i, x_mat.rows))  # IndexError for j out of range
     d, num = _integer_multiple(x_mat.column(j))
     w = _weights(num, d, i)  # IntegralPivotError if entry (i, j) is integral
-    return _rational_exchange_update(x_mat, i, [Fraction(e, d) for e in w], j)
+    return _rational_exchange_update(z, i, [Fraction(e, d) for e in w])
 
 
 def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
@@ -82,9 +83,8 @@ def y_update(y_mat: Matrix, v: Sequence[Scalar], i: int) -> Matrix:
     The exchange rewrites the transform as ``Y @ (e_0, ..., v, ..., e_{n-1})``
     with ``v`` in slot ``i``, which only changes column ``i`` to ``Y @ v``.
     """
-    r = y_mat.rows
-    if y_mat.cols != r or len(v) != r:
-        raise DimensionMismatchError("y_update needs a square transform and a matching vector")
+    if len(v) != _check_square(y_mat, "y_update"):
+        raise DimensionMismatchError("y_update needs a vector as long as the transform")
     return y_mat.with_column(i, y_mat.mat_vec(v))
 
 
@@ -120,13 +120,10 @@ def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
     ``i`` of the inverse) as ``det * y`` in ints and takes integer dot
     products with the columns of ``c_mat``; no other row of ``X`` is formed.
     """
-    n = b_mat.rows
-    if b_mat.cols != n:
-        raise DimensionMismatchError("solve_row needs a square system")
+    n = _check_square(b_mat, "solve_row")
     if c_mat.rows != n:
         raise DimensionMismatchError("right-hand-side rows must match the system")
-    if not 0 <= i < n:
-        raise IndexError(f"row {i} out of range")
+    _check_index(i, n, "row")
     d, (y,) = _eliminate(b_mat.transpose(), (_unit(i, n),))
     return tuple(Fraction(sum(map(mul, y, col)), d) for col in c_mat.columns)
 

@@ -7,8 +7,9 @@ For each mutant, a copy of ``src/`` goes to a temporary directory, one exact
 runs against it with ``-x``; the mutant is killed when the suite fails. An
 unedited copy must pass first. The check fails when a mutant survives, or
 when its ``old`` text does not occur exactly once in its file: a refactor that
-moves a check must restate its mutant here. Standard library only; the file
-name keeps it out of the suite's own collection.
+moves a check must restate its mutant here. Every mutant's ``old`` text is
+checked before any suite runs, so a stale list fails at once. Standard
+library only; the file name keeps it out of the suite's own collection.
 """
 
 from __future__ import annotations
@@ -32,13 +33,9 @@ MUTANTS = [
      'raise InvariantViolationError("intermediate basis exceeds the coefficient bound")', "pass"),
     ("solution-matrix check gone", "variants.py",
      'raise InvariantViolationError("solution matrix disagrees with a fresh elimination")', "pass"),
-    # _Run.solution_matrix reads det * X off the split: the pivot-row block's
-    # determinant, and each pool vector off the pivot rows
+    # _Run.solution_matrix reads det * X off the split: the pivot-row block's determinant
     ("solution matrix's determinant check gone", "euclid.py",
      "        self.eliminate(())  # the pivot-row block alone", "        ()  # the pivot-row block alone"),
-    ("solution matrix's off-pivot check gone", "euclid.py",
-     "zip(*x_num)):\n                _check_span(self.off_rows, vec, num, self.det)\n",
-     "zip(*x_num)):\n                pass\n"),
     ("fractional-exit check gone", "variants.py",
      'raise InvariantViolationError("pool vector left fractional at exit")', "pass"),
     ("unimodular-end check gone", "applications.py",
@@ -59,25 +56,21 @@ MUTANTS = [
      'raise InvariantViolationError("elimination disagrees with the tracked determinant")', "pass"),
     ("row-against-column cross-check gone", "euclid.py",
      'raise InvariantViolationError("row solve disagrees with the full solve")', "pass"),
-    # the 16-space line is also the solution matrix's, hence the context
-    ("adjugate off-pivot check gone", "euclid.py",
-     "                _check_span(self.off_rows, vec, num, self.det)\n            return num\n",
-     "                pass\n            return num\n"),
-    # the 12-space line also occurs inside the 16-space ones, hence the context
-    ("checked solve's off-pivot check gone", "euclid.py",
-     "            _check_span(self.off_rows, vec, num, self.det)\n        return nums\n",
-     "            pass\n        return nums\n"),
+    # _Run.check, the engine's one off-pivot check: every solver calls it
+    ("engine's off-pivot check gone", "euclid.py",
+     "                _check_span(self.off_rows, vec, num, self.det)\n", "                pass\n"),
     ("vector entry check gone", "exact.py",
      "    _check_entries(vec)\n    mu = lcm_denominators(vec)", "    mu = lcm_denominators(vec)"),
-    # the same line in three step functions, each told apart by the line after it
+    # the same line in two step functions, each told apart by the line after it
     ("mod_prime's vec check gone", "euclid.py",
-     "    _check_entries(vec)\n    _check_pivot(i, len(x))", "    _check_pivot(i, len(x))"),
+     '    _check_entries(vec)\n    _check_index(i, len(x), "pivot")', '    _check_index(i, len(x), "pivot")'),
     ("check_off_pivot_rows' vec check gone", "euclid.py",
      "    _check_entries(vec)\n    mu, scaled = ", "    mu, scaled = "),
-    ("solve_in_span's vec check gone", "euclid.py",
-     "    _check_entries(vec)\n    d, (num,) = ", "    d, (num,) = "),
-    # the one off-pivot rule: the cached solvers check off the pivot rows unless
-    # they cover every row; a run without columns covers none, though it keeps no rows to check
+    # solve_in_span checks its vec and the rows off the pivot rows through check_off_pivot_rows
+    ("solve_in_span's off-pivot check gone", "euclid.py",
+     "    check_off_pivot_rows(basis, pivot_rows, vec, x)\n", "    pass\n"),
+    # the one off-pivot rule: _Run.check skips when the pivot rows cover every
+    # row; a run without columns covers none, though it keeps no rows to check
     ("pivot rows said to cover every row", "euclid.py",
      "self.covered = len(self.pivot_rows) == self.dim", "self.covered = True"),
     # basis_transform's input checks: rows, columns, integral entries
@@ -160,6 +153,14 @@ def _copy(workdir: Path) -> Path:
 
 def main() -> int:
     failed = 0
+    for name, file, old, _ in MUTANTS:
+        count = (ROOT / "src" / "lattice_euclid" / file).read_text().count(old)
+        if count != 1:
+            print(f"STALE     {name}: the old text occurs {count} times in {file}")
+            failed += 1
+    if failed:
+        print(f"{failed} of {len(MUTANTS)} mutants stale; no suite was run")
+        return 1
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         workdir = Path(tmp)
         if not _suite_passes(_copy(workdir), workdir):
@@ -168,12 +169,7 @@ def main() -> int:
         for name, file, old, new in MUTANTS:
             src = _copy(workdir)
             path = src / "lattice_euclid" / file
-            text = path.read_text()
-            if text.count(old) != 1:
-                print(f"STALE     {name}: the old text occurs {text.count(old)} times in {file}")
-                failed += 1
-                continue
-            path.write_text(text.replace(old, new))
+            path.write_text(path.read_text().replace(old, new))
             start = time.monotonic()
             survived = _suite_passes(src, workdir)
             outcome = "SURVIVED" if survived else "killed"

@@ -695,6 +695,44 @@ def test_checked_solve_checks_every_vector_off_the_pivot_rows():
         run.solve(pool)
 
 
+def test_every_solver_refuses_a_vector_off_the_span_on_a_rank_deficient_run():
+    # basis (1, 0) on pivot row 0 of 2: (2, 1) agrees with the pool vector
+    # (2, 0) on the pivot row, so only the off-pivot check of row 1 can
+    # refuse it, whichever solver reads it
+    off = (2, 1)
+    run = _Run([[1], [0]], [(2, 0), off], (0,), 1)
+    solve, _, column = run.adjugate()
+    assert run.solve([(2, 0)]) == [[2]] and solve((2, 0)) == column(0) == [2]
+    for call in (lambda: run.solve([off]), lambda: solve(off), lambda: column(1)):
+        with pytest.raises(SpanMismatchError, match="at row 1"):
+            call()
+    run = _split(Matrix.from_rows([[1, 2], [0, 0]]))
+    run.pool[0] = off  # its numerators still come from the split's column (2, 0)
+    with pytest.raises(SpanMismatchError, match="at row 1"):
+        run.solution_matrix()
+
+
+def test_no_solver_checks_off_the_pivot_rows_when_they_cover_every_row(monkeypatch):
+    # full row rank leaves no basis row off the pivot rows, so no solver, the
+    # checked solve from scratch included, reaches the span check; a
+    # rank-deficient input does
+    calls = []
+    original = euclid._check_span
+    monkeypatch.setattr(euclid, "_check_span", lambda *args: calls.append(args) or original(*args))
+    a = random_instance(InstanceParams(n=6, m=12, bound=50, seed=3))
+    assert len(find_independent_columns(a)) == a.rows
+    for driver in (basic_basis, inverse_variant_basis):
+        assert driver(a).exchanges > 0
+    for driver in (solution_variant_basis, rowwise_variant_basis):
+        assert driver(a, check_invariants=True).exchanges > 0
+    determinant_with_trace(Matrix(a.columns[: a.rows], rows=a.rows))
+    diophantine_run(a, a.mat_vec(range(a.cols)), check_invariants=True)
+    basis_transform(a, basic_basis(a).basis)
+    assert calls == []
+    basic_basis(Matrix.from_rows([[2, 0, 1], [0, 3, 1], [2, 3, 2]]))
+    assert calls
+
+
 def test_row_major_forms_each_row_once():
     # an exchange on row i leaves that row's numerators but slot j and moves its
     # denominator, so the walk carries the row rather than forming it again;
@@ -746,7 +784,9 @@ def test_product_form_columns_equal_the_eager_numerators_after_each_exchange():
 
         def advance(i, j, w, d):
             adj[:] = _exchange_update(adj, d, i, w)
-            x_num[:] = _exchange_update(x_num, d, i, w, j)
+            for k, r in enumerate(x_num):  # slot j now holds the old B_i, whose solution is e_i
+                r[j] = d * (k == i)
+            x_num[:] = _exchange_update(x_num, d, i, w)
 
         run.on_exchange.append(advance)
         on_units = _ProductForm(run, [list(r) for r in adj], moves=False)

@@ -368,10 +368,10 @@ def test_exchange_update_is_the_elementary_inverse_product():
         f = Matrix.identity(n).with_column(i, w)
         updated = _rational_exchange_update(m, i, w)
         assert updated == exchange_update_fraction(m, i, w) == invert(f) @ m
-        # with j, column j is first replaced by e_i
+        # an exchanged pool column j: the caller first replaces it by e_i
         j = rng.randrange(cols)
         z = m.with_column(j, [int(k == i) for k in range(n)])
-        assert _rational_exchange_update(m, i, w, j) == exchange_update_fraction(z, i, w) == invert(f) @ z
+        assert _rational_exchange_update(z, i, w) == exchange_update_fraction(z, i, w) == invert(f) @ z
 
 
 def test_integer_exchange_update_matches_fraction_oracle():
@@ -417,7 +417,9 @@ def test_integer_exchange_update_matches_fraction_oracle():
         c_cols[j] = u
         num = [list(r) for r in zip(*_eliminate(b, c_cols)[1])]
         c_cols[j] = b.column(i)
-        assert _exchange_update(num, d, i, w_num, j) == [list(r) for r in zip(*_eliminate(b_new, c_cols)[1])]
+        for k, r in enumerate(num):  # slot j now holds B e_i, whose numerators are d * e_i
+            r[j] = d * (k == i)
+        assert _exchange_update(num, d, i, w_num) == [list(r) for r in zip(*_eliminate(b_new, c_cols)[1])]
         seen.add((d < 0, any(e == 0 for e in w_num), any(r[i] == 0 for r in x_cols)))
     assert {s[0] for s in seen} == {False, True}  # both signs of d
     assert any(s[1] for s in seen) and any(s[2] for s in seen)

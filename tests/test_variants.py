@@ -679,7 +679,9 @@ def _eager_walk(a, *hooks):
     x_num = [list(r) for r in zip(*run.solve(run.pool))] or [[] for _ in run.pivot_rows]
 
     def advance(i, j, w, d):
-        x_num[:] = _exchange_update(x_num, d, i, w, j)
+        for k, r in enumerate(x_num):  # slot j now holds the old B_i, whose solution is e_i
+            r[j] = d * (k == i)
+        x_num[:] = _exchange_update(x_num, d, i, w)
 
     run.on_exchange += [advance, *hooks]
     run.row_major(x_num.__getitem__, lambda j: [r[j] for r in x_num])
