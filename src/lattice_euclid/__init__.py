@@ -4,11 +4,11 @@ Given integer generator vectors, the package computes a basis of the
 lattice they span using exact rational arithmetic throughout. One exchange
 engine (:mod:`lattice_euclid.euclid`) runs every computation: two pivot
 orders (first in, first out with the pivot nearest an integer, or row by
-row with provably bounded coefficient growth) times four ways to solve pool
-vectors (from scratch, the cached integer adjugate, the updated solution
-matrix, the adjugate's rows one at a time). The four basis drivers, determinant
-computation and integral linear-system solving are configurations of it,
-and an independent Hermite-form oracle provides ground truth for testing.
+row with provably bounded coefficient growth) and three ways to solve pool
+vectors (from scratch, the cached integer adjugate, the pool's solution
+matrix). The four basis drivers, determinant computation and integral
+linear-system solving are configurations of it, and an independent
+Hermite-form oracle provides ground truth for testing.
 """
 
 from .applications import (

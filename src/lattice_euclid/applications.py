@@ -8,13 +8,13 @@ Both are configurations of the engine's FIFO order, the order of
   of ``Z^n``, so the run ends on a unimodular basis; since every exchange
   scales the determinant by its pivot residue, the accumulated product of
   residues is ``det(final) / det(B)``, and ``det(B)`` is the sign
-  ``det(final)``, read by one closing ``bareiss_det``, over that product.
+  ``det(final)``, the run's tracked determinant, over that product.
   The run is that of ``inverse_variant_basis`` on ``(B | I)``: the column
   split eliminates ``B`` once (a rank below ``n`` means ``det(B) == 0``),
   the unit vectors are pooled, and the FIFO steps solve on the cached
-  adjugate, so the run knows each determinant as it happens. No solve
-  follows the last exchange, so the adjugate never absorbs it. The value from
-  the factors must equal the split's determinant.
+  adjugate, so the run knows each determinant as it happens. One
+  ``_Run.eliminate`` of the end basis checks the sign, as it checks every
+  solver's; the value from the factors must equal the split's determinant.
 * ``A x = b`` over the integers is solved on the columns of ``A`` stacked
   over ``I_m`` (Cohen 1993, section 2.4): every vector holds its integer
   coordinates with respect to the original columns, and each exchange moves
@@ -39,7 +39,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InvariantViolationError, SpanMismatchError
-from .exact import Matrix, _check_square, _integer_multiple, bareiss_det
+from .exact import Matrix, _check_square, _integer_multiple
 from .euclid import ExchangeRecord, _split, _unit
 
 
@@ -48,8 +48,8 @@ def lattice_determinant(b_mat: Matrix) -> int:
 
     Singular input returns 0 (the column split finds a rank below ``n``).
     The column split eliminates ``B`` once; the FIFO steps solve on the
-    cached adjugate, and a final elimination of the unimodular end basis
-    fixes the sign. The value is checked against the split's determinant.
+    cached adjugate, and the run's elimination of the unimodular end basis
+    checks its sign. The value is checked against the split's determinant.
     """
     value, _ = determinant_with_trace(b_mat)
     return value
@@ -68,10 +68,10 @@ def determinant_with_trace(b_mat: Matrix) -> tuple[int, tuple[ExchangeRecord, ..
         return 0, ()
     run.pool = [_unit(k, n) for k in range(n)]
     run.fifo(run.adjugate()[0])
-    sign = bareiss_det(run.basis)
-    if abs(sign) != 1:
+    run.eliminate(())  # the end basis, checked against the tracked determinant
+    if abs(run.det) != 1:
         raise InvariantViolationError("exchange run did not end on a unimodular basis")
-    if Fraction(sign) / math.prod(rec.factor for rec in run.trace) != run.det0:
+    if Fraction(run.det) / math.prod(rec.factor for rec in run.trace) != run.det0:
         raise InvariantViolationError("accumulated residues disagree with the determinant")
     return run.det0, tuple(run.trace)
 

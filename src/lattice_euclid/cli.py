@@ -152,11 +152,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     left = _load(args.file1)
     right = _load(args.file2)
-    if lattice_equal(left, right):
-        print("EQUAL")
-        return 0
-    print("NOT EQUAL")
-    return 1
+    try:
+        equal = lattice_equal(left, right)
+    except DimensionMismatchError as exc:  # different row counts
+        raise _InputError(f"check: {exc}") from None
+    print("EQUAL" if equal else "NOT EQUAL")
+    return 0 if equal else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -286,9 +287,6 @@ def _run(argv: Sequence[str] | None) -> int:
         return args.func(args)
     except _InputError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -81,12 +81,12 @@ def lattice_equal(a1: Matrix, a2: Matrix) -> bool:
 
 def member(a_mat: Matrix, vec) -> bool:
     """Whether ``vec`` is an integer combination of the columns of ``a_mat``."""
-    h = hnf(a_mat)
     residue = list(vec)
     if len(residue) != a_mat.rows:
         raise DimensionMismatchError(
             f"vector of length {len(residue)} in dimension {a_mat.rows}"
         )
+    h = hnf(a_mat)
     for j in range(h.cols):
         col = h.column(j)
         p = next(i for i in range(h.rows) if col[i] != 0)

@@ -40,6 +40,9 @@ MUTANTS = [
      'raise InvariantViolationError("pool vector left fractional at exit")', "pass"),
     ("unimodular-end check gone", "applications.py",
      'raise InvariantViolationError("exchange run did not end on a unimodular basis")', "pass"),
+    # determinant mode reads its sign off the run: one elimination of the end basis checks it
+    ("determinant mode's end-basis check gone", "applications.py",
+     "    run.eliminate(())  # the end basis", "    ()  # the end basis"),
     ("coordinate drift check gone", "applications.py",
      'raise InvariantViolationError("coordinate tracking drifted from the basis")', "pass"),
     ("transform check gone", "applications.py",
@@ -125,7 +128,7 @@ MUTANTS = [
     ("singular test inverted", "applications.py",
      "if len(run.pivot_rows) < n:", "if len(run.pivot_rows) >= n:"),
     ("unimodular-end check inverted", "applications.py",
-     "if abs(sign) != 1:", "if abs(sign) == 1:"),
+     "if abs(run.det) != 1:", "if abs(run.det) == 1:"),
     ("transform check inverted", "applications.py",
      "if check_invariants and (a_mat @ transform) != run.basis:", "if check_invariants and (a_mat @ transform) == run.basis:"),
     ("back-substitution sign flipped", "exact.py",

@@ -74,43 +74,6 @@ def test_determinant_forced_singular():
         assert lattice_determinant(b) == 0
 
 
-def test_determinant_mode_eliminates_once(monkeypatch):
-    # the column split eliminates B once (by _bareiss), and the FIFO steps
-    # solve on the cached adjugate: one elimination of the pivot rows per
-    # nonsingular run, whatever the number of exchanges, none for singular
-    # input; a unimodular B needs no solve, but the adjugate is built with
-    # the run, so it too eliminates once
-    cases = [
-        (Matrix.from_rows([[0, -9], [-6, -6]]), 3),
-        (Matrix.from_rows([[2, 1], [1, 3]]), None),
-        (Matrix.from_rows([[-7]]), None),
-        (Matrix.from_rows([[1, 0], [0, 1]]), 0),
-        (random_int_matrix(random.Random(1003), 6, 6, 1000), None),
-    ]
-    singular = [Matrix.from_rows([[1, 2], [2, 4]]), Matrix.from_rows([[0, 0], [0, 0]])]
-    calls = []
-    original = euclid._eliminate_rows
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(euclid, "_eliminate_rows", counted)
-    exchanges = []
-    for b, want in cases:
-        calls.clear()
-        value, trace = determinant_with_trace(b)
-        assert value == bareiss_det(b) != 0
-        assert want is None or len(trace) == want
-        assert len(calls) == 1
-        exchanges.append(len(trace))
-    assert max(exchanges) > 1
-    for b in singular:
-        calls.clear()
-        assert determinant_with_trace(b) == (0, ())
-        assert calls == []
-
-
 @st.composite
 def _squares(draw):
     """A square integer matrix, ``n <= 6``, about a third of them singular."""

@@ -108,7 +108,7 @@ def test_check_equal_and_not(gcd_file, tmp_path, capsys):
 
 def test_check_dimension_mismatch_is_input_error(gcd_file, square_file, capsys):
     assert main(["check", gcd_file, square_file]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "check: cannot compare lattices in dimensions 1 and 2\n")
 
 
 def test_gen_deterministic_and_parseable(capsys):

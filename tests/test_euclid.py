@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -288,26 +289,6 @@ def test_split_sign_counts_only_rows_that_pivot():
         a = Matrix.from_rows([[0] * m if rng.random() < 0.4 else r for r in rows])
         run = _split(a)
         assert run.det == bareiss_det(run.basis.submatrix_rows(run.pivot_rows))
-
-
-def test_split_eliminates_once(monkeypatch):
-    # the elimination that picks the columns and pivot rows also yields the
-    # determinant: no second elimination of the pivot minor
-    calls = []
-
-    def counting(original):
-        def call(*args):
-            calls.append(args[1])
-            return original(*args)
-        return call
-
-    for module in (euclid, exact):
-        monkeypatch.setattr(module, "_bareiss", counting(module._bareiss))
-    rng = random.Random(26)
-    for a in (random_int_matrix(rng, 6, 10, 9), _low_rank(rng, 8, 12, 4, 9)):
-        calls.clear()
-        _split(a)
-        assert calls == [a.cols]
 
 
 def test_split_checks_integer_entries_once(monkeypatch):
@@ -925,3 +906,168 @@ def test_basis_transform_refuses_a_basis_outside_the_span():
     assert basis_transform(a, Matrix.from_rows([[2], [0]])) == Matrix.identity(1)
     with pytest.raises(SpanMismatchError, match="at row 1"):
         basis_transform(a, Matrix.from_rows([[1], [1]]))
+
+
+# --- one elimination rule ----------------------------------------------------
+#
+# A run eliminates once at its split (_split: one _bareiss over every column of
+# its input), and after that only through _Run.eliminate (one _bareiss of its
+# pivot rows beside the vectors it solves). For each public entry point the
+# table below pins the sequence of those seam calls; each _bareiss must follow
+# the seam call that makes it, so no elimination runs outside the seams.
+
+
+def _seam_log(monkeypatch) -> list:
+    """Log ``("split",)``, ``("eliminate", len(vecs))``, ``("_bareiss", width)`` and each FIFO step, ``("step",)``.
+
+    ``_split`` is wrapped wherever the package binds it and ``_bareiss`` in
+    ``euclid`` and ``exact``; the FIFO order pivots once per step, in ``_pivot``.
+    """
+    log = []
+
+    def logged(original, entry):
+        def call(*args, **kwargs):
+            log.append(entry(*args))
+            return original(*args, **kwargs)
+        return call
+
+    split = euclid._split
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lattice_euclid") and getattr(module, "_split", None) is split:
+            monkeypatch.setattr(module, "_split", logged(split, lambda a_mat, *_: ("split",)))
+    monkeypatch.setattr(_Run, "eliminate", logged(_Run.eliminate, lambda run, vecs: ("eliminate", len(vecs))))
+    for module in (euclid, exact):
+        monkeypatch.setattr(module, "_bareiss", logged(module._bareiss, lambda a, width: ("_bareiss", width)))
+    monkeypatch.setattr(euclid, "_pivot", logged(euclid._pivot, lambda num, d: ("step",)))
+    return log
+
+
+def _split_seam(width):
+    return [("split",), ("_bareiss", width)]
+
+
+def _eliminate_seam(vecs, rank):
+    return [("eliminate", vecs), ("_bareiss", rank)]
+
+
+def _steps(log):
+    return [("step",)] * log.count(("step",))
+
+
+def _split_row(a, log):
+    euclid._split(a)  # the package's binding: this module's own name is not wrapped
+    return _split_seam(a.cols)
+
+
+def _basic_row(a, log):
+    res = basic_basis(a)
+    steps = log.count(("step",))
+    assert steps >= res.exchanges
+    return _split_seam(a.cols) + (_eliminate_seam(1, res.basis.cols) + [("step",)]) * steps
+
+
+def _inverse_row(a, log):
+    rank = inverse_variant_basis(a).basis.cols
+    return _split_seam(a.cols) + _eliminate_seam(rank, rank) + _steps(log)
+
+
+def _solution_row(a, log):
+    res = solution_variant_basis(a)
+    assert (res.exchanges > 0) == (a.cols > a.rows)  # every case with a pool exchanges
+    return _split_seam(a.cols) + _eliminate_seam(0, res.basis.cols)
+
+
+def _rowwise_row(a, log):
+    want = solution_variant_basis(a)
+    log.clear()
+    res = rowwise_variant_basis(a)
+    assert (res.basis, res.trace) == (want.basis, want.trace)
+    return _split_seam(a.cols) + _eliminate_seam(res.basis.cols, res.basis.cols)
+
+
+def _transform_row(a, log):
+    basis = solution_variant_basis(a).basis
+    log.clear()
+    basis_transform(a, basis)
+    return _split_seam(a.cols) + _eliminate_seam(basis.cols, basis.cols)
+
+
+def _determinant_row(case, log):
+    b, exchanges = case
+    det = bareiss_det(b)
+    log.clear()
+    value, trace = determinant_with_trace(b)
+    if not det:
+        assert (value, trace) == (0, ())
+        return _split_seam(b.cols)
+    assert value == det
+    assert exchanges is None or len(trace) == exchanges
+    n = b.rows
+    return _split_seam(n) + _eliminate_seam(n, n) + _steps(log) + _eliminate_seam(0, n)
+
+
+def _diophantine_row(case, log):
+    a, rhs, outcome = case
+    want = basic_basis(a)
+    log.clear()
+    if outcome is SpanMismatchError:
+        with pytest.raises(SpanMismatchError) as exc:
+            diophantine_run(a, rhs)
+        trace = exc.value.trace
+    else:
+        solution, _, trace = diophantine_run(a, rhs)
+        assert (solution is None) == (outcome is None)
+        assert solution is None or a.mat_vec(solution) == tuple(rhs)
+    assert trace == want.trace
+    rank = want.basis.cols
+    return _split_seam(a.cols) + _eliminate_seam(rank, rank) + _steps(log)
+
+
+_FULL = random_instance(InstanceParams(n=6, m=10, bound=1000, seed=33))
+_DEFICIENT = _low_rank(random.Random(4243), 8, 12, 4, 9)
+_EVEN = Matrix.from_rows([[2 * e for e in r] for r in _DEFICIENT.to_rows()])
+_ZERO = Matrix.from_rows([[0, 0], [0, 0]])
+_BASIS_CASES = {
+    "full": _FULL,
+    "deficient": _DEFICIENT,
+    "wide": random_instance(InstanceParams(n=3, m=40, bound=1000, seed=36)),
+    "square": Matrix.from_rows([[3, 1], [0, 2]]),
+    "no-columns": Matrix((), rows=3),
+}
+_DETERMINANT_CASES = {  # (B, its number of exchanges if pinned)
+    "three-exchanges": (Matrix.from_rows([[0, -9], [-6, -6]]), 3),
+    "2x2": (B23, None),
+    "1x1": (Matrix.from_rows([[-7]]), None),
+    "unimodular": (Matrix.identity(2), 0),
+    "0x0": (Matrix((), rows=0), 0),
+    "6x6": (random_int_matrix(random.Random(1003), 6, 6, 1000), None),
+    "singular": (Matrix.from_rows([[1, 2], [2, 4]]), None),
+    "zero": (_ZERO, None),
+}
+_DIOPHANTINE_CASES = {  # (A, b, outcome): a witness, None (infeasible) or off the span
+    "full": (_FULL, _FULL.mat_vec(range(_FULL.cols)), "witness"),
+    "deficient": (_DEFICIENT, _DEFICIENT.mat_vec(range(_DEFICIENT.cols)), "witness"),
+    "infeasible": (_EVEN, _DEFICIENT.column(0), None),  # in the span of 2 * A, not its lattice
+    "off-span": (_DEFICIENT, _unit(0, 8), SpanMismatchError),
+    "zero": (_ZERO, (0, 0), "witness"),
+    "zero-off-span": (_ZERO, (1, 0), SpanMismatchError),
+}
+_SEAM_TABLE = [
+    pytest.param(row, case, id=f"{row.__name__[1:-4]}-{name}")
+    for rows, cases in (
+        ((_split_row, _basic_row, _inverse_row, _solution_row, _rowwise_row, _transform_row), _BASIS_CASES),
+        ((_determinant_row,), _DETERMINANT_CASES),
+        ((_diophantine_row,), _DIOPHANTINE_CASES),
+    )
+    for row in rows
+    for name, case in cases.items()
+]
+
+
+@pytest.mark.parametrize("row, case", _SEAM_TABLE)
+def test_a_run_eliminates_only_at_its_seams(row, case, monkeypatch):
+    log = _seam_log(monkeypatch)
+    expected = row(case, log)
+    assert log == expected
+    seams = [e for e in log if e[0] in ("split", "eliminate")]
+    assert sum(e[0] == "_bareiss" for e in log) == len(seams)

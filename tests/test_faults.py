@@ -7,6 +7,7 @@ error, an InvariantViolationError or a SpanMismatchError; ``tests/mutants.py``
 confirms that each test fails once its check is gone.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -117,22 +118,52 @@ def test_rowwise_driver_checks_the_pool_is_integral_at_exit(monkeypatch):
         rowwise_variant_basis(WORKED, check_invariants=True)
 
 
+def _corrupt_determinant_run(monkeypatch, corrupt):
+    """Make determinant mode's FIFO run end with ``corrupt(run)``."""
+    original = euclid._Run.fifo
+
+    def fifo(run, solve):
+        original(run, solve)
+        corrupt(run)
+
+    monkeypatch.setattr(euclid._Run, "fifo", fifo)
+
+
+SQUARE = Matrix.from_rows([[0, -9], [-6, -6]])  # det -54, three exchanges
+
+
 def test_determinant_mode_checks_the_end_basis_is_unimodular(monkeypatch):
-    b = Matrix.from_rows([[0, -9], [-6, -6]])
-    assert determinant_with_trace(b)[0] == -54
-    monkeypatch.setattr(applications, "bareiss_det", lambda mat: 2)
+    # a run that makes no exchange keeps det0 == -54: its end basis is B,
+    # which the end elimination confirms, and only the unimodular check refutes
+    assert determinant_with_trace(SQUARE)[0] == -54
+    monkeypatch.setattr(euclid._Run, "fifo", lambda run, solve: None)
     with pytest.raises(InvariantViolationError, match="unimodular"):
-        determinant_with_trace(b)
+        determinant_with_trace(SQUARE)
 
 
 def test_determinant_mode_checks_the_factors_against_the_split(monkeypatch):
-    # a sign read wrong from the end basis gives -det(B) from the factors,
-    # which the split's determinant refutes
-    b = Matrix.from_rows([[0, -9], [-6, -6]])
-    original = applications.bareiss_det
-    monkeypatch.setattr(applications, "bareiss_det", lambda mat: -original(mat))
+    # one factor negated gives -det(B) from the factors, which the split's
+    # determinant refutes; the end basis is untouched
+    def negate_first_factor(run):
+        run.trace[0] = replace(run.trace[0], factor=-run.trace[0].factor)
+
+    _corrupt_determinant_run(monkeypatch, negate_first_factor)
     with pytest.raises(InvariantViolationError, match="disagree with the determinant"):
-        determinant_with_trace(b)
+        determinant_with_trace(SQUARE)
+
+
+def test_determinant_mode_checks_the_end_basis_against_the_tracked_determinant(monkeypatch):
+    # the tracked determinant negated with the last factor and det_after: still
+    # unimodular, and the factors still give det(B), so only the end basis's
+    # elimination can refute the sign
+    def negate_last_exchange(run):
+        last = run.trace[-1]
+        run.trace[-1] = replace(last, factor=-last.factor, det_after=-last.det_after)
+        run.det = -run.det
+
+    _corrupt_determinant_run(monkeypatch, negate_last_exchange)
+    with pytest.raises(InvariantViolationError, match="elimination disagrees with the tracked determinant"):
+        determinant_with_trace(SQUARE)
 
 
 def test_exchange_step_checks_the_solution_against_the_determinant():

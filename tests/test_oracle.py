@@ -14,6 +14,7 @@ from lattice_euclid import (
     random_instance,
     xgcd,
 )
+from lattice_euclid import oracle
 
 from _oracles import random_int_matrix
 
@@ -85,6 +86,17 @@ def test_member_examples():
 
 
 def test_member_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError):
+        member(Matrix.from_rows([[2, 0], [0, 2]]), (1, 2, 3))
+
+
+def test_member_checks_the_length_before_the_hermite_form(monkeypatch):
+    # the naive hnf can take seconds at 24x40: a vector of the wrong length
+    # is refused before it is computed
+    def no_hnf(a_mat):
+        raise AssertionError("hnf computed for a vector of the wrong length")
+
+    monkeypatch.setattr(oracle, "hnf", no_hnf)
     with pytest.raises(DimensionMismatchError):
         member(Matrix.from_rows([[2, 0], [0, 2]]), (1, 2, 3))
 

@@ -31,7 +31,7 @@ from lattice_euclid import (
 )
 
 from lattice_euclid import euclid, variants
-from lattice_euclid.errors import DimensionMismatchError, SpanMismatchError
+from lattice_euclid.errors import DimensionMismatchError
 from lattice_euclid.euclid import _split, _weights
 from lattice_euclid.exact import _back_substitute, _exchange_update
 
@@ -379,121 +379,6 @@ def test_rowwise_variant_no_exchanges_when_pool_divides():
 def test_rowwise_variant_gcd():
     res = rowwise_variant_basis(Matrix.from_rows([[12, 18]]))
     assert res.basis.to_rows() == [[-6]]
-
-
-def test_rowwise_variant_eliminates_once(monkeypatch):
-    # one elimination of the run's pivot rows (_Run.eliminate) builds the
-    # cached adjugate; no row step and no exchange solves from scratch, on
-    # full and on deficient rank
-    rng = random.Random(4243)
-    lowrank = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
-    assert len(find_independent_columns(lowrank)) < lowrank.rows
-    cases = [random_instance(InstanceParams(n=6, m=10, bound=1000, seed=33)), lowrank]
-    expected = [solution_variant_basis(a) for a in cases]
-    calls = []
-
-    def counting(name, original):
-        def call(*args):
-            calls.append(name)
-            return original(*args)
-        return call
-
-    for module, name in ((variants, "_eliminate"), (euclid, "_eliminate_rows"), (euclid, "solve_system")):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for a, want in zip(cases, expected):
-        calls.clear()
-        res = rowwise_variant_basis(a)
-        assert res.exchanges > 0
-        assert calls == ["_eliminate_rows"]
-        assert (res.basis, res.trace) == (want.basis, want.trace)
-
-
-def test_solution_variant_eliminates_once(monkeypatch):
-    # the column split's one elimination, over all m columns of A, gives
-    # det * X, which the exchanges advance; one elimination of the pivot-row
-    # block, with no right-hand side, checks the split's determinant. Two per
-    # run, whatever the pool size or the number of exchanges, on full and
-    # deficient rank, square input and no columns
-    rng = random.Random(4245)
-    lowrank = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
-    assert len(find_independent_columns(lowrank)) < lowrank.rows
-    cases = [
-        random_instance(InstanceParams(n=6, m=10, bound=1000, seed=35)),
-        random_instance(InstanceParams(n=3, m=40, bound=1000, seed=36)),
-        lowrank,
-        Matrix.from_rows([[3, 1], [0, 2]]),
-        Matrix((), rows=3),
-    ]
-    expected = [rowwise_variant_basis(a) for a in cases]
-    calls = []
-
-    def counting(name, original, shape=None):
-        def call(*args):
-            calls.append(name if shape is None else (name, args[shape]))
-            return original(*args)
-        return call
-
-    for module, name, shape in (
-        (euclid, "_bareiss", 1),  # its width
-        (euclid, "_eliminate_rows", 2),  # its number of right-hand sides
-        (variants, "_eliminate", None),
-        (euclid, "solve_system", None),
-    ):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name), shape))
-    exchanges = []
-    for a, want in zip(cases, expected):
-        calls.clear()
-        res = solution_variant_basis(a)
-        exchanges.append(res.exchanges)
-        assert calls == [("_bareiss", a.cols), ("_eliminate_rows", 0)]
-        assert (res.basis, res.trace) == (want.basis, want.trace)
-    assert all(exchanges[:3]) and exchanges[3:] == [0, 0]
-
-
-def test_diophantine_run_eliminates_once(monkeypatch):
-    # the Diophantine run solves every FIFO step and its right-hand side on
-    # the cached adjugate: one elimination per run, whatever the number of
-    # exchanges, on full and deficient rank, and whether the right-hand side
-    # is feasible, infeasible or outside the span
-    rng = random.Random(4244)
-    full = random_instance(InstanceParams(n=6, m=10, bound=1000, seed=34))
-    low = random_int_matrix(rng, 8, 4, 9) @ random_int_matrix(rng, 4, 12, 9)
-    assert len(find_independent_columns(low)) < low.rows
-    even = Matrix.from_rows([[2 * e for e in r] for r in low.to_rows()])
-    odd = low.mat_vec((1,) + (0,) * (low.cols - 1))  # in the span of `even`, not its lattice
-    assert any(e % 2 for e in odd)
-    zero = Matrix.from_rows([[0, 0], [0, 0]])
-    cases = [
-        (full, full.mat_vec(range(full.cols)), "witness"),
-        (low, low.mat_vec(range(low.cols)), "witness"),
-        (even, odd, None),
-        (low, (1,) + (0,) * (low.rows - 1), SpanMismatchError),
-        (zero, (0, 0), "witness"),
-        (zero, (1, 0), SpanMismatchError),
-    ]
-    traces = [basic_basis(a).trace for a, _, _ in cases]
-    calls = []
-
-    def counting(name, original):
-        def call(*args):
-            calls.append(name)
-            return original(*args)
-        return call
-
-    for module, name in ((variants, "_eliminate"), (euclid, "_eliminate_rows"), (euclid, "_eliminate")):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for (a, rhs, want), basic_trace in zip(cases, traces):
-        calls.clear()
-        if want is SpanMismatchError:
-            with pytest.raises(SpanMismatchError):
-                diophantine_run(a, rhs)
-        else:
-            solution, _, trace = diophantine_run(a, rhs)
-            assert (solution is None) == (want is None)
-            assert solution is None or a.mat_vec(solution) == tuple(rhs)
-            assert trace == basic_trace
-        assert calls == ["_eliminate_rows"]
-    assert len({len(t) for t in traces}) > 2
 
 
 def test_exchanges_build_no_basis_matrix(monkeypatch):
