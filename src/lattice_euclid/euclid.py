@@ -76,6 +76,7 @@ from .exact import (
     _eliminate_rows,
     _exchange_update,
     _integer_multiple,
+    _replay,
     solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
 )
 
@@ -207,7 +208,9 @@ def find_independent_columns(a_mat: Matrix) -> list[int]:
     # such row becomes its pivot row. Those entries are the column reduced
     # against the kept columns (a Schur complement), so the choice is that of
     # a rational column elimination. Each entry is a minor of the input and
-    # stays within Hadamard's bound.
+    # stays within Hadamard's bound. The elimination is lazy: it stops once
+    # every row has a pivot, and columns its pivot search never reached are
+    # never rewritten.
     rows = [list(r) for r in zip(*(_integer_multiple(c)[1] for c in a_mat.columns))]
     return _bareiss(rows, a_mat.cols)[1]
 
@@ -363,10 +366,12 @@ class _Run:
     A run without columns keeps no rows: ``rows`` is empty, and ``off_rows``
     yields the ``dim`` empty rows on demand.
 
-    ``echelon``, set by :func:`_split`, is ``(a, cols, pooled)``: the rows
-    ``exact._bareiss`` rewrote in place, the pivot columns, and the input
-    column of each pool vector before any exchange; :meth:`solution_matrix`
-    reads it.
+    ``echelon``, set by :func:`_split`, is ``(a, cols, pooled, frontier)``:
+    the rows ``exact._bareiss`` rewrote in place, the pivot columns, the input
+    column of each pool vector before any exchange, and the frontier of the
+    lazy elimination: the columns from it on still hold the input's entries.
+    :meth:`solution_matrix`, its one reader, finishes the rows in place with
+    ``exact._replay`` first.
     """
 
     def __init__(
@@ -460,16 +465,20 @@ class _Run:
         """``(row, column)`` on ``det * X``, ``X`` the solution matrix of the pool, for :meth:`row_major`.
 
         Read off the column split's elimination, :attr:`echelon`, before any
-        exchange, in one ``exact._back_substitute``: a pooled column left of a
-        later pivot was stepped over because every row left was zero there,
-        and no later step writes it. One elimination of the pivot-row block,
-        without right-hand sides, checks the split's determinant, and each
-        pool vector is checked off the pivot rows by :meth:`check`.
+        exchange: ``exact._replay`` finishes the columns past its frontier,
+        then one ``exact._back_substitute`` reads ``X``. A pooled column left
+        of a later pivot was stepped over because every row left was zero
+        there, and no later step writes it. One elimination of the pivot-row
+        block, without right-hand sides, checks the split's determinant, and
+        each pool vector is checked off the pivot rows by :meth:`check`.
         ``X`` is kept in a :class:`_ProductForm` over the pool: ``row(i)``
         folds and is row ``i``, and ``column(j)`` is column ``j`` at the last
         fold combined with the row's exchanges in O(n).
         """
-        x_num = _back_substitute(*self.echelon, self.det)
+        a, cols, pooled, frontier = self.echelon
+        if a and frontier < len(a[0]):  # columns the split's pivot search never reached
+            _replay(a, cols, frontier)
+        x_num = _back_substitute(a, cols, pooled, self.det)
         self.eliminate(())  # the pivot-row block alone, checked against the split's determinant
         self.check(self.pool, zip(*x_num))
         form = _ProductForm(self, x_num, moves=True)
@@ -604,7 +613,7 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     columns = a_mat.columns
     # the elimination of find_independent_columns, on entries already checked
     echelon = [list(r) for r in zip(*columns)]
-    pivot_rows, col_idx, det = _bareiss(echelon, a_mat.cols)
+    pivot_rows, col_idx, det, frontier = _bareiss(echelon, a_mat.cols)
     chosen = set(col_idx)
     pooled = [j for j, col in enumerate(columns) if j not in chosen and any(col)]
     rows = [list(r) for r in zip(*(columns[j] for j in col_idx))]
@@ -622,7 +631,7 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
         dim=a_mat.rows,
         carried=carried,
     )
-    run.echelon = (echelon, col_idx, pooled)
+    run.echelon = (echelon, col_idx, pooled, frontier)
     return run
 
 

@@ -10,9 +10,12 @@ One fraction-free forward elimination, ``_bareiss`` (Bareiss 1968,
 elimination"), serves the whole package: :func:`solve_system`,
 :func:`invert`, :func:`bareiss_det` and the engine's column split. It runs on
 Python ints with exact divisions, and Fractions appear only in the outputs.
-One integer back-substitution, ``_back_substitute``, reads the solutions of
-every right-hand side at once off the echelon rows it leaves: the solution
-driver takes ``det * X`` for the whole pool from the split's own elimination.
+Every step goes through one loop, ``_step``. The column split is lazy: an
+``n x m`` input whose pivots sit in its first columns costs O(n**3), not
+O(n**2 * m). One integer back-substitution, ``_back_substitute``, reads the
+solutions of every right-hand side at once off the echelon rows it leaves:
+the solution driver takes ``det * X`` for the whole pool from the split's
+own elimination, finished by ``_replay``.
 
 After an exchange nothing is eliminated again: the cached inverse and the
 solution matrix advance by the exchange's elementary matrix in one integer
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -212,7 +215,33 @@ def _integer_multiple(vec: Sequence[Scalar]) -> tuple[int, list[int]]:
     return mu, _numerators(vec, mu)
 
 
-def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]:
+def _step(a: list[list[int]], k: int, j: int, prev: int, lo: int, hi: Optional[int]) -> None:
+    """Bareiss step ``k`` on columns ``lo:hi``: each row below ``a[k]`` becomes ``(e * pivot - head * p) // prev``.
+
+    The pivot is ``a[k][j]`` and ``prev`` the one before it (1 for the
+    first); a row's head is its entry in column ``j``, which no later step
+    writes, and ``p`` the pivot row's entry in the column of ``e``.
+    """
+    pivot_row = a[k]
+    pivot, tail = pivot_row[j], pivot_row[lo:hi]
+    for row in a[k + 1 :]:
+        head = row[j]
+        row[lo:hi] = [(e * pivot - head * p) // prev for e, p in zip(row[lo:hi], tail)]
+
+
+def _replay(a: list[list[int]], cols: Sequence[int], lo: int, hi: Optional[int] = None) -> None:
+    """Bring columns ``lo:hi`` of ``a`` up to date through the steps :func:`_bareiss` took.
+
+    Step ``k`` pivoted on ``a[k][cols[k]]``, and the rows below ``a[k]``
+    are the rows it rewrote: a later step moves a row up only from below.
+    """
+    prev = 1
+    for k, j in enumerate(cols):
+        _step(a, k, j, prev, lo, hi)
+        prev = a[k][j]
+
+
+def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int, int]:
     """Fraction-free forward elimination on the first ``width`` columns of ``a``.
 
     Works in place on the integer rows of ``a``, any number of them; later
@@ -223,16 +252,30 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]
     scan of those rows, so a gap costs time linear in its width. Every
     division by the previous pivot is exact (Sylvester's identity), so each
     entry is a minor of the input. Returns the pivot rows (input indices, in
-    pivot order), the pivot columns, and the determinant of their minor, its
-    rows in increasing order (1 for none).
+    pivot order), the pivot columns, the determinant of their minor, its
+    rows in increasing order (1 for none), and the frontier.
+
+    Rows without right-hand sides and wider than twice their number are
+    eliminated lazily: a step rewrites only the columns before the
+    frontier, at first ``2 * len(a)``. When the pivot search reaches it with
+    rows still unpivoted, :func:`_replay` brings the next block up to date
+    and the frontier doubles; the scan stops once every row has a pivot, so
+    the columns from the frontier on still hold the input's entries, and
+    ``_replay(a, cols, frontier)`` leaves every row as an eager elimination
+    would. Right-hand sides are always eliminated in full.
     """
     n = len(a)
+    end = len(a[0]) if a else 0
+    frontier = min(end, 2 * n) if width == end else end
     order = list(range(n))
     cols: list[int] = []
     passed = 0  # rows the pivot rows moved up past
     prev = 1
     k = j = 0
     while k < n and j < width:
+        if j == frontier:
+            frontier = min(end, 2 * frontier)
+            _replay(a, cols, j, frontier)
         if not a[k][j]:
             r = next((r for r in range(k + 1, n) if a[r][j]), None)
             if r is None:  # no pivot in column j
@@ -241,14 +284,8 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]
             a.insert(k, a.pop(r))
             order.insert(k, order.pop(r))
             passed += r - k
-        pivot_tail = a[k][j + 1 :]
-        pivot = a[k][j]
-        for row in a[k + 1 :]:
-            head = row[j]
-            row[j + 1 :] = [
-                (e * pivot - head * p) // prev for e, p in zip(row[j + 1 :], pivot_tail)
-            ]
-        prev = pivot
+        _step(a, k, j, prev, j + 1, frontier)
+        prev = a[k][j]
         cols.append(j)
         k += 1
         j += 1
@@ -256,7 +293,7 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int]
         # pivot rows moving past a row that never pivots leave the minor as
         # it is; such a row, input index q, ends at position t >= k, passed t - q times
         passed -= sum(range(k, n)) - sum(order[k:])
-    return order[:k], cols, -prev if passed % 2 else prev
+    return order[:k], cols, -prev if passed % 2 else prev, frontier
 
 
 def _eliminate(b_mat: Matrix, rhs_columns: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
@@ -277,7 +314,7 @@ def _eliminate_rows(a: list[list[int]], n: int, n_rhs: int) -> tuple[int, list[l
     The rows are overwritten. Raises SingularMatrixError if some column has
     no pivot.
     """
-    _, cols, d = _bareiss(a, n)
+    _, cols, d, _ = _bareiss(a, n)
     if len(cols) < n:
         raise SingularMatrixError(f"only {len(cols)} of {n} columns have a pivot")
     out = []
@@ -340,7 +377,7 @@ def bareiss_det(b_mat: Matrix) -> int:
     non-integral entry raises ValueError.
     """
     n = _check_square(b_mat, "determinant")
-    _, cols, d = _bareiss([list(r) for r in zip(*b_mat.to_int().columns)], n)
+    _, cols, d, _ = _bareiss([list(r) for r in zip(*b_mat.to_int().columns)], n)
     return d if len(cols) == n else 0
 
 

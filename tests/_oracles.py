@@ -1,8 +1,8 @@
 """Independent reference computations used as test oracles.
 
 Deliberately naive implementations (Laplace expansion, adjugate formula,
-the exchange update in Fraction arithmetic) that share no code with the
-package, plus seeded instance helpers.
+an eager Bareiss elimination, the exchange update in Fraction arithmetic)
+that share no code with the package, plus seeded instance helpers.
 """
 
 import math
@@ -76,6 +76,39 @@ def fraction_echelon(a_mat):
             col_idx.append(j)
             pivot_rows.append(p)
     return col_idx, sorted(pivot_rows)
+
+
+def right_looking_bareiss(rows, width):
+    """Eager fraction-free elimination of the first ``width`` columns, on copies of ``rows``.
+
+    Column ``j`` pivots on the first row, in input order, not yet a pivot
+    row and nonzero in ``j``; each step rewrites every later column of the
+    rows not yet pivoted as ``(e * pivot - head * p) // prev``. Returns the
+    pivot rows (input indices, in pivot order), the pivot columns, the
+    determinant of their minor with its rows in increasing order (the last
+    pivot, signed by the parity of the pivot order), and the rows: the pivot
+    rows in pivot order, then the others in input order.
+    """
+    state = [list(r) for r in rows]
+    order, cols, prev = [], [], 1
+    for j in range(width):
+        if len(order) == len(state):
+            break
+        p = next((t for t in range(len(state)) if t not in order and state[t][j]), None)
+        if p is None:
+            continue
+        pivot = state[p][j]
+        for t in range(len(state)):
+            if t != p and t not in order:
+                head = state[t][j]
+                for c in range(j + 1, len(state[t])):
+                    state[t][c] = (state[t][c] * pivot - head * state[p][c]) // prev
+        order.append(p)
+        cols.append(j)
+        prev = pivot
+    inversions = sum(a > b for s, a in enumerate(order) for b in order[s + 1 :])
+    rest = [t for t in range(len(state)) if t not in order]
+    return order, cols, -prev if inversions % 2 else prev, [state[t] for t in order + rest]
 
 
 def round_half_up(q):

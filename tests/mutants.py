@@ -131,6 +131,16 @@ MUTANTS = [
      "if abs(run.det) != 1:", "if abs(run.det) == 1:"),
     ("transform check inverted", "applications.py",
      "if check_invariants and (a_mat @ transform) != run.basis:", "if check_invariants and (a_mat @ transform) == run.basis:"),
+    # the lazy column split: a frontier replay, the frontier check before the
+    # pivot search, and the sign of a row moved up past several
+    ("replay skips the last step", "exact.py",
+     "    for k, j in enumerate(cols):\n", "    for k, j in enumerate(cols[:-1]):\n"),
+    ("replayed block starts a column past the frontier", "exact.py",
+     "_replay(a, cols, j, frontier)", "_replay(a, cols, j + 1, frontier)"),
+    ("pivot search reads the frontier column stale", "exact.py",
+     "        if j == frontier:\n", "        if j == frontier + 1:\n"),
+    ("a row moved up counted as one transposition", "exact.py",
+     "passed += r - k", "passed += 1"),
     ("back-substitution sign flipped", "exact.py",
      "acc = [x - e * y for x, y in zip(acc, out[s])]", "acc = [x + e * y for x, y in zip(acc, out[s])]"),
     ("fractional-exit check inverted", "variants.py",

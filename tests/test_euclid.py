@@ -42,7 +42,7 @@ from lattice_euclid.errors import InvariantViolationError
 from lattice_euclid.euclid import _nearest, _pivot, _ProductForm, _Run, _split, _unit, _weights
 from lattice_euclid.exact import _bareiss, _exchange_update, _integer_multiple
 
-from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix, round_half_up
+from _oracles import fraction_echelon, pivot_argmin_fraction, random_int_matrix, right_looking_bareiss, round_half_up
 
 B23 = Matrix.from_rows([[2, 1], [1, 3]])  # det 5, used throughout
 
@@ -212,7 +212,7 @@ def _echelon(a):
     # find_independent_columns' elimination, with its pivot rows: exact._bareiss
     # on the rows of a with each column cleared of its denominators
     rows = [list(r) for r in zip(*(_integer_multiple(c)[1] for c in a.columns))]
-    pivot_rows, col_idx, _ = _bareiss(rows, a.cols)
+    pivot_rows, col_idx, _, _ = _bareiss(rows, a.cols)
     return col_idx, sorted(pivot_rows)
 
 
@@ -328,6 +328,24 @@ def test_split_carries_coordinates_below_the_basis_rows():
     assert [v[: run.dim] for v in run.pool] == plain.pool
     pooled = [j for j in range(a.cols) if j not in chosen]
     assert [v[run.dim :] for v in run.pool] == [({j: 1},) for j in pooled]
+
+
+def test_split_leaves_the_columns_past_its_frontier_as_input():
+    # 6x96 with its first 6 columns independent: every row pivots before
+    # column 12, the first frontier, so the split writes nothing from there
+    # on; the solution matrix replays the split's steps over those columns
+    rng = random.Random(29)
+    a = random_int_matrix(rng, 6, 96, 1000)
+    assert bareiss_det(Matrix(a.columns[:6], rows=6))
+    run = _split(a)
+    rows, cols, pooled, frontier = run.echelon
+    order, want_cols, det, eager = right_looking_bareiss(a.to_rows(), a.cols)
+    assert cols == want_cols == list(range(6))
+    assert (frontier, run.det) == (12, det)
+    assert [r[:12] for r in rows] == [r[:12] for r in eager]
+    assert [r[12:] for r in rows] == [list(a.row(t)[12:]) for t in order]
+    run.solution_matrix()
+    assert rows == eager
 
 
 def test_split_rejects_non_integral_input():
@@ -911,17 +929,22 @@ def test_basis_transform_refuses_a_basis_outside_the_span():
 # --- one elimination rule ----------------------------------------------------
 #
 # A run eliminates once at its split (_split: one _bareiss over every column of
-# its input), and after that only through _Run.eliminate (one _bareiss of its
-# pivot rows beside the vectors it solves). For each public entry point the
-# table below pins the sequence of those seam calls; each _bareiss must follow
-# the seam call that makes it, so no elimination runs outside the seams.
+# its input, lazy past its frontier), and after that only through
+# _Run.eliminate (one _bareiss of its pivot rows beside the vectors it
+# solves). For each public entry point the table below pins the sequence of
+# those seam calls; each _bareiss must follow the seam call that makes it, so
+# no elimination runs outside the seams. The solution matrix finishes the
+# split's own elimination, with one _replay right after it, when the split
+# stopped short of its last column.
 
 
 def _seam_log(monkeypatch) -> list:
-    """Log ``("split",)``, ``("eliminate", len(vecs))``, ``("_bareiss", width)`` and each FIFO step, ``("step",)``.
+    """Log ``("split",)``, ``("eliminate", len(vecs))``, ``("_bareiss", width)``, ``("_replay",)`` and each FIFO step, ``("step",)``.
 
-    ``_split`` is wrapped wherever the package binds it and ``_bareiss`` in
-    ``euclid`` and ``exact``; the FIFO order pivots once per step, in ``_pivot``.
+    ``_split`` is wrapped wherever the package binds it, ``_bareiss`` in
+    ``euclid`` and ``exact``, and ``_replay`` where the engine binds it (the
+    replays inside ``_bareiss`` are part of its one elimination); the FIFO
+    order pivots once per step, in ``_pivot``.
     """
     log = []
 
@@ -938,6 +961,7 @@ def _seam_log(monkeypatch) -> list:
     monkeypatch.setattr(_Run, "eliminate", logged(_Run.eliminate, lambda run, vecs: ("eliminate", len(vecs))))
     for module in (euclid, exact):
         monkeypatch.setattr(module, "_bareiss", logged(module._bareiss, lambda a, width: ("_bareiss", width)))
+    monkeypatch.setattr(euclid, "_replay", logged(euclid._replay, lambda *_: ("_replay",)))
     monkeypatch.setattr(euclid, "_pivot", logged(euclid._pivot, lambda num, d: ("step",)))
     return log
 
@@ -972,9 +996,12 @@ def _inverse_row(a, log):
 
 
 def _solution_row(a, log):
+    frontier = _split(a).echelon[3]
+    log.clear()
     res = solution_variant_basis(a)
     assert (res.exchanges > 0) == (a.cols > a.rows)  # every case with a pool exchanges
-    return _split_seam(a.cols) + _eliminate_seam(0, res.basis.cols)
+    finish = [("_replay",)] if frontier < a.cols else []
+    return _split_seam(a.cols) + finish + _eliminate_seam(0, res.basis.cols)
 
 
 def _rowwise_row(a, log):
@@ -1027,10 +1054,13 @@ _FULL = random_instance(InstanceParams(n=6, m=10, bound=1000, seed=33))
 _DEFICIENT = _low_rank(random.Random(4243), 8, 12, 4, 9)
 _EVEN = Matrix.from_rows([[2 * e for e in r] for r in _DEFICIENT.to_rows()])
 _ZERO = Matrix.from_rows([[0, 0], [0, 0]])
+_WIDE_ROWS = random_instance(InstanceParams(n=3, m=40, bound=9, seed=37)).to_rows()
+_WIDE_DEFICIENT = Matrix.from_rows(_WIDE_ROWS[:2] + _WIDE_ROWS[:1])  # row 2 repeats row 0
 _BASIS_CASES = {
     "full": _FULL,
     "deficient": _DEFICIENT,
     "wide": random_instance(InstanceParams(n=3, m=40, bound=1000, seed=36)),
+    "wide-deficient": _WIDE_DEFICIENT,  # no pivot for row 2: the split replays block by block to the end
     "square": Matrix.from_rows([[3, 1], [0, 2]]),
     "no-columns": Matrix((), rows=3),
 }
@@ -1071,3 +1101,4 @@ def test_a_run_eliminates_only_at_its_seams(row, case, monkeypatch):
     assert log == expected
     seams = [e for e in log if e[0] in ("split", "eliminate")]
     assert sum(e[0] == "_bareiss" for e in log) == len(seams)
+    assert all(log[t - 2] == ("split",) for t, e in enumerate(log) if e == ("_replay",))

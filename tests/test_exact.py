@@ -18,7 +18,7 @@ from lattice_euclid import (
     solve_system,
 )
 
-from lattice_euclid.exact import _eliminate, _exchange_update, _rational_exchange_update
+from lattice_euclid.exact import _bareiss, _eliminate, _exchange_update, _rational_exchange_update, _replay
 
 from _oracles import (
     adjugate_inverse,
@@ -27,6 +27,7 @@ from _oracles import (
     is_integral,
     random_int_matrix,
     random_nonsingular,
+    right_looking_bareiss,
 )
 
 
@@ -275,6 +276,63 @@ def test_bareiss_matches_cofactor_expansion():
         n = rng.randint(1, 5)
         m = random_int_matrix(rng, n, n, 9)
         assert bareiss_det(m) == cofactor_det(m.to_rows())
+
+
+def _elimination_input(rng):
+    """Integer rows, often wider than twice their number: full rank, rank-deficient products, zero columns, zero gaps."""
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 5 * n + 4)
+    kind = rng.randrange(4)
+    if kind == 0:
+        rows = random_int_matrix(rng, n, m, 9).to_rows()
+    elif kind == 1:
+        rank = rng.randint(1, n)
+        rows = (random_int_matrix(rng, n, rank, 4) @ random_int_matrix(rng, rank, m, 4)).to_rows()
+    elif kind == 2:  # each row zero up to its own column, so runs of columns have no pivot
+        rows = [[0] * s + [rng.randint(-3, 3) for _ in range(m - s)] for s in (rng.randint(0, m) for _ in range(n))]
+    else:
+        rows = [[rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(m)] for _ in range(n)]
+    zeroed = {j for j in range(m) if rng.random() < 0.15}
+    return [[0 if j in zeroed else e for j, e in enumerate(r)] for r in rows]
+
+
+def test_lazy_elimination_matches_a_right_looking_reference():
+    # _bareiss steps rows without right-hand sides only up to its frontier
+    # (2n columns at first) and replays its steps on the next block when the
+    # pivot search reaches it: pivot rows in pivot order, pivot columns and
+    # the signed determinant must be those of an eager elimination, and
+    # _replay from the frontier must finish the rows as it leaves them.
+    # Rows with right-hand sides are eliminated in full, with nothing left to
+    # replay. The oracle's determinant is checked by Laplace expansion
+    rng = random.Random(207)
+    seen = set()
+    for trial in range(3000):
+        rows = _elimination_input(rng)
+        n, end = len(rows), len(rows[0])
+        width = end if trial % 4 else rng.randint(0, end)  # a quarter carry right-hand sides
+        order, cols, det, rows_after = right_looking_bareiss(rows, width)
+        a = [list(r) for r in rows]
+        *got, frontier = _bareiss(a, width)
+        assert got == [order, cols, det]
+        if frontier < end:
+            assert width == end > 2 * n and len(cols) == n
+            _replay(a, cols, frontier)
+        assert a == rows_after
+        assert det == cofactor_det([[rows[t][j] for j in cols] for t in sorted(order)])
+        seen.update(
+            case for case, occurred in (
+                ("lazy, every row pivots before the end", frontier < end),
+                ("a frontier replay", width == end and frontier > min(end, 2 * n)),
+                ("a frontier replay, then every row pivots", min(end, 2 * n) < frontier < end),
+                ("rank-deficient past the first frontier", width == end > 2 * n and len(cols) < n),
+                ("right-hand sides", width < end),
+                ("a pivot row moved up", order != sorted(order)),
+            ) if occurred
+        )
+    assert seen == {
+        "lazy, every row pivots before the end", "a frontier replay", "a frontier replay, then every row pivots",
+        "rank-deficient past the first frontier", "right-hand sides", "a pivot row moved up",
+    }
 
 
 # --- invert ----------------------------------------------------------------

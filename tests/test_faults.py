@@ -81,8 +81,8 @@ def test_solution_driver_checks_the_split_determinant(monkeypatch):
     original = euclid._bareiss
 
     def doubled(a, width):
-        pivot_rows, cols, det = original(a, width)
-        return pivot_rows, cols, 2 * det
+        pivot_rows, cols, det, frontier = original(a, width)
+        return pivot_rows, cols, 2 * det, frontier
 
     solution_variant_basis(WORKED)
     monkeypatch.setattr(euclid, "_bareiss", doubled)

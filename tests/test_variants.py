@@ -296,22 +296,24 @@ def test_solution_matrix_read_off_the_split_matches_a_fresh_solve():
     # the solution driver reads det * X off the column split's elimination:
     # its rows must be those of a checked solve of the pool from scratch. A
     # pooled column left of a later pivot was stepped over with every row
-    # below the pivot rows zero, and no later step writes it. The engine's
-    # tracker, _Run.solution_matrix, reads the same before any exchange
+    # below the pivot rows zero, and no later step writes it. The split
+    # eliminates lazily past 2n columns; the engine's tracker,
+    # _Run.solution_matrix, replays its steps over the columns past the
+    # frontier, in place, and reads the same before any exchange
     rng = random.Random(4246)
     seen = set()
     for _ in range(1200):
-        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        n, m = rng.randint(1, 4), rng.randint(0, 10)
         rank = rng.randint(1, n)
         a = random_int_matrix(rng, n, rank, 4) @ random_int_matrix(rng, rank, m, 4)
         zeroed = {j for j in range(m) if rng.random() < 0.15}
         a = Matrix(tuple((0,) * n if j in zeroed else col for j, col in enumerate(a.columns)), rows=n)
         run = _split(a)
-        rows, cols, pooled = run.echelon
+        rows, cols, pooled, frontier = run.echelon
+        row, column = run.solution_matrix()
         got = _back_substitute(rows, cols, pooled, run.det)
         want = run.solve(run.pool)
         assert got == [[num[t] for num in want] for t in range(len(run.pivot_rows))]
-        row, column = run.solution_matrix()
         assert [row(i) for i in range(len(cols))] == got
         assert [column(j) for j in range(len(run.pool))] == want
         seen.update(
@@ -321,9 +323,14 @@ def test_solution_matrix_read_off_the_split_matches_a_fresh_solve():
                 ("square, empty pool", m == n == len(cols)),
                 ("no columns", not m),
                 ("pooled left of a later pivot", any(j < cols[-1] for j in pooled)),
+                ("pooled past the frontier", any(j >= frontier for j in pooled)),
+                ("a frontier replay", frontier > 2 * n),
             ) if occurred
         )
-    assert seen == {"rank-deficient", "zero column", "square, empty pool", "no columns", "pooled left of a later pivot"}
+    assert seen == {
+        "rank-deficient", "zero column", "square, empty pool", "no columns", "pooled left of a later pivot",
+        "pooled past the frontier", "a frontier replay",
+    }
 
 
 # --- row solving and row-wise variant ----------------------------------------------
