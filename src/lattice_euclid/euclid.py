@@ -41,11 +41,14 @@ rows, ``_Run.eliminate``, checked against the determinant (the solution
 matrix, ``_Run.solution_matrix``, from the split's own), and a ``Matrix`` of the
 basis is built only at the edges. ``_Run.solve`` is the one checked solve
 from scratch: one elimination of all the vectors it is given, each result
-checked off the pivot rows. The cached solvers keep the adjugate of
-the pivot-row system over the determinant, ``_Run.adjugate``, in product
-form, ``_ProductForm``: exchanges on one pivot row cost O(n) each, and fold
-into the adjugate before a FIFO solve reads it or when the row-major walk
-reaches a row.
+checked off the pivot rows. The cached solvers keep, in product form
+(``_ProductForm``), the adjugate of the pivot-row system over the
+determinant, ``_Run.adjugate``, or the pool's solution matrix: exchanges on
+one pivot row cost O(n) each, and fold in when the row-major walk reaches a
+row, before a FIFO solve reads the adjugate, and at a FIFO exchange on
+another row. FIFO takes the solution matrix while the pool is no wider than
+the rank (``_Run.fifo_solver``): an exchange then costs ``n * len(pool)``
+and a solve O(n), against ``n**2`` each on the adjugate.
 Rows below the basis rows ride along: the same exchange
 moves them with the vectors, so the Diophantine coordinates need no second
 copy. They are carried sparsely: one row per input column that has been in
@@ -287,26 +290,34 @@ class _ProductForm:
     set to ``p / d0``: ``p = d0 * B0**-1 @ B_i`` and ``p[i] == det`` (``p`` is
     None while ``E`` is the identity). :meth:`fold` multiplies ``E`` into
     ``g``, in one ``_exchange_update``; an exchange on another row folds
-    first, so ``E`` composes one row's exchanges. An exchange ``(i, j, W, d)``
-    costs O(n): with ``moves`` (``C`` is the pool, and slot ``j`` now holds
-    the old ``B_i``) column ``j`` of ``g`` becomes ``p``, then ``p`` becomes
-    the new ``B_i``, ``B @ W / d``. Every division is exact by Cramer's rule.
+    it, so ``E`` composes one row's exchanges. An exchange ``(i, j, W, d)``
+    costs O(n) but for that fold: with ``moves`` (``C`` is the pool, and slot
+    ``j`` now holds the old ``B_i``) column ``j`` of ``g`` becomes ``d0 *
+    B0**-1 @ B_i`` first, ``p`` on ``E``'s row and ``d0 * e_i`` off it; then
+    ``p`` becomes the new ``B_i``, ``B @ W / d``. Every division is exact by
+    Cramer's rule. With ``moves`` a slot the run discards leaves ``g`` too,
+    in :meth:`drop`, so no later fold works on it.
     """
 
     def __init__(self, run: "_Run", g: list[list[int]], moves: bool):
         self.g, self.moves = g, moves
         self.d0, self.i, self.p = run.det, None, None
         run.on_exchange.append(self.exchange)
+        if moves:
+            run.on_discard.append(self.drop)
+
+    def drop(self, j: int) -> None:
+        for r in self.g:
+            del r[j]
 
     def exchange(self, i: int, j: int, w: Sequence[int], d: int) -> None:
-        if self.p is not None and i != self.i:
-            self.fold()
-        d0, p = self.d0, self.p
-        if self.moves:
+        d0, p = self.d0, (self.p if i == self.i else None)  # E's column, if E is on row i
+        if self.moves:  # off E's row, E leaves B0's column i as it is: d0 * e_i
             for r, e in zip(self.g, p or [d0 * (k == i) for k in range(len(w))]):
                 r[j] = e
-        if p is None:  # the first exchange since the fold: d0 == d, so E's column is W itself
-            self.i, self.p = i, list(w)
+        if p is None:  # E, if any, is on another row: fold it (column j, a unit column, costs little)
+            self.fold()
+            self.i, self.p = i, list(w)  # now d0 == d, so E's column is W itself
         else:
             wi = w[i]
             self.p = [wi if k == i else (d0 * wk + pk * wi) // d for k, (wk, pk) in enumerate(zip(w, p))]
@@ -339,15 +350,17 @@ class _Run:
     before it and ``W = _weights(num, d, i)``; the new determinant is
     ``d * w[i] == W[i]``. Each exchange then calls every hook in
     ``on_exchange`` as ``hook(i, j, W, d)``, ``j`` the source's pool slot; a
-    tracker keeps numerators over ``det``, which is ``d`` before it.
+    tracker keeps numerators over ``det``, which is ``d`` before it. A FIFO
+    discard of slot ``j`` calls every hook in ``on_discard`` as ``hook(j)``.
 
     A driver picks one of three solvers and one of the two orders,
     :meth:`fifo` and :meth:`row_major`: :meth:`solve`, from scratch;
-    :meth:`adjugate`, the cached adjugate, for either order; and
-    :meth:`solution_matrix`, the pool's solution matrix, for the row-major
-    walk. Each checks its solutions off the pivot rows through :meth:`check`,
-    the one off-pivot check, which skips when ``covered``: the pivot rows are
-    every basis row.
+    :meth:`adjugate`, the cached adjugate; and :meth:`solution_matrix`, the
+    pool's solution matrix. The cached ones serve either order; for FIFO,
+    :meth:`fifo_solver` picks one of them by the run's shape alone. Each
+    checks its solutions off the pivot rows through :meth:`check`, the one
+    off-pivot check, which skips when ``covered``: the pivot rows are every
+    basis row.
 
     The run keeps its basis once: ``rows``, int lists that each exchange
     rewrites in place. The first ``dim`` are the basis rows; ``off_rows`` are
@@ -371,7 +384,7 @@ class _Run:
     column of each pool vector before any exchange, and the frontier of the
     lazy elimination: the columns from it on still hold the input's entries.
     :meth:`solution_matrix`, its one reader, finishes the rows in place with
-    ``exact._replay`` first.
+    ``exact._replay`` first. A driver that replaces the pool sets it to None.
     """
 
     def __init__(
@@ -392,6 +405,7 @@ class _Run:
         self.trace: list[ExchangeRecord] = []
         self.discards = discards
         self.on_exchange: list[Callable] = []
+        self.on_discard: list[Callable] = []
         self.carried = carried
         self.echelon: Optional[tuple] = None
         self.covered = len(self.pivot_rows) == self.dim  # else check() reads the rows off them
@@ -436,8 +450,8 @@ class _Run:
         """``(solve, row, column)`` on the adjugate ``det * B**-1`` of the pivot-row system, a :class:`_ProductForm`.
 
         One elimination of the unit vectors builds it. ``solve(vec)``, for
-        :meth:`fifo`, folds the exchanges since the last read in and is ``adj
-        @ vec``; for :meth:`row_major`, ``row(i)`` folds and is ``adj[i]``
+        :meth:`fifo` and any vector besides, folds the exchanges since the last
+        read in and is ``adj @ vec``; for :meth:`row_major`, ``row(i)`` folds and is ``adj[i]``
         times the pool, and ``column(j)`` is ``adj0 @ pool[j]`` combined with
         the row's exchanges in O(n). Both solves are checked off the pivot rows
         by :meth:`check`. All read only the pivot rows, so carried rows
@@ -461,8 +475,8 @@ class _Run:
 
         return solve, row, lambda j: solve(self.pool[j], pending=True)
 
-    def solution_matrix(self) -> tuple[Callable, Callable]:
-        """``(row, column)`` on ``det * X``, ``X`` the solution matrix of the pool, for :meth:`row_major`.
+    def solution_matrix(self) -> tuple[Callable, Callable, Callable]:
+        """``(solve, row, column)`` on ``det * X``, ``X`` the solution matrix of the pool.
 
         Read off the column split's elimination, :attr:`echelon`, before any
         exchange: ``exact._replay`` finishes the columns past its frontier,
@@ -470,33 +484,58 @@ class _Run:
         of a later pivot was stepped over because every row left was zero
         there, and no later step writes it. One elimination of the pivot-row
         block, without right-hand sides, checks the split's determinant, and
-        each pool vector is checked off the pivot rows by :meth:`check`.
-        ``X`` is kept in a :class:`_ProductForm` over the pool: ``row(i)``
-        folds and is row ``i``, and ``column(j)`` is column ``j`` at the last
-        fold combined with the row's exchanges in O(n).
+        each pool vector is checked off the pivot rows by :meth:`check`. A
+        pool the split did not pool (``echelon`` is None: determinant mode's
+        unit vectors, whose ``X`` is the adjugate) is solved by one
+        :meth:`solve` instead. ``X`` is kept in a :class:`_ProductForm` over
+        the pool: ``row(i)``, for :meth:`row_major`, folds and is row ``i``,
+        and ``column(j)``, for either order, is column ``j`` at the last fold
+        combined with the row's exchanges in O(n). ``X`` holds the pool
+        alone, so ``solve`` is None.
         """
-        a, cols, pooled, frontier = self.echelon
-        if a and frontier < len(a[0]):  # columns the split's pivot search never reached
-            _replay(a, cols, frontier)
-        x_num = _back_substitute(a, cols, pooled, self.det)
-        self.eliminate(())  # the pivot-row block alone, checked against the split's determinant
-        self.check(self.pool, zip(*x_num))
+        if self.echelon is None:
+            x_num = [list(r) for r in zip(*self.solve(self.pool))]
+        else:
+            a, cols, pooled, frontier = self.echelon
+            if a and frontier < len(a[0]):  # columns the split's pivot search never reached
+                _replay(a, cols, frontier)
+            x_num = _back_substitute(a, cols, pooled, self.det)
+            self.eliminate(())  # the pivot-row block alone, checked against the split's determinant
+            self.check(self.pool, zip(*x_num))
         form = _ProductForm(self, x_num, moves=True)
-        return (lambda i: form.fold()[i]), (lambda j: form.column([r[j] for r in x_num]))
+        return None, (lambda i: form.fold()[i]), (lambda j: form.column([r[j] for r in x_num]))
 
-    def exchange(self, j: int, num: Sequence[int], i: int) -> None:
+    def fifo_solver(self) -> tuple[Callable, Callable]:
+        """``(solve, column)``, a cached solver for :meth:`fifo`, picked by the run's shape alone.
+
+        ``column(j)`` solves ``pool[j]``. While the pool is no wider than the
+        rank, the solver is :meth:`solution_matrix`: an exchange costs ``n *
+        len(pool)`` and a solve is an O(n) read of a column, but ``solve`` is
+        None, as the pool is all it holds. A wider pool makes those folds cost
+        more than the adjugate's ``n**2`` (:meth:`adjugate`), whose FIFO solve
+        folds and is ``adj @ pool[j]``, and whose ``solve(vec)`` reads any vector.
+        """
+        if len(self.pool) <= len(self.pivot_rows):
+            solve, _, column = self.solution_matrix()
+            return solve, column
+        solve = self.adjugate()[0]
+        return solve, lambda j: solve(self.pool[j])
+
+    def exchange(self, j: int, num: Sequence[int], i: int, column: Optional[int] = None) -> None:
         """Swap basis column ``i`` for the residue of ``pool[j]``, then run the ``on_exchange`` hooks.
 
         ``num`` must solve ``basis @ num == det * pool[j]``, ``num[i] / det``
         fractional (:func:`_rounded` raises IntegralPivotError before any state
         changes otherwise). The old basis column takes pool slot ``j``, as the
         class docstring lays out a pool vector; the new determinant is ``W[i]``.
+        The trace records ``column``, ``j`` unless given.
         """
         d = self.det
         rounded = _rounded(num, d, i)
         w = [e - d * r for e, r in zip(num, rounded)]  # _weights(num, d, i)
         self.det = w[i]
-        self.trace.append(ExchangeRecord(len(self.trace), i, j, Fraction(w[i], d), self.det))
+        record = j if column is None else column
+        self.trace.append(ExchangeRecord(len(self.trace), i, record, Fraction(w[i], d), self.det))
         vec, rows, carried = self.pool[j], self.rows, self.carried
         old = tuple(r[i] for r in rows)
         if carried is not None:  # vec's entry on every row, its own row made first if it is an input column
@@ -516,21 +555,29 @@ class _Run:
     def fifo(self, solve: Callable) -> None:
         """Pool first in, first out; pivot as :func:`choose_pivot_argmin` does.
 
-        ``solve(vec)`` returns ``num`` over ``det``. A pool vector whose solution is
-        integral is discarded; an exchanged one's old basis column joins the
-        back of the pool. Stops once ``|det| == 1``: every remaining pool vector
-        then divides evenly and is discarded unexamined.
+        ``solve(j)`` returns the numerators of ``pool[j]`` over ``det``. A pool
+        vector whose solution is integral is discarded; an exchanged one's old
+        basis column joins the back of the queue. The queue is a cursor ``j``
+        over fixed pool slots: the old basis column takes the exchanged slot,
+        which the cursor then leaves behind, and a discarded slot is deleted
+        (the ``on_discard`` hooks follow). Every trace record holds column 0,
+        the front of the queue. Stops once ``|det| == 1``: every remaining pool
+        vector then divides evenly and is discarded unexamined.
         """
-        pool = self.pool
+        pool, j = self.pool, 0
         while pool and self.det not in (1, -1):
-            num = solve(pool[0])
+            num = solve(j)
             i = _pivot(num, self.det)
             if i is None:
                 self.discards += 1
-                pool.pop(0)
-                continue
-            self.exchange(0, num, i)
-            pool.append(pool.pop(0))
+                del pool[j]
+                for hook in self.on_discard:
+                    hook(j)
+            else:
+                self.exchange(j, num, i, column=0)
+                j += 1
+            if j == len(pool):
+                j = 0
         self.discards += len(pool)
         pool.clear()
 
@@ -671,7 +718,7 @@ def basic_basis(a_mat: Matrix) -> BasisResult:
     an input without nonzero columns yields an empty basis.
     """
     run = _split(a_mat)
-    run.fifo(lambda vec: run.solve((vec,))[0])
+    run.fifo(lambda j: run.solve((run.pool[j],))[0])
     return run.result()
 
 

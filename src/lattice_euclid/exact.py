@@ -14,14 +14,16 @@ Every step goes through one loop, ``_step``. The column split is lazy: an
 ``n x m`` input whose pivots sit in its first columns costs O(n**3), not
 O(n**2 * m). One integer back-substitution, ``_back_substitute``, reads the
 solutions of every right-hand side at once off the echelon rows it leaves:
-the solution driver takes ``det * X`` for the whole pool from the split's
-own elimination, finished by ``_replay``.
+the solution driver, and a FIFO run whose pool is no wider than its rank,
+take ``det * X`` for the whole pool from the split's own elimination,
+finished by ``_replay``.
 
 After an exchange nothing is eliminated again: the cached inverse and the
 solution matrix advance by the exchange's elementary matrix in one integer
 kernel, ``_exchange_update``, applied to the product form of the inverse of
 Dantzig and Orchard-Hays (``euclid._ProductForm``): once per pivot row, on
-the row-major walk, and before each solve that reads an exchange, for FIFO.
+the row-major walk; for FIFO, before each solve that reads an exchange on
+the adjugate, and at each exchange on another row on the solution matrix.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Each driver here is a configuration of the engine ``euclid._Run``: it picks
 one of the engine's solvers and one of its two pivot orders, nothing else.
 
 * ``inverse_variant_basis``: the FIFO order of ``basic_basis`` (same pivots,
-  same trace), solved on the cached adjugate, ``_Run.adjugate``.
-  Determinant mode (:mod:`lattice_euclid.applications`) is this run on
-  ``(B | I)``.
+  same trace), on the cached solver the run's shape picks,
+  ``_Run.fifo_solver``: the pool's solution matrix while the pool is no wider
+  than the rank, else the cached adjugate, ``_Run.adjugate``. Determinant
+  mode (:mod:`lattice_euclid.applications`) is this run on ``(B | I)``.
 * ``solution_variant_basis``: the row-major order, on the pool's solution
   matrix read off the column split, ``_Run.solution_matrix``.
 * ``rowwise_variant_basis``: the row-major order, each row formed once as one
@@ -41,15 +42,18 @@ from .euclid import BasisResult, _split, _unit, _weights
 
 
 def inverse_variant_basis(a_mat: Matrix) -> BasisResult:
-    """Basis computation with a cached inverse, updated per exchange.
+    """Basis computation with a cached inverse or solution matrix, updated per exchange.
 
     Behaves exactly like :func:`lattice_euclid.euclid.basic_basis` (same
-    pivots, same trace, same early stop once ``|det| == 1``) except that
-    each solve is an integer matrix-vector product against the cached
-    adjugate ``d * B**-1``, handed to the engine as numerators over ``d``.
+    pivots, same trace, same early stop once ``|det| == 1``) except that no
+    solve eliminates. While the pool is no wider than the rank, ``d * X``
+    for the pool is read off the column split, and a solve reads one column
+    of it in O(n); otherwise each solve is an integer matrix-vector product
+    against the cached adjugate ``d * B**-1``. Either is handed to the engine
+    as numerators over ``d``.
     """
     run = _split(a_mat)
-    run.fifo(run.adjugate()[0])
+    run.fifo(run.fifo_solver()[1])
     return run.result()
 
 
@@ -106,7 +110,7 @@ def solution_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> 
     InvariantViolationError.
     """
     run = _split(a_mat)
-    row, column = run.solution_matrix()
+    _, row, column = run.solution_matrix()
     run.row_major(row, column)
     if check_invariants and run.solve(run.pool) != [column(j) for j in range(len(run.pool))]:
         raise InvariantViolationError("solution matrix disagrees with a fresh elimination")
@@ -133,8 +137,8 @@ def rowwise_variant_basis(a_mat: Matrix, *, check_invariants: bool = False) -> B
 
     Walks solution rows top-down: row ``i`` is formed once, as row ``i`` of
     the cached adjugate times the pool (``_Run.adjugate``: the product form
-    that :func:`inverse_variant_basis` folds before each solve folds here
-    once per row); while it has a fractional entry, exchange on it, and
+    that :func:`inverse_variant_basis` folds before each solve on a wide
+    pool folds here once per row); while it has a fractional entry, exchange on it, and
     carry the row across the exchange rather than form it again. Once a row is integral it stays
     integral, so the walk never backtracks; once ``|det| == 1`` it forms no
     further row. Both the per-step

@@ -49,6 +49,8 @@ MUTANTS = [
      'raise InvariantViolationError("transform does not reproduce the basis")', "pass"),
     ("final-solve cross-check gone", "applications.py",
      'raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")', "pass"),
+    ("per-step FIFO cross-check gone", "applications.py",
+     'raise InvariantViolationError("tracked FIFO solve disagrees with a fresh elimination")', "pass"),
     # determinant mode's value against the split, and exchange_step's denominators
     ("determinant equality check gone", "applications.py",
      'raise InvariantViolationError("accumulated residues disagree with the determinant")', "pass"),
@@ -96,6 +98,17 @@ MUTANTS = [
      "(d0 * wk + pk * wi) // d", "(d0 * wk - pk * wi) // d"),
     ("product-form combined column sign flipped", "euclid.py",
      "(det * e - pk * ci) // d0", "(det * e + pk * ci) // d0"),
+    # the pool's solution matrix in FIFO order: the fold kernel, the entering
+    # column (the old B_i) set to d0 * e_i before the fold, a discarded slot
+    # leaving the tracker, and the shape rule that picks it
+    ("exchange update kernel sign flipped", "exact.py",
+     "(wi * e - wk * h) // d", "(wi * e + wk * h) // d"),
+    ("entering column not reset to d0 * e_i", "euclid.py",
+     "p or [d0 * (k == i) for k in range(len(w))]", "p or [r[j] for r in self.g]"),
+    ("discarded slot left in the tracker", "euclid.py",
+     "            del r[j]\n", "            pass\n"),
+    ("shape rule inverted", "euclid.py",
+     "if len(self.pool) <= len(self.pivot_rows):", "if len(self.pool) > len(self.pivot_rows):"),
     ("carried row written in place", "euclid.py",
      "z = list(row(i))", "z = row(i)"),
     ("exchange hooks not run", "euclid.py",

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_euclid import (
@@ -638,7 +638,7 @@ def test_fifo_stops_once_the_basis_is_unimodular():
     for entries, solves, exchanges in (([1, 5, 7], 0, 0), ([2, 3, 5], 1, 1)):
         run = _split(Matrix.from_rows([entries]))
         solved = []
-        run.fifo(lambda vec: solved.append(vec) or run.solve((vec,))[0])
+        run.fifo(lambda j: solved.append(j) or run.solve((run.pool[j],))[0])
         assert (len(solved), len(run.trace), run.discards) == (solves, exchanges, 2)
         assert run.det in (1, -1) and run.pool == []
 
@@ -835,10 +835,63 @@ def test_product_form_equals_the_eager_adjugate_in_fifo_order():
             assert folded.fold() == adj
 
         run.on_exchange.append(check)
-        run.fifo(lambda vec: run.solve((vec,))[0])
+        run.fifo(lambda j: run.solve((run.pool[j],))[0])
         assert tuple(run.trace) == inverse_variant_basis(a).trace
         row_changes += sum(r.pivot_row != s.pivot_row for r, s in zip(run.trace, run.trace[1:]))
     assert row_changes >= 10
+
+
+@st.composite
+def _fifo_shapes(draw):
+    """``A`` of rank at most ``r <= n <= 4`` whose pool is ``r - 2`` to ``r + 1`` columns, plus up to two zero columns.
+
+    ``A`` is a product ``L @ R`` of entries in [-4, 4], so zero entries are
+    common, ``r < n`` leaves it rank-deficient and ``L`` may lower its rank.
+    """
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, n))
+    m = r + draw(st.integers(max(0, r - 2), r + 1))
+    entries = st.integers(-4, 4)
+    left = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    right = [[draw(entries) for _ in range(m)] for _ in range(r)]
+    columns = [tuple(sum(row[k] * right[k][j] for k in range(r)) for row in left) for j in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        columns.insert(draw(st.integers(0, len(columns))), (0,) * n)
+    return Matrix(columns, rows=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fifo_shapes())
+@example(Matrix.from_rows([[4, 0, 0, 1], [0, 6, 0, 1], [0, 0, 9, 1]]))  # a pool narrower than the rank
+@example(Matrix.from_rows([[-6, -5, -6, 4], [1, -5, -2, 3]]))  # as wide as the rank
+@example(Matrix.from_rows([[6, 10, 15]]))  # one wider than the rank
+@example(Matrix.from_rows([[2, 3, 5, 7], [4, 1, 0, 3], [6, 4, 5, 10]]))  # rank-deficient: row 2 is row 0 plus row 1
+@example(Matrix.from_rows([[0, 4, 0, 6], [0, 0, 3, 0]]))  # a zero column and zero entries
+@example(Matrix.from_rows([[2, 0, 4, 1], [0, 3, 3, 1]]))  # (4, 3) divides evenly: discarded before the exchanges
+def test_both_fifo_trackers_solve_each_step_as_a_fresh_elimination(a):
+    # whichever side of the shape rule a pool falls on, the pool's solution
+    # matrix and the adjugate each solve the vector at the front of the queue
+    # as _Run.solve does, before every FIFO step; the inverse driver, which
+    # picks one by the rule, ends as the baseline does
+    want = basic_basis(a)
+    for tracker in ("solution matrix", "adjugate"):
+        run = _split(a)
+        if tracker == "solution matrix":
+            column = run.solution_matrix()[2]
+        else:
+            solve = run.adjugate()[0]
+            column = lambda j: solve(run.pool[j])
+
+        def checked(j):
+            num = column(j)
+            assert num == run.solve((run.pool[j],))[0], tracker
+            return num
+
+        run.fifo(checked)
+        got = run.result()
+        assert (got.basis, got.trace, got.det_trajectory, got.discards) == (want.basis, want.trace, want.det_trajectory, want.discards)
+    got = inverse_variant_basis(a)
+    assert (got.basis, got.trace, got.det_trajectory, got.discards) == (want.basis, want.trace, want.det_trajectory, want.discards)
 
 
 def test_fifo_folds_at_most_once_per_exchange(monkeypatch):
@@ -935,7 +988,10 @@ def test_basis_transform_refuses_a_basis_outside_the_span():
 # those seam calls; each _bareiss must follow the seam call that makes it, so
 # no elimination runs outside the seams. The solution matrix finishes the
 # split's own elimination, with one _replay right after it, when the split
-# stopped short of its last column.
+# stopped short of its last column. A FIFO run on a cached solver takes, by the
+# shape rule of _Run.fifo_solver, the pool's solution matrix (the split, its
+# _replay if any, and the determinant check) or the adjugate (one elimination
+# of the unit vectors).
 
 
 def _seam_log(monkeypatch) -> list:
@@ -990,9 +1046,26 @@ def _basic_row(a, log):
     return _split_seam(a.cols) + (_eliminate_seam(1, res.basis.cols) + [("step",)]) * steps
 
 
+def _fifo_seams(a, log) -> tuple[list, bool]:
+    """``(seams, narrow)``: the split and cached-solver seams of a FIFO run on ``a``, and whether they are the solution matrix's.
+
+    While the pool is no wider than the rank, the pool's solution matrix:
+    the split, a ``_replay`` when it stopped short of its last column, then
+    ``eliminate(0)``. Otherwise the adjugate: ``eliminate(rank)``.
+    """
+    run = _split(a)
+    rank, narrow = len(run.pivot_rows), len(run.pool) <= len(run.pivot_rows)
+    log.clear()
+    if not narrow:
+        return _split_seam(a.cols) + _eliminate_seam(rank, rank), narrow
+    finish = [("_replay",)] if run.echelon[3] < a.cols else []
+    return _split_seam(a.cols) + finish + _eliminate_seam(0, rank), narrow
+
+
 def _inverse_row(a, log):
-    rank = inverse_variant_basis(a).basis.cols
-    return _split_seam(a.cols) + _eliminate_seam(rank, rank) + _steps(log)
+    seams, _ = _fifo_seams(a, log)
+    inverse_variant_basis(a)
+    return seams + _steps(log)
 
 
 def _solution_row(a, log):
@@ -1030,13 +1103,15 @@ def _determinant_row(case, log):
     assert value == det
     assert exchanges is None or len(trace) == exchanges
     n = b.rows
+    # the pool of n unit vectors is never wider than the rank n: its solution
+    # matrix, the adjugate, is one elimination of them; the end basis, one more
     return _split_seam(n) + _eliminate_seam(n, n) + _steps(log) + _eliminate_seam(0, n)
 
 
 def _diophantine_row(case, log):
     a, rhs, outcome = case
     want = basic_basis(a)
-    log.clear()
+    seams, narrow = _fifo_seams(a, log)
     if outcome is SpanMismatchError:
         with pytest.raises(SpanMismatchError) as exc:
             diophantine_run(a, rhs)
@@ -1046,8 +1121,9 @@ def _diophantine_row(case, log):
         assert (solution is None) == (outcome is None)
         assert solution is None or a.mat_vec(solution) == tuple(rhs)
     assert trace == want.trace
-    rank = want.basis.cols
-    return _split_seam(a.cols) + _eliminate_seam(rank, rank) + _steps(log)
+    # the solution matrix holds only the pool: the right-hand side is one more elimination
+    closing = _eliminate_seam(1, want.basis.cols) if narrow else []
+    return seams + _steps(log) + closing
 
 
 _FULL = random_instance(InstanceParams(n=6, m=10, bound=1000, seed=33))
@@ -1092,6 +1168,15 @@ _SEAM_TABLE = [
     for row in rows
     for name, case in cases.items()
 ]
+
+
+def test_the_seam_cases_fall_on_both_sides_of_the_shape_rule():
+    def narrow(a):
+        run = _split(a)
+        return len(run.pool) <= len(run.pivot_rows)
+
+    assert [name for name, a in _BASIS_CASES.items() if narrow(a)] == ["full", "square", "no-columns"]
+    assert [name for name, (a, _, _) in _DIOPHANTINE_CASES.items() if narrow(a)] == ["full", "zero", "zero-off-span"]
 
 
 @pytest.mark.parametrize("row, case", _SEAM_TABLE)

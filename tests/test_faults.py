@@ -211,9 +211,28 @@ def test_diophantine_run_checks_the_transform_at_the_end(monkeypatch):
         diophantine_run(UNTOUCHED, (1, 1), check_invariants=True)
 
 
-def test_diophantine_run_checks_the_final_solve_against_an_elimination(monkeypatch):
+def _skew_fresh_solves(monkeypatch):
+    """Make every solve from scratch, ``_Run.solve``, add 1 to each numerator."""
     original = euclid._Run.solve
     monkeypatch.setattr(euclid._Run, "solve", lambda run, vecs: [[e + 1 for e in num] for num in original(run, vecs)])
-    diophantine_run(UNTOUCHED, (1, 1))
+
+
+def test_diophantine_run_checks_the_final_solve_against_an_elimination(monkeypatch):
+    # a pool of two against rank 1 runs on the adjugate; the split is
+    # unimodular, so no FIFO step solves and the closing solve alone reads it
+    a = Matrix.from_rows([[1, 2, 3]])
+    _skew_fresh_solves(monkeypatch)
+    diophantine_run(a, (5,))
     with pytest.raises(InvariantViolationError, match="cached adjugate disagrees"):
-        diophantine_run(UNTOUCHED, (1, 1), check_invariants=True)
+        diophantine_run(a, (5,), check_invariants=True)
+
+
+def test_diophantine_run_checks_each_tracked_fifo_solve_against_an_elimination(monkeypatch):
+    # UNTOUCHED's pool of one runs on its solution matrix, whose closing
+    # solve is itself a fresh elimination; [6, 10, 15]'s pool of two runs on
+    # the adjugate. Each run's first FIFO step reads its tracker.
+    _skew_fresh_solves(monkeypatch)
+    for a, rhs in ((UNTOUCHED, (1, 1)), (Matrix.from_rows([[6, 10, 15]]), (1,))):
+        diophantine_run(a, rhs)
+        with pytest.raises(InvariantViolationError, match="tracked FIFO solve disagrees"):
+            diophantine_run(a, rhs, check_invariants=True)

@@ -310,7 +310,7 @@ def test_solution_matrix_read_off_the_split_matches_a_fresh_solve():
         a = Matrix(tuple((0,) * n if j in zeroed else col for j, col in enumerate(a.columns)), rows=n)
         run = _split(a)
         rows, cols, pooled, frontier = run.echelon
-        row, column = run.solution_matrix()
+        _, row, column = run.solution_matrix()
         got = _back_substitute(rows, cols, pooled, run.det)
         want = run.solve(run.pool)
         assert got == [[num[t] for num in want] for t in range(len(run.pivot_rows))]
