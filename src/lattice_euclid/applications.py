@@ -28,9 +28,9 @@ Both are configurations of the engine's FIFO order, the order of
   pivot rows, so the carried rows need nothing. At the end
   the carried rows, each at its input column and zero elsewhere, are an
   integral ``U`` with ``A @ U = basis``; feasibility then reduces to whether
-  ``basis`` divides ``b`` evenly, which the same adjugate solves (the
-  solution matrix holds the pool alone, so there one more elimination does),
-  and a witness is ``U @ (basis**-1 b)``.
+  ``basis`` divides ``b`` evenly, which one call of the same solver's
+  ``solve`` settles (the solution matrix holds the pool alone, so its
+  ``solve`` is one more elimination), and a witness is ``U @ (basis**-1 b)``.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def diophantine_run(
 
     ``U`` is the m-by-rank integer matrix with ``a_mat @ U == basis`` for the
     final basis of the run; with ``check_invariants`` that identity is
-    re-verified after every exchange, and each FIFO solve on the cached
-    solver, and the final one on the adjugate, against a fresh elimination.
+    re-verified after every exchange, each FIFO solve on the cached solver
+    against a fresh elimination, and the closing solve by its residual.
     The trace is that of
     :func:`lattice_euclid.euclid.basic_basis` on ``a_mat``; a SpanMismatchError carries it as ``trace``.
     """
@@ -108,7 +108,7 @@ def diophantine_run(
         raise DimensionMismatchError(f"right-hand side of length {len(rhs)} against {a_mat.rows} rows")
     mu, vec = _integer_multiple(rhs)  # TypeError before the run on entries not int or Fraction
     run = _split(a_mat, coordinates=True)
-    solve, tracked = run.fifo_solver()  # solve is None on the pool's solution matrix
+    solve, tracked = run.fifo_solver()
 
     def check(i, j, w, d):
         if a_mat.mat_vec([r[i] for r in run.coordinates(a_mat.cols)]) != run.basis.column(i):
@@ -128,12 +128,12 @@ def diophantine_run(
     if check_invariants and (a_mat @ transform) != run.basis:
         raise InvariantViolationError("transform does not reproduce the basis")
     try:
-        num = solve(vec) if solve else run.solve((vec,))[0]
+        num = solve(vec)
     except SpanMismatchError as exc:  # outside the rational span: the run's exchanges still happened
         exc.trace = tuple(run.trace)
         raise
-    if check_invariants and solve and run.solve((vec,)) != [num]:
-        raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")
+    if check_invariants and run.basis.mat_vec(num) != tuple(run.det * e for e in vec):
+        raise InvariantViolationError("closing solve does not reproduce the right-hand side")
     d = run.det * mu  # x == num / d
     if any(e % d for e in num):
         return None, transform, tuple(run.trace)

@@ -75,12 +75,11 @@ from .exact import (
     _bareiss,
     _check_entries,
     _check_index,
-    _eliminate,
     _eliminate_rows,
     _exchange_update,
     _integer_multiple,
     _replay,
-    solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
+    solve_system,
 )
 
 
@@ -252,17 +251,15 @@ def solve_in_span(basis: Matrix, pivot_rows: Sequence[int], vec: Sequence[int]) 
     exactly, so a vector outside the column span raises SpanMismatchError
     instead of silently returning a non-solution.
 
-    The engine's integer solve: numerators ``num`` over the determinant
-    ``d`` from one elimination of the pivot rows of ``(basis | vec)``, the
-    other rows checked on ``num``; Fractions are built only for the result.
+    The pivot rows are one :func:`~lattice_euclid.exact.solve_system`, and
+    :func:`check_off_pivot_rows` checks the others.
     """
     if len(pivot_rows) != basis.cols or len(vec) != basis.rows:
         raise DimensionMismatchError(
             f"{len(pivot_rows)} pivot rows and a vector of length {len(vec)} "
             f"against a {basis.rows}x{basis.cols} basis"
         )
-    d, (num,) = _eliminate(basis.submatrix_rows(pivot_rows), ([vec[t] for t in pivot_rows],))
-    x = tuple(Fraction(e, d) for e in num)
+    x = solve_system(basis.submatrix_rows(pivot_rows), [vec[t] for t in pivot_rows])
     check_off_pivot_rows(basis, pivot_rows, vec, x)
     return x
 
@@ -356,11 +353,11 @@ class _Run:
     A driver picks one of three solvers and one of the two orders,
     :meth:`fifo` and :meth:`row_major`: :meth:`solve`, from scratch;
     :meth:`adjugate`, the cached adjugate; and :meth:`solution_matrix`, the
-    pool's solution matrix. The cached ones serve either order; for FIFO,
-    :meth:`fifo_solver` picks one of them by the run's shape alone. Each
-    checks its solutions off the pivot rows through :meth:`check`, the one
-    off-pivot check, which skips when ``covered``: the pivot rows are every
-    basis row.
+    pool's solution matrix. The cached ones serve either order, and each
+    hands back a ``solve(vec)`` for any vector; for FIFO, :meth:`fifo_solver`
+    picks one of them by the run's shape alone. Each checks its solutions off
+    the pivot rows through :meth:`check`, the one off-pivot check, which skips
+    when ``covered``: the pivot rows are every basis row.
 
     The run keeps its basis once: ``rows``, int lists that each exchange
     rewrites in place. The first ``dim`` are the basis rows; ``off_rows`` are
@@ -371,11 +368,11 @@ class _Run:
     basis, the Diophantine coordinates (``_split`` makes the chosen columns'
     rows). A pool vector holds its entries on the rows that existed when it
     joined the pool (only the ``dim`` for an input column) and reads zero on
-    any row made later, then ``{input column: coefficient}`` for the columns
-    that have no row: ``{j: 1}`` for input column ``j``, ``{}`` for a former
-    basis column. An exchange makes the entering vector's new rows, so the
-    carry holds at most ``rank + exchanges`` rows, then moves the carried
-    entries with the vectors.
+    any row made later, then the input column it still needs a row for:
+    ``j`` for input column ``j``, None for a former basis column. An exchange
+    makes the entering column's row, a 1 on it, so the carry holds at most
+    ``rank + exchanges`` rows, then moves the carried entries with the
+    vectors.
     A run without columns keeps no rows: ``rows`` is empty, and ``off_rows``
     yields the ``dim`` empty rows on demand.
 
@@ -491,7 +488,7 @@ class _Run:
         the pool: ``row(i)``, for :meth:`row_major`, folds and is row ``i``,
         and ``column(j)``, for either order, is column ``j`` at the last fold
         combined with the row's exchanges in O(n). ``X`` holds the pool
-        alone, so ``solve`` is None.
+        alone, so ``solve(vec)``, for any other vector, is one :meth:`solve`.
         """
         if self.echelon is None:
             x_num = [list(r) for r in zip(*self.solve(self.pool))]
@@ -503,17 +500,19 @@ class _Run:
             self.eliminate(())  # the pivot-row block alone, checked against the split's determinant
             self.check(self.pool, zip(*x_num))
         form = _ProductForm(self, x_num, moves=True)
-        return None, (lambda i: form.fold()[i]), (lambda j: form.column([r[j] for r in x_num]))
+        row, column = (lambda i: form.fold()[i]), (lambda j: form.column([r[j] for r in x_num]))
+        return (lambda vec: self.solve((vec,))[0]), row, column
 
     def fifo_solver(self) -> tuple[Callable, Callable]:
         """``(solve, column)``, a cached solver for :meth:`fifo`, picked by the run's shape alone.
 
         ``column(j)`` solves ``pool[j]``. While the pool is no wider than the
         rank, the solver is :meth:`solution_matrix`: an exchange costs ``n *
-        len(pool)`` and a solve is an O(n) read of a column, but ``solve`` is
-        None, as the pool is all it holds. A wider pool makes those folds cost
-        more than the adjugate's ``n**2`` (:meth:`adjugate`), whose FIFO solve
-        folds and is ``adj @ pool[j]``, and whose ``solve(vec)`` reads any vector.
+        len(pool)`` and a solve is an O(n) read of a column. A wider pool makes
+        those folds cost more than the adjugate's ``n**2`` (:meth:`adjugate`),
+        whose FIFO solve folds and is ``adj @ pool[j]``. Either ``solve(vec)``
+        solves any vector, checked: the adjugate's from its form, the solution
+        matrix's, which holds the pool alone, from scratch.
         """
         if len(self.pool) <= len(self.pivot_rows):
             solve, _, column = self.solution_matrix()
@@ -538,14 +537,14 @@ class _Run:
         self.trace.append(ExchangeRecord(len(self.trace), i, record, Fraction(w[i], d), self.det))
         vec, rows, carried = self.pool[j], self.rows, self.carried
         old = tuple(r[i] for r in rows)
-        if carried is not None:  # vec's entry on every row, its own row made first if it is an input column
-            *vec, new = vec
+        if carried is not None:  # vec's entry on every row, its own row made first if it is input column k
+            *vec, k = vec
             vec += [0] * (len(rows) - len(vec))  # rows made since it joined the pool
-            for k, e in new.items():  # no vector but this one has a coordinate on k yet
+            if k is not None:  # no vector but this one has a coordinate on k yet
                 carried[k] = len(rows)
                 rows.append([0] * len(num))
-                vec.append(e)
-            old += ({},)
+                vec.append(1)
+            old += (None,)
         self.pool[j] = old
         for r, v in zip(rows, vec):
             r[i] = v - sum(map(mul, r, rounded))
@@ -652,8 +651,8 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     columns forms the basis and the rest is pooled. With ``coordinates``
     the run carries each vector's coordinates in the columns of ``a_mat``
     (see :class:`_Run`): a row per chosen column below the ``n`` basis rows,
-    together the ``rank x rank`` identity, and ``{j: 1}`` after pooled
-    column ``j``; nothing ``m`` long. Raises ValueError on a non-integral
+    together the ``rank x rank`` identity, and ``j`` after pooled column
+    ``j``; nothing ``m`` long. Raises ValueError on a non-integral
     entry. Without a nonzero column the run has no columns and keeps no rows.
     """
     a_mat = a_mat.to_int()  # raises on a non-integral Fraction
@@ -666,7 +665,7 @@ def _split(a_mat: Matrix, coordinates: bool = False) -> _Run:
     rows = [list(r) for r in zip(*(columns[j] for j in col_idx))]
     pool, carried = [columns[j] for j in pooled], None
     if coordinates:  # only for the columns the run keeps: a zero column carries nothing
-        pool = [col + ({j: 1},) for j, col in zip(pooled, pool)]
+        pool = [col + (j,) for j, col in zip(pooled, pool)]
         carried = {j: a_mat.rows + p for p, j in enumerate(col_idx)}
         rows += (list(_unit(p, len(col_idx))) for p in range(len(col_idx)))
     run = _Run(

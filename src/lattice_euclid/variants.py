@@ -31,12 +31,11 @@ from .errors import DimensionMismatchError, InvariantViolationError
 from .exact import (
     Matrix,
     Scalar,
-    _eliminate,
     _check_index,
     _check_square,
     _integer_multiple,
     _rational_exchange_update,
-    solve_system,  # unused here; perfbench/test_perfbench.py looks the name up in this module
+    solve_system,
 )
 from .euclid import BasisResult, _split, _unit, _weights
 
@@ -121,14 +120,15 @@ def solve_row(b_mat: Matrix, c_mat: Matrix, i: int) -> tuple[Fraction, ...]:
     """Row ``i`` of the exact solution matrix of ``b_mat @ X == c_mat``.
 
     Solves the single transposed system ``B^T y = e_i`` (so ``y`` is row
-    ``i`` of the inverse) as ``det * y`` in ints and takes integer dot
-    products with the columns of ``c_mat``; no other row of ``X`` is formed.
+    ``i`` of the inverse) with :func:`~lattice_euclid.exact.solve_system`,
+    clears its denominators to ``d * y`` and takes integer dot products with
+    the columns of ``c_mat``; no other row of ``X`` is formed.
     """
     n = _check_square(b_mat, "solve_row")
     if c_mat.rows != n:
         raise DimensionMismatchError("right-hand-side rows must match the system")
     _check_index(i, n, "row")
-    d, (y,) = _eliminate(b_mat.transpose(), (_unit(i, n),))
+    d, y = _integer_multiple(solve_system(b_mat.transpose(), _unit(i, n)))
     return tuple(Fraction(sum(map(mul, y, col)), d) for col in c_mat.columns)
 
 

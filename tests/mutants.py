@@ -47,8 +47,8 @@ MUTANTS = [
      'raise InvariantViolationError("coordinate tracking drifted from the basis")', "pass"),
     ("transform check gone", "applications.py",
      'raise InvariantViolationError("transform does not reproduce the basis")', "pass"),
-    ("final-solve cross-check gone", "applications.py",
-     'raise InvariantViolationError("cached adjugate disagrees with a fresh elimination")', "pass"),
+    ("closing residual check gone", "applications.py",
+     'raise InvariantViolationError("closing solve does not reproduce the right-hand side")', "pass"),
     ("per-step FIFO cross-check gone", "applications.py",
      'raise InvariantViolationError("tracked FIFO solve disagrees with a fresh elimination")', "pass"),
     # determinant mode's value against the split, and exchange_step's denominators
@@ -100,13 +100,16 @@ MUTANTS = [
      "(det * e - pk * ci) // d0", "(det * e + pk * ci) // d0"),
     # the pool's solution matrix in FIFO order: the fold kernel, the entering
     # column (the old B_i) set to d0 * e_i before the fold, a discarded slot
-    # leaving the tracker, and the shape rule that picks it
+    # leaving the tracker, the check of its solve of a vector off the pool,
+    # and the shape rule that picks it
     ("exchange update kernel sign flipped", "exact.py",
      "(wi * e - wk * h) // d", "(wi * e + wk * h) // d"),
     ("entering column not reset to d0 * e_i", "euclid.py",
      "p or [d0 * (k == i) for k in range(len(w))]", "p or [r[j] for r in self.g]"),
     ("discarded slot left in the tracker", "euclid.py",
      "            del r[j]\n", "            pass\n"),
+    ("solution matrix solves a foreign vector unchecked", "euclid.py",
+     "(lambda vec: self.solve((vec,))[0])", "(lambda vec: self.eliminate((vec,))[0])"),
     ("shape rule inverted", "euclid.py",
      "if len(self.pool) <= len(self.pivot_rows):", "if len(self.pool) > len(self.pivot_rows):"),
     ("carried row written in place", "euclid.py",
@@ -120,11 +123,11 @@ MUTANTS = [
     # Diophantine mode's sparse carry: a pooled column's coordinate, the
     # entering column's own coordinate on its new row, a leaving column's coordinates
     ("pooled column carries no coordinate", "euclid.py",
-     "col + ({j: 1},)", "col + ({},)"),
+     "col + (j,)", "col + (None,)"),
     ("entering coordinate dropped as its row is made", "euclid.py",
-     "                vec.append(e)\n", "                vec.append(0)\n"),
+     "                vec.append(1)\n", "                vec.append(0)\n"),
     ("former basis column leaves without coordinates", "euclid.py",
-     "            old += ({},)\n", "            old = (*old[: self.dim], {})\n"),
+     "            old += (None,)\n", "            old = (*old[: self.dim], None)\n"),
     # inverted conditions
     ("elimination check inverted", "euclid.py",
      "if d != self.det:", "if d == self.det:"),

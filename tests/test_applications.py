@@ -214,7 +214,7 @@ def test_diophantine_zero_columns_carry_no_coordinates():
 
 
 def test_diophantine_carry_memory_is_linear_in_m():
-    # a 1 x 2000 row without zero columns: each pooled column carries {j: 1},
+    # a 1 x 2000 row without zero columns: each pooled column carries its index,
     # and a coordinate row exists only for a column that has been in the
     # basis (a carry of all m coordinates under every vector peaked at 32 MB)
     rng = random.Random(1)

@@ -313,9 +313,9 @@ def test_split_checks_integer_entries_once(monkeypatch):
 
 def test_split_carries_coordinates_below_the_basis_rows():
     # one coordinate row per chosen column sits below the n basis rows (the
-    # rank x rank identity, no m-long rows), a pooled column j carries {j: 1}
-    # after its entries, and the run reads nothing of the carry: same pivot
-    # rows, off-pivot rows and basis
+    # rank x rank identity, no m-long rows), a pooled column j carries its
+    # index j after its entries, and the run reads nothing of the carry: same
+    # pivot rows, off-pivot rows and basis
     rng = random.Random(28)
     a = _low_rank(rng, 8, 12, 4, 9)
     run, plain = _split(a, coordinates=True), _split(a)
@@ -327,7 +327,7 @@ def test_split_carries_coordinates_below_the_basis_rows():
     assert a @ Matrix.from_rows(run.coordinates(a.cols)) == run.basis  # the coordinates U
     assert [v[: run.dim] for v in run.pool] == plain.pool
     pooled = [j for j in range(a.cols) if j not in chosen]
-    assert [v[run.dim :] for v in run.pool] == [({j: 1},) for j in pooled]
+    assert [v[run.dim :] for v in run.pool] == [(j,) for j in pooled]
 
 
 def test_split_leaves_the_columns_past_its_frontier_as_input():
@@ -697,7 +697,8 @@ def test_checked_solve_checks_every_vector_off_the_pivot_rows():
 def test_every_solver_refuses_a_vector_off_the_span_on_a_rank_deficient_run():
     # basis (1, 0) on pivot row 0 of 2: (2, 1) agrees with the pool vector
     # (2, 0) on the pivot row, so only the off-pivot check of row 1 can
-    # refuse it, whichever solver reads it
+    # refuse it, whichever solver reads it; the solution matrix holds the
+    # pool alone, so its solve of any vector is a checked solve from scratch
     off = (2, 1)
     run = _Run([[1], [0]], [(2, 0), off], (0,), 1)
     solve, _, column = run.adjugate()
@@ -705,7 +706,12 @@ def test_every_solver_refuses_a_vector_off_the_span_on_a_rank_deficient_run():
     for call in (lambda: run.solve([off]), lambda: solve(off), lambda: column(1)):
         with pytest.raises(SpanMismatchError, match="at row 1"):
             call()
-    run = _split(Matrix.from_rows([[1, 2], [0, 0]]))
+    a = Matrix.from_rows([[1, 2], [0, 0]])
+    solve, _, column = _split(a).solution_matrix()
+    assert solve((2, 0)) == column(0) == [2]
+    with pytest.raises(SpanMismatchError, match="at row 1"):
+        solve(off)
+    run = _split(a)
     run.pool[0] = off  # its numerators still come from the split's column (2, 0)
     with pytest.raises(SpanMismatchError, match="at row 1"):
         run.solution_matrix()

@@ -217,13 +217,30 @@ def _skew_fresh_solves(monkeypatch):
     monkeypatch.setattr(euclid._Run, "solve", lambda run, vecs: [[e + 1 for e in num] for num in original(run, vecs)])
 
 
-def test_diophantine_run_checks_the_final_solve_against_an_elimination(monkeypatch):
-    # a pool of two against rank 1 runs on the adjugate; the split is
-    # unimodular, so no FIFO step solves and the closing solve alone reads it
-    a = Matrix.from_rows([[1, 2, 3]])
+# each split is unimodular, so no FIFO step solves and the closing solve alone
+# reads the tracker: a pool of one against rank 1 runs on the pool's solution
+# matrix, whose closing solve is _Run.solve, and a pool of two on the adjugate
+
+
+def test_diophantine_run_checks_the_closing_solve_on_the_solution_matrix(monkeypatch):
+    a = Matrix.from_rows([[1, 2]])
     _skew_fresh_solves(monkeypatch)
     diophantine_run(a, (5,))
-    with pytest.raises(InvariantViolationError, match="cached adjugate disagrees"):
+    with pytest.raises(InvariantViolationError, match="closing solve does not reproduce the right-hand side"):
+        diophantine_run(a, (5,), check_invariants=True)
+
+
+def test_diophantine_run_checks_the_closing_solve_on_the_adjugate(monkeypatch):
+    a = Matrix.from_rows([[1, 2, 3]])
+    original = euclid._Run.adjugate
+
+    def skewed(run):
+        solve, row, column = original(run)
+        return (lambda vec, pending=False: [e + 1 for e in solve(vec, pending)]), row, column
+
+    monkeypatch.setattr(euclid._Run, "adjugate", skewed)
+    diophantine_run(a, (5,))
+    with pytest.raises(InvariantViolationError, match="closing solve does not reproduce the right-hand side"):
         diophantine_run(a, (5,), check_invariants=True)
 
 
