@@ -3,28 +3,26 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from operator import mul
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 from lattice_euclid import (
     DimensionMismatchError,
+    ExchangeRecord,
     Matrix,
     SpanMismatchError,
     bareiss_det,
-    basic_basis,
     determinant_with_trace,
     diophantine_run,
     diophantine_solve,
-    inverse_variant_basis,
     lattice_determinant,
     member,
 )
 from lattice_euclid import applications, euclid
 
-from _oracles import random_int_matrix
+from _oracles import random_int_matrix, random_system, reference_run
+from test_reference import _diophantine_equals_the_reference, _systems
 
 
 # --- determinant mode --------------------------------------------------------
@@ -72,33 +70,6 @@ def test_determinant_forced_singular():
         b = random_int_matrix(rng, n, n, 10)
         b = b.with_column(n - 1, b.column(0))  # duplicate column
         assert lattice_determinant(b) == 0
-
-
-@st.composite
-def _squares(draw):
-    """A square integer matrix, ``n <= 6``, about a third of them singular."""
-    n = draw(st.integers(1, 6))
-    rows = [draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)) for _ in range(n)]
-    if draw(st.integers(0, 2)) == 0:
-        r = draw(st.integers(0, n - 1))
-        left = [draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r)) for _ in range(n)]
-        rows = [[sum(map(mul, row, col)) for col in zip(*rows[:r])] if r else [0] * n for row in left]
-    return Matrix.from_rows(rows)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_squares())
-def test_determinant_mode_is_the_inverse_run_on_b_beside_the_identity(b):
-    n = b.rows
-    value, trace = determinant_with_trace(b)
-    det = bareiss_det(b)
-    if det == 0:
-        assert (value, trace) == (0, ())
-        return
-    stacked = Matrix(b.columns + Matrix.identity(n).columns, rows=n)
-    inverse = inverse_variant_basis(stacked)
-    assert (value, trace) == (det, inverse.trace)
-    assert inverse.trace == basic_basis(stacked).trace
 
 
 # --- Diophantine mode ----------------------------------------------------------
@@ -234,108 +205,9 @@ def test_diophantine_carry_memory_is_linear_in_m():
     assert peak < 4 * 10**6, peak
 
 
-def _rational_solve(cols, v):
-    """``x`` with ``sum(x[k] * cols[k]) == v`` for independent ``cols``, as Fractions, or None off their span."""
-    r = len(cols)
-    rows = [[Fraction(c[t]) for c in cols] + [Fraction(v[t])] for t in range(len(v))]
-    for c in range(r):
-        p = next(t for t in range(c, len(rows)) if rows[t][c])
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [e / rows[c][c] for e in rows[c]]
-        for t, row in enumerate(rows):
-            if t != c and row[c]:
-                rows[t] = [e - row[c] * g for e, g in zip(row, rows[c])]
-    if any(row[r] for row in rows[r:]):
-        return None
-    return [rows[k][r] for k in range(r)]
-
-
-def _dense_replay(a, trace):
-    """Replay a Diophantine ``trace`` FIFO on ``a`` stacked over ``I_m``: every vector carries all m coordinates.
-
-    Returns the final basis columns (n entries, then m coordinates) and, for
-    each exchange, the input column that entered, or None for a former basis column.
-    """
-    n, m = a.rows, a.cols
-    columns = [tuple(a.column(j)) + tuple(int(k == j) for k in range(m)) for j in range(m)]
-    basis, pool = [], []
-    for j, col in enumerate(columns):
-        if any(col[:n]):
-            if _rational_solve([b[:n] for b in basis], col[:n]) is None:
-                basis.append(col)
-            else:
-                pool.append((col, j))
-    entered = []
-    for rec in trace:
-        while True:  # FIFO: integral solutions are discarded
-            vec, origin = pool.pop(0)
-            x = _rational_solve([b[:n] for b in basis], vec[:n])
-            if any(e.denominator != 1 for e in x):
-                break
-        i = rec.pivot_row
-        rounded = [math.floor(e) for e in x]
-        rounded[i] = math.floor(x[i] + Fraction(1, 2))
-        assert (rec.column, rec.factor) == (0, x[i] - rounded[i])
-        pool.append((basis[i], None))
-        basis[i] = tuple(v - sum(map(mul, rounded, (b[t] for b in basis))) for t, v in enumerate(vec))
-        entered.append(origin)
-    return basis, entered
-
-
-def _carry_case(rng):
-    """A small random Diophantine input: rank-deficient in a third of cases, with zero columns in another third."""
-    n, m = rng.randint(1, 4), rng.randint(1, 7)
-    a = random_int_matrix(rng, n, m, 9)
-    kind = rng.randrange(3)
-    if kind == 1 and n > 1:  # the last row a combination of the others
-        rows = a.to_rows()
-        a = Matrix.from_rows(rows[:-1] + [[2 * x - y for x, y in zip(rows[0], rows[-2])]])
-    elif kind == 2:
-        zero = set(rng.sample(range(m), rng.randint(1, m)))
-        a = Matrix.from_rows([[0 if j in zero else e for j, e in enumerate(r)] for r in a.to_rows()])
-    if rng.randrange(2):
-        rhs = a.mat_vec([rng.randint(-4, 4) for _ in range(m)])
-    else:
-        rhs = tuple(rng.randint(-9, 9) for _ in range(n))
-    return a, rhs
-
-
-def test_diophantine_run_matches_a_dense_replay_of_its_trace():
-    # the sparse carry against a replay in which every vector carries all m
-    # coordinates: same witness (or span error), U and trace
-    rng = random.Random(4006)
-    mid_run = reentered = 0
-    seen = Counter()
-    for case in range(320):
-        a, rhs = _carry_case(rng)
-        try:
-            witness, transform, trace = diophantine_run(a, rhs, check_invariants=case % 2 == 0)
-        except SpanMismatchError as exc:
-            witness, transform, trace = "span", None, exc.trace
-        basis, entered = _dense_replay(a, trace)
-        n = a.rows
-        y = _rational_solve([b[:n] for b in basis], rhs)
-        if y is None:
-            assert witness == "span"
-        else:
-            assert (transform.rows, transform.cols) == (a.cols, len(basis))
-            assert transform.columns == tuple(b[n:] for b in basis)
-            if all(e.denominator == 1 for e in y):
-                assert witness == tuple(sum(map(mul, y, (b[n + k] for b in basis))) for k in range(a.cols))
-            else:
-                assert witness is None
-        mid_run += any(k is not None for k in entered[1:])  # a coordinate row made after the first exchange
-        reentered += None in entered
-        seen["deficient"] += len(basis) < min(a.rows, sum(map(any, a.columns)))
-        seen["zero columns"] += not all(map(any, a.columns))
-        seen[witness if witness in ("span", None) else "feasible"] += 1
-    assert mid_run and reentered
-    assert len(seen) == 5, seen
-
-
 def test_diophantine_carry_holds_at_most_rank_plus_exchanges_rows(monkeypatch):
     # a coordinate row is made only when its input column first enters the
-    # basis: the rank chosen columns, then one per pooled column that enters
+    # basis: the rank chosen columns, then one per input column the reference brings in
     runs = []
     original = applications._split
 
@@ -352,16 +224,15 @@ def test_diophantine_carry_holds_at_most_rank_plus_exchanges_rows(monkeypatch):
 
     monkeypatch.setattr(applications, "_split", capture)
     rng = random.Random(4007)
-    cases = [_carry_case(rng) for _ in range(60)] + [(random_int_matrix(rng, 2, 40, 50), (1, 1)) for _ in range(4)]
+    cases = [random_system(rng) for _ in range(60)] + [(random_int_matrix(rng, 2, 40, 50), (1, 1)) for _ in range(4)]
     skipped = 0
     for a, rhs in cases:
         try:
             diophantine_run(a, rhs)
         except SpanMismatchError:
             pass
-        run = runs.pop()
-        basis, entered = _dense_replay(a, run.trace)
-        assert len(run.carried) == len(basis) + sum(k is not None for k in entered)
+        run, ref = runs.pop(), reference_run(a, "fifo")
+        assert len(run.carried) == len(ref.basis) + sum(k is not None for k in ref.entered)
         skipped += len(run.carried) < sum(map(any, a.columns))
     assert skipped
 
@@ -431,6 +302,8 @@ def test_diophantine_run_builds_matrices_only_at_the_edges(monkeypatch):
 
 
 def test_diophantine_transform_tracks_basis():
+    # the run with coordinates tagged along is the plain FIFO reference run:
+    # A @ U is its basis and the traces are equal
     rng = random.Random(4004)
     for _ in range(25):
         n = rng.randint(1, 5)
@@ -439,61 +312,20 @@ def test_diophantine_transform_tracks_basis():
         rhs = a.mat_vec(tuple(rng.randint(-5, 5) for _ in range(m)))
         solution, transform, trace = diophantine_run(a, rhs, check_invariants=True)
         assert solution is not None
-        # the Diophantine run is the basic run with coordinates tagged along
-        basic = basic_basis(a)
-        assert trace == basic.trace
-        assert a @ transform == basic.basis
+        ref = reference_run(a, "fifo")
+        assert trace == tuple(ExchangeRecord(*rec) for rec in ref.trace)
+        assert a @ transform == Matrix(ref.basis, rows=n)
         for rec in trace:
             assert 0 < abs(rec.factor) <= 1
 
 
-@st.composite
-def _systems(draw):
-    """``(A, rhs)`` with ``A`` at most 5x9, about a third of them rank-deficient.
-
-    ``rhs`` is either an image of ``A`` before it is scaled by 1, 2 or 3 (so
-    often infeasible once scaled), or free (so often outside the span).
-    """
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(n, 9))
-    entries = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
-    if draw(st.integers(0, 2)) == 0:
-        r = draw(st.integers(0, n - 1))
-        left = [[draw(st.integers(-9, 9)) for _ in range(r)] for _ in range(n)]
-        right = [draw(entries) for _ in range(r)]
-        rows = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(m)] for row in left]
-    else:
-        rows = [draw(entries) for _ in range(n)]
-    scale = draw(st.sampled_from((1, 1, 2, 3)))
-    a = Matrix(tuple(tuple(scale * e for e in col) for col in zip(*rows)), rows=n)
-    if draw(st.booleans()):
-        hidden = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
-        rhs = tuple(sum(map(mul, row, hidden)) for row in rows)
-    else:
-        rhs = tuple(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
-    return a, rhs
-
-
 @settings(max_examples=200, deadline=None)
 @given(_systems())
+@example((Matrix.from_rows([[6, 10, 15]]), (1,)))
+@example((Matrix.from_rows([[12, 18]]), (5,)))
 def test_diophantine_run_is_the_fifo_run_and_solves(system):
+    # the witness, None or SpanMismatchError, U and trace are the reference's
+    # with checks on and off, and member agrees with the outcome
     a, rhs = system
-    basic = basic_basis(a)
-    assert inverse_variant_basis(a).trace == basic.trace
-    outcomes = []
-    for check in (False, True):
-        try:
-            outcomes.append(diophantine_run(a, rhs, check_invariants=check))
-        except SpanMismatchError:
-            outcomes.append(None)
-    assert outcomes[0] == outcomes[1]  # the checks change no output
-    if outcomes[0] is None:
-        assert not member(a, rhs)
-        return
-    solution, transform, trace = outcomes[0]
-    assert trace == basic.trace
-    assert a @ transform == basic.basis
-    if solution is None:
-        assert not member(a, rhs)
-    else:
-        assert a.mat_vec(solution) == rhs
+    want, _ = _diophantine_equals_the_reference(a, rhs, (False, True))
+    assert member(a, rhs) == (want[0] not in ("span", None))

@@ -3,8 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 from lattice_euclid import (
     InstanceParams,
@@ -36,6 +35,7 @@ from lattice_euclid.euclid import _split, _weights
 from lattice_euclid.exact import _back_substitute, _exchange_update
 
 from _oracles import is_integral, random_int_matrix, random_nonsingular, round_half_up
+from test_reference import _expected, _matrices
 
 WORKED = Matrix.from_rows([[2, 0, 1], [0, 3, 1]])  # initial det 6, ends unimodular
 
@@ -45,11 +45,21 @@ WORKED = Matrix.from_rows([[2, 0, 1], [0, 3, 1]])  # initial det 6, ends unimodu
 
 def test_inverse_variant_matches_basic_on_gcd():
     a = Matrix.from_rows([[12, 18]])
-    left, right = basic_basis(a), inverse_variant_basis(a)
-    assert left.basis == right.basis
-    assert left.trace == right.trace
-    assert left.det_trajectory == right.det_trajectory
-    assert (left.exchanges, left.discards) == (right.exchanges, right.discards)
+    assert basic_basis(a) == inverse_variant_basis(a) == _expected(a, "fifo")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+@example(Matrix.from_rows([[6, 10, 15]]))
+@example(Matrix.from_rows([[-6, -5, -6], [1, -5, -2]]))
+@example(Matrix.from_rows([[-3, -5, -3, 0, -1], [-5, 6, 0, 7, 2]]))
+@example(Matrix.from_rows([[4, 6, 0, 9], [0, 0, 5, 7]]))
+@example(Matrix.from_rows([[2, 3, 5, 7], [4, 1, 0, 3], [6, 4, 5, 10]]))  # rank-deficient: row 2 is row 0 plus row 1
+def test_inverse_variant_identical_to_basic_random(a):
+    # both FIFO drivers must return the reference run's BasisResult outright
+    want = _expected(a, "fifo")
+    assert basic_basis(a) == want
+    assert inverse_variant_basis(a) == want
 
 
 def test_inverse_variant_merges_to_unit_lattice():
@@ -78,24 +88,6 @@ def test_inverse_variant_stops_exchanging_once_unimodular():
             assert not unimodular_seen  # no exchange after |det| hits 1
             if abs(rec.det_after) == 1:
                 unimodular_seen = True
-
-
-def test_inverse_variant_identical_to_basic_random():
-    # each pair runs one pivot order with two different solvers
-    pairs = (
-        (basic_basis, inverse_variant_basis),
-        (solution_variant_basis, rowwise_variant_basis),
-    )
-    rng = random.Random(88)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        a = random_int_matrix(rng, n, rng.randint(n, n + 4), 15)
-        for first, second in pairs:
-            left, right = first(a), second(a)
-            assert left.basis == right.basis
-            assert left.trace == right.trace
-            assert left.det_trajectory == right.det_trajectory
-            assert (left.exchanges, left.discards) == (right.exchanges, right.discards)
 
 
 # --- solution-matrix updates --------------------------------------------------
@@ -468,36 +460,22 @@ def test_variants_agree_on_gcd_and_edge_shapes():
         assert all(f == forms[0] for f in forms[1:])
 
 
-@st.composite
-def _generators(draw):
-    """``A`` with at most 6 rows and ``n + 8`` columns, about a third of them rank-deficient products.
-
-    Entries take both signs, so negative determinants occur.
-    """
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(0, n + 8))
-    entries = st.lists(st.integers(-60, 60), min_size=m, max_size=m)
-    if draw(st.integers(0, 2)) == 0:
-        r = draw(st.integers(0, n - 1))
-        left = [[draw(st.integers(-9, 9)) for _ in range(r)] for _ in range(n)]
-        right = [draw(entries) for _ in range(r)]
-        rows = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(m)] for row in left]
-    else:
-        rows = [draw(entries) for _ in range(n)]
-    return Matrix(tuple(zip(*rows)), rows=n)
-
-
 @settings(max_examples=200, deadline=None)
-@given(_generators())
+@given(_matrices())
+@example(Matrix.from_rows([[12, 18]]))
+@example(Matrix.from_rows([[6, 10, 15]]))
+@example(Matrix.from_rows([[-6, -5, -6], [1, -5, -2]]))
+@example(Matrix.from_rows([[-3, -5, -3, 0, -1], [-5, 6, 0, 7, 2]]))
+@example(Matrix.from_rows([[4, 6, 0, 9], [0, 0, 5, 7]]))
+@example(Matrix.from_rows([[2, 3, 5, 7], [4, 1, 0, 3], [6, 4, 5, 10]]))  # rank-deficient: row 2 is row 0 plus row 1
 def test_row_major_drivers_agree(a):
-    # the solution driver advances all of X, so it is an oracle for the row
-    # that the row-wise driver carries across its exchanges
+    # both row-major drivers, checks on and off, must return the reference
+    # run's BasisResult outright
+    want = _expected(a, "row_major")
     for check in (False, True):
-        rowwise = rowwise_variant_basis(a, check_invariants=check)
-        solution = solution_variant_basis(a, check_invariants=check)
-        assert rowwise.basis == solution.basis
-        assert rowwise.trace == solution.trace
-        assert (rowwise.discards, rowwise.det_trajectory) == (solution.discards, solution.det_trajectory)
+        assert solution_variant_basis(a, check_invariants=check) == want
+        assert rowwise_variant_basis(a, check_invariants=check) == want
+
 
 def test_matrix_without_columns_builds_no_per_row_list():
     # a header-only matrix file such as "1000000 0" costs no memory per row:
@@ -580,38 +558,6 @@ def _eager_walk(a, *hooks):
     return run
 
 
-def _small_inputs(rng, count):
-    """``count`` inputs of at most 6 rows and 9 columns, about 30% of them rank-deficient products."""
-    out = []
-    for _ in range(count):
-        n, m = rng.randint(1, 6), rng.randint(0, 9)
-        if rng.random() < 0.3:  # rank r < n: a product, or zero columns for r == 0
-            r = rng.randint(0, n - 1)
-            out.append(random_int_matrix(rng, n, r, 9) @ random_int_matrix(rng, r, m, 30) if r else Matrix(((0,) * n,) * m, rows=n))
-        else:
-            out.append(random_int_matrix(rng, n, m, 60))
-    return out
-
-
-def test_row_major_drivers_equal_the_eager_walk():
-    # both row-major drivers compose each pivot row's exchanges into one
-    # product-form column (euclid._ProductForm) and fold it in when the walk
-    # reaches the next row; the eager walk advances all of det * X on every
-    # exchange. Basis, trace and counters must agree, with the drivers' own
-    # checks on and off, and some runs must exchange on two or more rows, or
-    # no fold between rows is exercised
-    rows_exchanged, deficient = [], 0
-    for a in _small_inputs(random.Random(2121), 400):
-        run = _eager_walk(a)
-        want = run.result()
-        rows_exchanged.append(len({rec.pivot_row for rec in want.trace}))
-        deficient += len(run.pivot_rows) < a.rows
-        for check in (False, True):
-            assert solution_variant_basis(a, check_invariants=check) == want
-            assert rowwise_variant_basis(a, check_invariants=check) == want
-    assert sum(k >= 2 for k in rows_exchanged) >= 50 and deficient >= 50
-
-
 def test_integer_transform_divides_exactly_and_matches_the_rational_one():
     # basis_transform solves d0 * Y once, against the solution driver's final
     # basis (d0 the initial determinant); it must equal the product form of
@@ -634,24 +580,3 @@ def test_integer_transform_divides_exactly_and_matches_the_rational_one():
         assert transform == y_rat
         assert [[type(e) for e in c] for c in transform.columns] == [[type(e) for e in c] for c in y_rat.columns]
     assert signs == {False, True}
-
-
-def test_drivers_agree_at_benchmark_scale():
-    # the acceptance suite stops at entries of 20; these are the benchmark's
-    # shapes: 10x16 and 6x96 at entries to 1000, and a rank-8 16x32 product
-    rng = random.Random(4242)
-    lowrank = random_int_matrix(rng, 16, 8, 9) @ random_int_matrix(rng, 8, 32, 9)
-    assert len(find_independent_columns(lowrank)) == 8
-    cases = [
-        random_instance(InstanceParams(n=10, m=16, bound=1000, seed=31)),
-        random_instance(InstanceParams(n=6, m=96, bound=1000, seed=32)),
-        lowrank,
-    ]
-    for a in cases:
-        basic, inverse = basic_basis(a), inverse_variant_basis(a)
-        solution = solution_variant_basis(a, check_invariants=True)
-        rowwise = rowwise_variant_basis(a, check_invariants=True)
-        assert solution.exchanges > 0
-        assert (inverse.basis, inverse.trace) == (basic.basis, basic.trace)
-        assert (solution.basis, solution.trace) == (rowwise.basis, rowwise.trace)
-        assert lattice_equal(solution.basis, basic.basis)
