@@ -10,11 +10,14 @@ One fraction-free forward elimination, ``_bareiss`` (Bareiss 1968,
 elimination"), serves the whole package: :func:`solve_system`,
 :func:`invert`, :func:`bareiss_det` and the engine's column split. It runs on
 Python ints with exact divisions, and Fractions appear only in the outputs.
-Every step goes through one loop, ``_step``. The column split is lazy: an
-``n x m`` input whose pivots sit in its first columns costs O(n**3), not
-O(n**2 * m). One integer back-substitution, ``_back_substitute``, reads the
-solutions of every right-hand side at once off the echelon rows it leaves:
-the solution driver, and a FIFO run whose pool is no wider than its rank,
+It takes its pivots two at a time where it can, that paper's two-step
+form: one pass, ``_pair``, rewrites every row below both pivots with one
+exact division, and ``_step`` takes a pivot alone where the next row does
+not hold the next pivot. The column split is lazy: an ``n x m`` input
+whose pivots sit in its first columns costs O(n**3), not O(n**2 * m). One
+integer back-substitution, ``_back_substitute``, reads the solutions of
+every right-hand side at once off the echelon rows it leaves: the solution
+driver, and a FIFO run whose pool is no wider than its rank,
 take ``det * X`` for the whole pool from the split's own elimination,
 finished by ``_replay``.
 
@@ -231,11 +234,40 @@ def _step(a: list[list[int]], k: int, j: int, prev: int, lo: int, hi: Optional[i
         row[lo:hi] = [(e * pivot - head * p) // prev for e, p in zip(row[lo:hi], tail)]
 
 
+def _pair(a: list[list[int]], k: int, j: int, prev: int, hi: int) -> None:
+    """Bareiss steps ``k`` and ``k + 1`` at once on columns ``j + 1:hi``: pivots ``p1 = a[k][j]`` and ``p2``, row ``k + 1``'s entry in column ``c = j + 1`` after step ``k``.
+
+    Row ``a[k + 1]`` takes step ``k`` alone. Each row below takes its
+    value after step ``k``, ``h2``, in column ``c``, and in every later
+    column becomes
+    ``(p2 * p1 * e - p2 * h1 * t - prev * h2 * q) // (prev * p1)``: ``t``
+    and ``q`` are the entries of ``a[k]`` and ``a[k + 1]`` in the column of
+    ``e``, ``q`` after step ``k``, and ``h1`` is the row's entry in column
+    ``j``. Step ``k`` alone would make ``e`` into
+    ``e1 = (p1 * e - h1 * t) // prev`` and step ``k + 1`` that into
+    ``(p2 * e1 - h2 * q) // p1``; both divisions are exact (Sylvester's
+    identity), so the numerator above is ``prev * p1`` times the same
+    minor, and its one division is exact too.
+    """
+    top, second, c = a[k], a[k + 1], j + 1
+    p1, tc, head = top[j], top[c], second[j]
+    second[c:hi] = [(e * p1 - head * t) // prev for e, t in zip(second[c:hi], top[c:hi])]
+    p2, d, tail, qs = second[c], prev * p1, top[c + 1 : hi], second[c + 1 : hi]
+    pp = p2 * p1
+    for row in a[k + 2 :]:
+        h1 = row[j]
+        row[c] = h2 = (row[c] * p1 - h1 * tc) // prev
+        f, g = p2 * h1, prev * h2
+        row[c + 1 : hi] = [(pp * e - f * t - g * q) // d for e, t, q in zip(row[c + 1 : hi], tail, qs)]
+
+
 def _replay(a: list[list[int]], cols: Sequence[int], lo: int, hi: Optional[int] = None) -> None:
     """Bring columns ``lo:hi`` of ``a`` up to date through the steps :func:`_bareiss` took.
 
     Step ``k`` pivoted on ``a[k][cols[k]]``, and the rows below ``a[k]``
     are the rows it rewrote: a later step moves a row up only from below.
+    Every entry is a minor, so the steps :func:`_bareiss` took in pairs
+    leave the same rows one at a time.
     """
     prev = 1
     for k, j in enumerate(cols):
@@ -252,17 +284,25 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int,
     ``j``; that row moves up behind the pivot rows, the others keep their
     order. A column where every row left is zero is stepped over after one
     scan of those rows, so a gap costs time linear in its width. Every
-    division by the previous pivot is exact (Sylvester's identity), so each
-    entry is a minor of the input. Returns the pivot rows (input indices, in
-    pivot order), the pivot columns, the determinant of their minor, its
-    rows in increasing order (1 for none), and the frontier.
+    division is exact (Sylvester's identity), so each entry is a minor of
+    the input. Returns the pivot rows (input indices, in pivot order), the
+    pivot columns, the determinant of their minor, its rows in increasing
+    order (1 for none), and the frontier.
+
+    A pass takes two pivots at once, :func:`_pair`, when row ``k + 1``
+    holds the next one in column ``j + 1`` and rows are left below it: its
+    entry there after step ``k`` is nonzero, that is
+    ``a[k + 1][j + 1] * p1 != a[k + 1][j] * a[k][j + 1]`` with
+    ``p1 = a[k][j]``, the common case. Otherwise the pass takes one step,
+    :func:`_step`, and the next pass searches on from column ``j + 1``.
 
     Rows without right-hand sides and wider than twice their number are
-    eliminated lazily: a step rewrites only the columns before the
-    frontier, at first ``2 * len(a)``. When the pivot search reaches it with
-    rows still unpivoted, :func:`_replay` brings the next block up to date
-    and the frontier doubles; the scan stops once every row has a pivot, so
-    the columns from the frontier on still hold the input's entries, and
+    eliminated lazily: a pass rewrites only the columns before the
+    frontier, at first ``2 * len(a)``, and takes a pair only before it.
+    When the pivot search reaches it with rows still unpivoted,
+    :func:`_replay` brings the next block up to date and the frontier
+    doubles; the scan stops once every row has a pivot, so the columns from
+    the frontier on still hold the input's entries, and
     ``_replay(a, cols, frontier)`` leaves every row as an eager elimination
     would. Right-hand sides are always eliminated in full.
     """
@@ -286,6 +326,14 @@ def _bareiss(a: list[list[int]], width: int) -> tuple[list[int], list[int], int,
             a.insert(k, a.pop(r))
             order.insert(k, order.pop(r))
             passed += r - k
+        c = j + 1
+        if k + 2 < n and c < frontier and c < width and a[k + 1][c] * a[k][j] != a[k + 1][j] * a[k][c]:
+            _pair(a, k, j, prev, frontier)
+            prev = a[k + 1][c]
+            cols += (j, c)
+            k += 2
+            j += 2
+            continue
         _step(a, k, j, prev, j + 1, frontier)
         prev = a[k][j]
         cols.append(j)

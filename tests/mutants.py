@@ -157,6 +157,12 @@ MUTANTS = [
      "        if j == frontier:\n", "        if j == frontier + 1:\n"),
     ("a row moved up counted as one transposition", "exact.py",
      "passed += r - k", "passed += 1"),
+    # the elimination's pairs of pivots: the test that row k + 1 holds the
+    # next pivot, and the frontier that a pair must stay before
+    ("row k + 1 fast path inverted", "exact.py",
+     "a[k + 1][c] * a[k][j] != a[k + 1][j] * a[k][c]", "a[k + 1][c] * a[k][j] == a[k + 1][j] * a[k][c]"),
+    ("pair takes its second pivot at the frontier", "exact.py",
+     "c < frontier and c < width", "c <= frontier and c < width"),
     ("back-substitution sign flipped", "exact.py",
      "acc = [x - e * y for x, y in zip(acc, out[s])]", "acc = [x + e * y for x, y in zip(acc, out[s])]"),
     ("fractional-exit check inverted", "variants.py",

@@ -249,12 +249,14 @@ def test_independent_columns_match_fraction_echelon():
 
 def test_independent_columns_step_over_a_zero_gap_in_linear_time():
     # a column without a pivot costs one scan of the rows left, so a gap of
-    # m columns costs time linear in m
+    # m columns costs time linear in m; with a third row below, the first
+    # pivot is tested for a pair, taken alone, and the gap follows it
     m = 2**16
-    a = Matrix.from_rows([[1] * m, [0] * (m - 1) + [1]])
-    start = time.perf_counter()
-    assert find_independent_columns(a) == [0, m - 1]
-    assert time.perf_counter() - start < 2
+    for rows in ([[1] * m, [0] * (m - 1) + [1]], [[1] * m, [0] * (m - 1) + [1], [2] * (m - 1) + [3]]):
+        a = Matrix.from_rows(rows)
+        start = time.perf_counter()
+        assert find_independent_columns(a) == [0, m - 1]
+        assert time.perf_counter() - start < 2
 
 
 def test_independent_columns_stay_within_hadamards_bound():

@@ -18,6 +18,7 @@ from lattice_euclid import (
     solve_system,
 )
 
+from lattice_euclid import exact
 from lattice_euclid.exact import _bareiss, _eliminate, _exchange_update, _rational_exchange_update, _replay
 
 from _oracles import (
@@ -296,14 +297,18 @@ def _elimination_input(rng):
     return [[0 if j in zeroed else e for j, e in enumerate(r)] for r in rows]
 
 
-def test_lazy_elimination_matches_a_right_looking_reference():
-    # _bareiss steps rows without right-hand sides only up to its frontier
-    # (2n columns at first) and replays its steps on the next block when the
+def test_lazy_elimination_matches_a_right_looking_reference(monkeypatch):
+    # _bareiss takes its pivots in pairs where row k + 1 holds the next one,
+    # and steps rows without right-hand sides only up to its frontier (2n
+    # columns at first), replaying its steps on the next block when the
     # pivot search reaches it: pivot rows in pivot order, pivot columns and
     # the signed determinant must be those of an eager elimination, and
     # _replay from the frontier must finish the rows as it leaves them.
     # Rows with right-hand sides are eliminated in full, with nothing left to
     # replay. The oracle's determinant is checked by Laplace expansion
+    pair = exact._pair
+    paired = []  # the first pivot of every pair the elimination takes
+    monkeypatch.setattr(exact, "_pair", lambda a, k, *rest: (paired.append(k), pair(a, k, *rest)))
     rng = random.Random(207)
     seen = set()
     for trial in range(3000):
@@ -312,6 +317,7 @@ def test_lazy_elimination_matches_a_right_looking_reference():
         width = end if trial % 4 else rng.randint(0, end)  # a quarter carry right-hand sides
         order, cols, det, rows_after = right_looking_bareiss(rows, width)
         a = [list(r) for r in rows]
+        paired.clear()
         *got, frontier = _bareiss(a, width)
         assert got == [order, cols, det]
         if frontier < end:
@@ -319,6 +325,11 @@ def test_lazy_elimination_matches_a_right_looking_reference():
             _replay(a, cols, frontier)
         assert a == rows_after
         assert det == cofactor_det([[rows[t][j] for j in cols] for t in sorted(order)])
+        # a pivot taken alone with rows below the next one: the next pivot is
+        # not row k + 1's in column cols[k] + 1 before the frontier
+        alone = [k for k in range(len(cols) - 1) if k + 2 < n and k not in paired and k - 1 not in paired]
+        moved = [k for k in alone if order[k + 1] != min(set(range(n)) - set(order[: k + 1]))]
+        frontiers = [min(end, 2 * n) << i for i in range(end.bit_length())] if width == end else []
         seen.update(
             case for case, occurred in (
                 ("lazy, every row pivots before the end", frontier < end),
@@ -327,11 +338,20 @@ def test_lazy_elimination_matches_a_right_looking_reference():
                 ("rank-deficient past the first frontier", width == end > 2 * n and len(cols) < n),
                 ("right-hand sides", width < end),
                 ("a pivot row moved up", order != sorted(order)),
+                ("a frontier replay after a pair", frontier > min(end, 2 * n) and paired and cols[paired[0] + 1] < min(end, 2 * n)),
+                ("a pair with right-hand sides", width < end and paired),
+                ("a pivot alone, the next after a zero gap", any(cols[k + 1] > cols[k] + 1 for k in alone)),
+                ("a pivot alone, the next on a row moved up", moved),
+                ("a pivot alone, the next at the frontier", any(cols[k + 1] in frontiers for k in alone if k not in moved)),
+                ("the last pivot alone with rows below", 0 < len(cols) < n and len(cols) - 2 not in paired),
             ) if occurred
         )
     assert seen == {
         "lazy, every row pivots before the end", "a frontier replay", "a frontier replay, then every row pivots",
         "rank-deficient past the first frontier", "right-hand sides", "a pivot row moved up",
+        "a frontier replay after a pair", "a pair with right-hand sides", "a pivot alone, the next after a zero gap",
+        "a pivot alone, the next on a row moved up", "a pivot alone, the next at the frontier",
+        "the last pivot alone with rows below",
     }
 
 
