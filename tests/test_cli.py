@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import lattice_euclid
 from lattice_euclid import Matrix, bareiss_det, lattice_equal, parse_matrix
 from lattice_euclid.cli import main
 
@@ -311,14 +313,34 @@ def test_basis_of_all_zero_input_checks_equal(tmp_path, capsys):
 
 def test_header_only_files_cost_nothing_per_claimed_row(tmp_path):
     # "n 0" has no cap: hnf leaves its row loop once every column has pivoted,
-    # here at once, so neither command walks the 10**9 rows
-    path = tmp_path / "tall.mat"
-    path.write_text("1000000000 0\n")
-    for argv, out in ((["hnf", str(path)], "1000000000 0\n"), (["check", str(path), str(path)], "EQUAL\n")):
+    # here at once, so neither command walks the 10**9 rows. "0 m" is capped
+    # at m = 2**20, and dioph keeps no coordinate per zero column: its cost is
+    # the 2**20 lines of the witness it prints
+    tall, wide, empty = tmp_path / "tall.mat", tmp_path / "wide.mat", tmp_path / "empty.mat"
+    tall.write_text("1000000000 0\n")
+    wide.write_text(f"0 {2**20}\n")
+    empty.write_text("0 1\n")
+    for argv, out, timeout in (
+        (["hnf", tall], "1000000000 0\n", 10),
+        (["check", tall, tall], "EQUAL\n", 10),
+        (["dioph", wide, empty], f"{2**20} 1\n" + "0\n" * 2**20, 60),
+    ):
         proc = subprocess.run(
-            [sys.executable, "-m", "lattice_euclid", *argv], capture_output=True, text=True, timeout=10
+            [sys.executable, "-m", "lattice_euclid", *argv], capture_output=True, text=True, timeout=timeout
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+def test_subprocesses_run_the_package_under_test():
+    # the tests here that start `python -m lattice_euclid` must load the same
+    # copy as this process, whether that is src/ on PYTHONPATH or an install
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lattice_euclid; print(lattice_euclid.__file__)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert Path(proc.stdout.strip()).resolve() == Path(lattice_euclid.__file__).resolve()
 
 
 def test_module_entry_point(gcd_file):

@@ -247,16 +247,32 @@ def test_independent_columns_match_fraction_echelon():
         assert find_independent_columns(a) == expected[0]
 
 
+def _zero_gaps(m):
+    """2 x m and 3 x m inputs whose second row is zero up to its last column; the third row is twice the first plus the second."""
+    first, second = [1] * m, [0] * (m - 1) + [1]
+    return Matrix.from_rows([first, second]), Matrix.from_rows([first, second, [2] * (m - 1) + [3]])
+
+
 def test_independent_columns_step_over_a_zero_gap_in_linear_time():
     # a column without a pivot costs one scan of the rows left, so a gap of
     # m columns costs time linear in m; with a third row below, the first
     # pivot is tested for a pair, taken alone, and the gap follows it
     m = 2**16
-    for rows in ([[1] * m, [0] * (m - 1) + [1]], [[1] * m, [0] * (m - 1) + [1], [2] * (m - 1) + [3]]):
-        a = Matrix.from_rows(rows)
+    for a in _zero_gaps(m):
         start = time.perf_counter()
         assert find_independent_columns(a) == [0, m - 1]
         assert time.perf_counter() - start < 2
+
+
+def test_drivers_step_over_a_zero_gap_in_linear_time():
+    # the split already ends unimodular, on the first and last columns: no
+    # driver exchanges, and the row-major walks form no solution row
+    for a, basis in zip(_zero_gaps(2**17), ([[1, 1], [0, 1]], [[1, 1], [0, 1], [2, 3]])):
+        for driver in (basic_basis, inverse_variant_basis, solution_variant_basis, rowwise_variant_basis):
+            start = time.perf_counter()
+            res = driver(a)
+            assert time.perf_counter() - start < 3, driver.__name__
+            assert (res.basis.to_rows(), res.exchanges) == (basis, 0), driver.__name__
 
 
 def test_independent_columns_stay_within_hadamards_bound():
@@ -1136,7 +1152,13 @@ def _diophantine_row(case, log):
 
 _FULL = random_instance(InstanceParams(n=6, m=10, bound=1000, seed=33))
 _DEFICIENT = _low_rank(random.Random(4243), 8, 12, 4, 9)
-_EVEN = Matrix.from_rows([[2 * e for e in r] for r in _DEFICIENT.to_rows()])
+
+
+def _doubled(a):
+    return Matrix.from_rows([[2 * e for e in r] for r in a.to_rows()])
+
+
+_EVEN = _doubled(_DEFICIENT)
 _ZERO = Matrix.from_rows([[0, 0], [0, 0]])
 _WIDE_ROWS = random_instance(InstanceParams(n=3, m=40, bound=9, seed=37)).to_rows()
 _WIDE_DEFICIENT = Matrix.from_rows(_WIDE_ROWS[:2] + _WIDE_ROWS[:1])  # row 2 repeats row 0
@@ -1162,6 +1184,7 @@ _DIOPHANTINE_CASES = {  # (A, b, outcome): a witness, None (infeasible) or off t
     "full": (_FULL, _FULL.mat_vec(range(_FULL.cols)), "witness"),
     "deficient": (_DEFICIENT, _DEFICIENT.mat_vec(range(_DEFICIENT.cols)), "witness"),
     "infeasible": (_EVEN, _DEFICIENT.column(0), None),  # in the span of 2 * A, not its lattice
+    "narrow-infeasible": (_doubled(_FULL), _FULL.column(0), None),  # the same, on the solution matrix
     "off-span": (_DEFICIENT, _unit(0, 8), SpanMismatchError),
     "zero": (_ZERO, (0, 0), "witness"),
     "zero-off-span": (_ZERO, (1, 0), SpanMismatchError),
@@ -1184,7 +1207,8 @@ def test_the_seam_cases_fall_on_both_sides_of_the_shape_rule():
         return len(run.pool) <= len(run.pivot_rows)
 
     assert [name for name, a in _BASIS_CASES.items() if narrow(a)] == ["full", "square", "no-columns"]
-    assert [name for name, (a, _, _) in _DIOPHANTINE_CASES.items() if narrow(a)] == ["full", "zero", "zero-off-span"]
+    narrow_systems = [name for name, (a, _, _) in _DIOPHANTINE_CASES.items() if narrow(a)]
+    assert narrow_systems == ["full", "narrow-infeasible", "zero", "zero-off-span"]
 
 
 @pytest.mark.parametrize("row, case", _SEAM_TABLE)

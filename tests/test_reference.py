@@ -29,6 +29,7 @@ from lattice_euclid import (
 )
 
 from _oracles import fraction_det, gauss_jordan, random_int_matrix, random_system, reference_run
+from test_euclid import _WIDE_DEFICIENT, _doubled
 
 
 def _expected(a, order):
@@ -95,12 +96,15 @@ def test_row_major_drivers_equal_the_reference_on_seeded_inputs():
 
 
 def test_drivers_equal_the_reference_at_benchmark_scale():
-    # the benchmark's shapes: 10x16 and 6x96 at entries to 1000, and a rank-8 16x32 product
+    # the benchmark's shapes: 10x16 and 6x96 at entries to 1000, and a rank-8
+    # 16x32 product; then 3x40 with row 2 a repeat of row 0, which never
+    # pivots, so the column split replays block by block to the last column
     rng = random.Random(4242)
     cases = [random_instance(InstanceParams(n=10, m=16, bound=1000, seed=31))]
     cases += [random_instance(InstanceParams(n=6, m=96, bound=1000, seed=32))]
     cases += [random_int_matrix(rng, 16, 8, 9) @ random_int_matrix(rng, 8, 32, 9)]
-    for a, rank in zip(cases, (10, 6, 8)):
+    cases += [_WIDE_DEFICIENT]
+    for a, rank in zip(cases, (10, 6, 8, 2), strict=True):
         fifo, row_major = _drivers_equal_the_reference(a)
         assert row_major.exchanges > 0 and fifo.basis.cols == rank
         assert lattice_equal(row_major.basis, fifo.basis)
@@ -135,6 +139,20 @@ def _diophantine_equals_the_reference(a, rhs, checks):
         except SpanMismatchError as exc:
             assert want == ("span", None, exc.trace)
     return want, ref
+
+
+def test_diophantine_mode_equals_the_reference_at_benchmark_scale():
+    # 10x16 and 10x26 at entries to 1000: a pool of 6 against rank 10 solves on
+    # the pool's solution matrix, a pool of 16 on the adjugate. The sum of the
+    # columns has a witness on A and, doubled, on 2 * A; with its first entry
+    # plus 1 it lies in the span of 2 * A and off its lattice
+    for m in (16, 26):
+        a = random_instance(InstanceParams(n=10, m=m, bound=1000, seed=m, rank_full=True))
+        total, doubled = a.mat_vec((1,) * m), _doubled(a)
+        even = tuple(2 * e for e in total)
+        for mat, rhs, feasible in ((a, total, True), (doubled, even, True), (doubled, (even[0] + 1, *even[1:]), False)):
+            (witness, _, _), _ = _diophantine_equals_the_reference(mat, rhs, (False, True))
+            assert isinstance(witness, tuple) == feasible
 
 
 @st.composite
